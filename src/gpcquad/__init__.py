@@ -87,13 +87,8 @@ __version__ = "0.1.0"
 
 def fit_density(values, m: int = 45, delta: float | None = None, variant: str = "cubic"):
     """Convenience wrapper: samples -> transform -> point selection -> fit."""
-    import numpy as _np
-
-    from .ecdf import default_delta as _dd
-    from .interp import fit_cubic as _fc, fit_rational as _fr
-
-    values = _np.asarray(values, dtype=float)
-    transform, cdf = fit_transform(values, _dd(values) if delta is None else delta)
-    data = select_points(cdf, m)
-    fit = _fc if variant == "cubic" else _fr
-    return fit(data, transform=transform)
+    fitters = {"cubic": fit_cubic, "rational": fit_rational}
+    if variant not in fitters:
+        raise ValueError(f"unknown variant {variant!r}; expected 'cubic' or 'rational'")
+    transform, cdf = fit_transform(values, default_delta(values) if delta is None else delta)
+    return fitters[variant](select_points(cdf, m), transform=transform)

@@ -47,7 +47,6 @@ class PipelineConfig:
     seed: int = 0
     m: int = 45
     delta: float | None = None
-    degree: int = 4
     variant: str = "both"
     out: Path = Path(".")
 
@@ -56,10 +55,6 @@ class PipelineConfig:
             raise ValueError(f"--samples must be at least 2, got {self.samples}")
         if self.m < 2:
             raise ValueError(f"--m must be at least 2, got {self.m}")
-        if not 0 <= self.degree <= DEGREE_CAP:
-            raise ValueError(
-                f"--degree must be within [0, {DEGREE_CAP}], got {self.degree}"
-            )
         if self.delta is not None and not self.delta > 0:
             raise ValueError(f"--delta must be positive, got {self.delta}")
         if self.variant not in ("cubic", "rational", "both"):

@@ -119,6 +119,17 @@ def ecdf_eval(ecdf: EmpiricalCDF, x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) else out
 
 
+def _distinct_steps(ecdf: EmpiricalCDF) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample values and the ECDF level at each, read off the
+    already-sorted values (what np.unique would return, without its sort)."""
+    sv = ecdf.sorted_values
+    first = np.empty(sv.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(sv[1:], sv[:-1], out=first[1:])
+    ends = np.append(np.flatnonzero(first)[1:], sv.size)
+    return sv[first], ends / ecdf.count
+
+
 def _walk(ux: np.ndarray, uy: np.ndarray, target: float) -> list[int]:
     """Greedy chord walk over candidate indices.
 
@@ -166,10 +177,9 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
     """
     if m < 2:
         raise SelectionError(f"m must be at least 2, got {m}")
-    ux, counts = np.unique(ecdf.sorted_values, return_counts=True)
+    ux, uy = _distinct_steps(ecdf)
     if not (ux[0] > 0.0 and ux[-1] < 1.0):
         raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
-    uy = np.cumsum(counts) / ecdf.count
     target = 1.0 / m
 
     chosen = _walk(ux, uy, target)

@@ -10,11 +10,14 @@ Two fitting schemes over the same selected points:
 Both produce a CDF that is 0 left of the first knot, 1 right of the last,
 continuously differentiable in between, with a non-negative density.
 
-Rational pieces are *stored* as numerator/denominator coefficients in the
-global coordinate but *evaluated* in the Bernstein-weighted local form,
-whose terms are all non-negative; the global monomial form loses roughly
-(interval length)^-2 worth of precision on narrow intervals and cannot meet
-the knot-interpolation tolerances.
+A model stores only its knots, knot values and knot slopes. Each variant
+has one CDF kernel and one density kernel per piece (`_piece_cdf`,
+`_piece_pdf`), written in plain arithmetic so that the same code evaluates
+a scalar or an array of (piece, x) pairs; evaluation, validation, inversion
+and the moment oracle all go through them. Rational pieces are evaluated in
+the Bernstein-weighted local form, whose terms are all non-negative; the
+global monomial form loses roughly (interval length)^-2 worth of precision
+on narrow intervals and cannot meet the knot-interpolation tolerances.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 IDENTITY_TRANSFORM = TransformParams(a=0.0, b=1.0, delta=1e-3)
 
@@ -63,16 +66,14 @@ class PlateauWarning(UserWarning):
 class DensityModel:
     """A fitted piecewise CDF/PDF pair on [x_1, x_n] plus its sample transform.
 
-    coeffs rows are (c1, c2, c3, c4) for the cubic variant and
-    (a1, a2, a3, b1, b2, b3) for the rational variant, one row per interval.
-    Immutable; safe for concurrent evaluation.
+    The knots (x, y) and the knot slopes determine every piece; piece k
+    spans [x[k], x[k+1]]. Immutable; safe for concurrent evaluation.
     """
 
     variant: str
     x: np.ndarray
     y: np.ndarray
     slopes: np.ndarray
-    coeffs: np.ndarray
     transform: TransformParams
 
     @property
@@ -175,37 +176,14 @@ def geometric_mean_slopes(data: MonotoneData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rational_wv(y0, y1, d0, d1, s):
-    w = (y1 * d0 + y0 * d1) / s
-    v = (d0 + d1) / s
-    return w, v
-
-
 def fit_cubic(data: MonotoneData, transform: TransformParams | None = None) -> DensityModel:
     """Monotone piecewise cubic CDF through the selected points."""
     data.validate()
-    slopes = project_slopes(data, parabolic_slopes(data))
-    x, y = data.x, data.y
-    n = data.n
-    dx, dy, s = _chords(data)
-    coeffs = np.zeros((n - 1, 4))
-    for k in range(n - 1):
-        if dy[k] == 0.0:
-            coeffs[k] = (y[k], 0.0, 0.0, 0.0)
-        else:
-            d0, d1 = slopes[k], slopes[k + 1]
-            coeffs[k] = (
-                y[k],
-                d0,
-                (3.0 * s[k] - 2.0 * d0 - d1) / dx[k],
-                (d0 + d1 - 2.0 * s[k]) / dx[k] ** 2,
-            )
     model = DensityModel(
         variant="cubic",
-        x=x.copy(),
-        y=y.copy(),
-        slopes=slopes,
-        coeffs=coeffs,
+        x=data.x.copy(),
+        y=data.y.copy(),
+        slopes=project_slopes(data, parabolic_slopes(data)),
         transform=transform or IDENTITY_TRANSFORM,
     )
     validate_model(model)
@@ -215,35 +193,24 @@ def fit_cubic(data: MonotoneData, transform: TransformParams | None = None) -> D
 def fit_rational(data: MonotoneData, transform: TransformParams | None = None) -> DensityModel:
     """Monotone piecewise rational quadratic CDF through the selected points."""
     data.validate()
-    slopes = geometric_mean_slopes(data)
-    x, y = data.x, data.y
-    n = data.n
-    _, dy, s = _chords(data)
-    coeffs = np.zeros((n - 1, 6))
-    for k in range(n - 1):
-        if dy[k] == 0.0:
-            coeffs[k] = (y[k], 0.0, 0.0, 1.0, 0.0, 0.0)
-        else:
-            w, v = _rational_wv(y[k], y[k + 1], slopes[k], slopes[k + 1], s[k])
-            x0, x1 = x[k], x[k + 1]
-            coeffs[k] = (
-                y[k + 1] * x0**2 - w * x0 * x1 + y[k] * x1**2,
-                w * (x0 + x1) - 2.0 * y[k + 1] * x0 - 2.0 * y[k] * x1,
-                y[k + 1] - w + y[k],
-                x0**2 - v * x0 * x1 + x1**2,
-                v * (x0 + x1) - 2.0 * x0 - 2.0 * x1,
-                2.0 - v,
-            )
     model = DensityModel(
         variant="rational",
-        x=x.copy(),
-        y=y.copy(),
-        slopes=slopes,
-        coeffs=coeffs,
+        x=data.x.copy(),
+        y=data.y.copy(),
+        slopes=geometric_mean_slopes(data),
         transform=transform or IDENTITY_TRANSFORM,
     )
     validate_model(model)
     return model
+
+
+def _cubic_monomial(model: DensityModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-piece (c2, c3, c4) of the cubic y_k + c2 u + c3 u^2 + c4 u^3 with
+    u = x - x_k. Only rising pieces use them: a flat piece is the constant y_k."""
+    dx = np.diff(model.x)
+    s = np.diff(model.y) / dx
+    d0, d1 = model.slopes[:-1], model.slopes[1:]
+    return d0, (3.0 * s - 2.0 * d0 - d1) / dx, (d0 + d1 - 2.0 * s) / dx**2
 
 
 # ---------------------------------------------------------------------------
@@ -256,41 +223,56 @@ def _piece_index(model: DensityModel, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, model.n - 2)
 
 
-def _rational_theta_terms(model: DensityModel, idx: np.ndarray, x: np.ndarray):
-    """Per-point Bernstein ingredients (theta, y0, y1, w, v, s, d0, d1, h)."""
-    xk = model.x[idx]
-    h = model.x[idx + 1] - xk
-    theta = (x - xk) / h
-    y0 = model.y[idx]
-    y1 = model.y[idx + 1]
-    d0 = model.slopes[idx]
-    d1 = model.slopes[idx + 1]
-    dy = y1 - y0
-    flat = dy == 0.0
-    s = np.where(flat, 1.0, dy / h)  # placeholder 1 on flat pieces
+def _piece_terms(model: DensityModel, k, x):
+    """(t, y0, y1, d0, d1, h) of piece k at x, with t = (x - x_k)/h."""
+    x0 = model.x[k]
+    h = model.x[k + 1] - x0
+    return (x - x0) / h, model.y[k], model.y[k + 1], model.slopes[k], model.slopes[k + 1], h
+
+
+def _piece_cdf(model: DensityModel, k, x):
+    """CDF of the rising piece k at x, whichever piece x lies in.
+
+    k and x are scalars or equal-shape arrays. Cubic pieces use the
+    Hermite-basis form, which is exact at the knots (the monomial form loses
+    ~eps*(chord slope) there, which matters on steep ramps). Rational pieces
+    use the Bernstein-weighted form, whose terms are all non-negative. Flat
+    pieces are the caller's to mask: the rational form divides by their
+    zero chord slope.
+    """
+    t, y0, y1, d0, d1, h = _piece_terms(model, k, x)
+    om = 1.0 - t
+    if model.variant == "cubic":
+        return (
+            y0 * (1.0 + 2.0 * t) * om * om
+            + h * d0 * t * om * om
+            + y1 * t * t * (3.0 - 2.0 * t)
+            + h * d1 * t * t * (t - 1.0)
+        )
+    s = (y1 - y0) / h
     w = (y1 * d0 + y0 * d1) / s
     v = (d0 + d1) / s
-    return theta, y0, y1, w, v, s, d0, d1, h, flat
+    return (y0 * om**2 + w * t * om + y1 * t * t) / (om**2 + v * t * om + t * t)
 
 
-def _cubic_hermite_terms(model: DensityModel, idx: np.ndarray, x: np.ndarray):
-    """Per-point Hermite ingredients (t, y0, y1, d0, d1, s, h).
-
-    The Hermite-basis form is exact at the knots; the monomial form of the
-    same piece loses ~eps*(chord slope) there, which matters on steep ramps.
-    """
-    xk = model.x[idx]
-    h = model.x[idx + 1] - xk
-    t = (x - xk) / h
-    y0 = model.y[idx]
-    y1 = model.y[idx + 1]
-    d0 = model.slopes[idx]
-    d1 = model.slopes[idx + 1]
-    flat = y1 == y0
+def _piece_pdf(model: DensityModel, k, x):
+    """Density of the rising piece k at x: the derivative of `_piece_cdf`."""
+    t, y0, y1, d0, d1, h = _piece_terms(model, k, x)
+    om = 1.0 - t
     s = (y1 - y0) / h
-    d0 = np.where(flat, 0.0, d0)
-    d1 = np.where(flat, 0.0, d1)
-    return t, y0, y1, d0, d1, s, h
+    if model.variant == "cubic":
+        return d0 * om * (1.0 - 3.0 * t) + 6.0 * s * t * om + d1 * t * (3.0 * t - 2.0)
+    v = (d0 + d1) / s
+    den = om**2 + v * t * om + t * t
+    return (d0 * om**2 + 2.0 * s * t * om + d1 * t * t) / den**2
+
+
+def _on_rising_pieces(kernel, model: DensityModel, k: np.ndarray, x: np.ndarray, fill):
+    """kernel(model, k, x) where piece k rises, `fill` where it is flat."""
+    out = np.array(fill, dtype=float)
+    rising = model.y[k + 1] != model.y[k]
+    out[rising] = kernel(model, k[rising], x[rising])
+    return out
 
 
 def cdf_eval(model: DensityModel, x):
@@ -298,22 +280,7 @@ def cdf_eval(model: DensityModel, x):
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     idx = _piece_index(model, x)
-    if model.variant == "cubic":
-        t, y0, y1, d0, d1, _, h = _cubic_hermite_terms(model, idx, x)
-        om = 1.0 - t
-        out = (
-            y0 * (1.0 + 2.0 * t) * om**2
-            + h * d0 * t * om**2
-            + y1 * t**2 * (3.0 - 2.0 * t)
-            + h * d1 * t**2 * (t - 1.0)
-        )
-    else:
-        theta, y0, y1, w, v, s, _, _, _, flat = _rational_theta_terms(model, idx, x)
-        om = 1.0 - theta
-        num = y0 * om**2 + w * theta * om + y1 * theta**2
-        den = om**2 + v * theta * om + theta**2
-        out = num / den
-        out[flat] = y0[flat]
+    out = _on_rising_pieces(_piece_cdf, model, idx, x, model.y[idx])
     out = np.where(x < model.x[0], 0.0, out)
     out = np.where(x > model.x[-1], 1.0, out)
     out = np.clip(out, 0.0, 1.0)
@@ -326,17 +293,7 @@ def pdf_eval(model: DensityModel, x):
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     idx = _piece_index(model, x)
-    if model.variant == "cubic":
-        t, _, _, d0, d1, s, _ = _cubic_hermite_terms(model, idx, x)
-        om = 1.0 - t
-        out = d0 * om * (1.0 - 3.0 * t) + 6.0 * s * t * om + d1 * t * (3.0 * t - 2.0)
-    else:
-        theta, _, _, _, v, s, d0, d1, _, flat = _rational_theta_terms(model, idx, x)
-        om = 1.0 - theta
-        num = d0 * om**2 + 2.0 * s * theta * om + d1 * theta**2
-        den = om**2 + v * theta * om + theta**2
-        out = num / den**2
-        out[flat] = 0.0
+    out = _on_rising_pieces(_piece_pdf, model, idx, x, np.zeros(x.shape))
     out = np.where((x < model.x[0]) | (x > model.x[-1]), 0.0, out)
     out = np.maximum(out, 0.0)
     return float(out[0]) if scalar else out
@@ -357,60 +314,18 @@ def pdf_original(model: DensityModel, xhat):
 # ---------------------------------------------------------------------------
 
 
-def _polish_root(model: DensityModel, k: int, target: float, x: float) -> float:
-    """Bracketed Newton on the piece CDF, converging in the y-residual.
-
-    Stopping on the residual (not the x-interval) keeps the round trip
-    cdf(inverse_cdf(y)) = y tight even where the density is steep; the
-    bracket shrinks to the float lattice when the residual cannot improve.
-    """
-    lo, hi = model.x[k], model.x[k + 1]
-    x = min(max(x, lo), hi)
-    for _ in range(100):
-        val = _cdf_on_piece(model, k, x) - target
-        if abs(val) <= 1e-13:
-            break
-        if val > 0.0:
-            hi = x
-        else:
-            lo = x
-        der = _pdf_on_piece(model, k, x)
-        nxt = x - val / der if der > 0.0 else math.nan
-        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        if hi - lo <= 4e-16 * max(1.0, abs(lo)):
-            break
-    return x
-
-
-def _invert_cubic_piece(model: DensityModel, k: int, target: float) -> float:
+def _newton_start(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Starting points on rising pieces k: the chord's root for cubic pieces,
+    the closed-form quadratic root of N(x) - target*D(x) = 0 for rational ones."""
+    x0 = model.x[k]
+    h = model.x[k + 1] - x0
     y0, y1 = model.y[k], model.y[k + 1]
-    h = model.x[k + 1] - model.x[k]
-    guess = model.x[k] + h * (target - y0) / (y1 - y0)
-    return _polish_root(model, k, target, guess)
-
-
-def _hermite_value(t, y0, y1, d0, d1, h):
-    om = 1.0 - t
-    return (
-        y0 * (1.0 + 2.0 * t) * om * om
-        + h * d0 * t * om * om
-        + y1 * t * t * (3.0 - 2.0 * t)
-        + h * d1 * t * t * (t - 1.0)
-    )
-
-
-def _hermite_slope(t, d0, d1, s):
-    om = 1.0 - t
-    return d0 * om * (1.0 - 3.0 * t) + 6.0 * s * t * om + d1 * t * (3.0 * t - 2.0)
-
-
-def _invert_rational_piece(model: DensityModel, k: int, target: float) -> float:
-    """Closed-form quadratic root of N(x) - target*D(x) = 0 on interval k."""
-    y0, y1 = model.y[k], model.y[k + 1]
+    if model.variant == "cubic":
+        return x0 + h * (target - y0) / (y1 - y0)
     d0, d1 = model.slopes[k], model.slopes[k + 1]
-    h = model.x[k + 1] - model.x[k]
     s = (y1 - y0) / h
-    w, v = _rational_wv(y0, y1, d0, d1, s)
+    w = (y1 * d0 + y0 * d1) / s
+    v = (d0 + d1) / s
     # Bernstein -> power basis in theta for (N - z*D)(theta) = 0
     r0 = y0 - target
     rm = w - target * v
@@ -418,64 +333,100 @@ def _invert_rational_piece(model: DensityModel, k: int, target: float) -> float:
     a = r0 - rm + r1
     b = rm - 2.0 * r0
     c = r0
-    theta = None
-    if a == 0.0:
-        if b != 0.0:
-            theta = -c / b
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            for cand in (q / a, c / q if q != 0.0 else math.inf):
-                if -1e-12 <= cand <= 1.0 + 1e-12:
-                    theta = cand
-                    break
-    if theta is None:
-        theta = 0.5  # roundoff pushed both roots out; the polish recovers
-    theta = min(max(theta, 0.0), 1.0)
-    return _polish_root(model, k, target, model.x[k] + theta * h)
+    theta = np.full(target.shape, 0.5)  # no root found: the polish recovers
+    linear = (a == 0.0) & (b != 0.0)
+    theta[linear] = -c[linear] / b[linear]
+    disc = b * b - 4.0 * a * c
+    quad = np.flatnonzero((a != 0.0) & (disc >= 0.0))
+    q = -0.5 * (b[quad] + np.copysign(np.sqrt(disc[quad]), b[quad]))
+
+    def on_piece(th):
+        return (-1e-12 <= th) & (th <= 1.0 + 1e-12)
+
+    root = q / a[quad]
+    other = ~on_piece(root)  # q != 0 here: q = 0 makes the first root 0
+    root[other] = c[quad][other] / q[other]
+    theta[quad] = np.where(on_piece(root), root, 0.5)
+    return x0 + np.minimum(np.maximum(theta, 0.0), 1.0) * h
 
 
-def inverse_cdf(model: DensityModel, y: float) -> float:
-    """Solve p(x) = y on the support.
+def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bracketed Newton on the piece CDFs, converging in the y-residual.
 
-    For y matching the level of a flat stretch the preimage is an interval;
-    its midpoint is returned and a PlateauWarning is issued.
+    Stopping on the residual (not the x-interval) keeps the round trip
+    cdf(inverse_cdf(y)) = y tight even where the density is steep; an
+    element stops early when its bracket shrinks to the float lattice
+    because its residual cannot improve.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"target CDF value must be in [0,1], got {y}")
-    yk = model.y
-    if y <= yk[0]:
-        return float(model.x[0])
-    if y >= yk[-1]:
-        return float(model.x[-1])
-    j = int(np.searchsorted(yk, y, side="right")) - 1
-    if yk[j] == y:
-        jhi = j
-        jlo = j
-        while jlo > 0 and yk[jlo - 1] == y:
-            jlo -= 1
-        if jhi > jlo:
-            warnings.warn(
-                f"target {y} lies on a plateau [{model.x[jlo]}, {model.x[jhi]}]; "
-                f"returning its midpoint",
-                PlateauWarning,
-                stacklevel=2,
-            )
-            return float(0.5 * (model.x[jlo] + model.x[jhi]))
-        return float(model.x[j])
-    # now yk[j] < y < yk[j+1] with the interval necessarily non-flat
-    if model.variant == "cubic":
-        return float(_invert_cubic_piece(model, j, y))
-    return float(_invert_rational_piece(model, j, y))
+    lo, hi = model.x[k], model.x[k + 1]
+    x = np.minimum(np.maximum(x, lo), hi)
+    todo = np.arange(len(x))
+    for _ in range(100):
+        xa = x[todo]
+        val = _piece_cdf(model, k[todo], xa) - target[todo]
+        open_ = np.abs(val) > 1e-13
+        todo, xa, val = todo[open_], xa[open_], val[open_]
+        if not todo.size:
+            break
+        above = val > 0.0
+        hi[todo[above]] = xa[above]
+        lo[todo[~above]] = xa[~above]
+        der = _piece_pdf(model, k[todo], xa)
+        lo_t, hi_t = lo[todo], hi[todo]
+        nxt = 0.5 * (lo_t + hi_t)
+        slope = np.flatnonzero(der > 0.0)
+        newton = xa[slope] - val[slope] / der[slope]
+        inside = (lo_t[slope] < newton) & (newton < hi_t[slope])
+        nxt[slope[inside]] = newton[inside]
+        x[todo] = nxt
+        todo = todo[hi_t - lo_t > 4e-16 * np.maximum(1.0, np.abs(lo_t))]
+    return x
+
+
+def inverse_cdf(model: DensityModel, y):
+    """Solve p(x) = y on the support, elementwise for an array of targets.
+
+    A scalar target gives a float. For y matching the level of a flat
+    stretch the preimage is an interval; its midpoint is returned, with one
+    PlateauWarning per call however many targets hit plateaus.
+    """
+    shape = np.shape(y)
+    u = np.asarray(y, dtype=float).ravel()
+    bad = ~((u >= 0.0) & (u <= 1.0))
+    if bad.any():
+        raise ValueError(f"target CDF value must be in [0,1], got {u[bad][0]}")
+    xk, yk = model.x, model.y
+    out = np.empty(u.shape)
+    low = u <= yk[0]
+    high = u >= yk[-1]
+    out[low] = xk[0]
+    out[high] = xk[-1]
+    j = np.searchsorted(yk, u, side="right") - 1
+    knot = ~(low | high) & (yk[j] == u)
+    out[knot] = xk[j[knot]]
+    first = np.searchsorted(yk, u, side="left")  # first knot at that level
+    plateau = np.flatnonzero(knot & (first < j))
+    if plateau.size:
+        out[plateau] = 0.5 * (xk[first[plateau]] + xk[j[plateau]])
+        p = plateau[0]
+        warnings.warn(
+            f"{plateau.size} target(s) lie on plateaus, e.g. {u[p]} on "
+            f"[{xk[first[p]]}, {xk[j[p]]}]; returning plateau midpoints",
+            PlateauWarning,
+            stacklevel=2,
+        )
+    # the rest lie strictly inside a rising piece: yk[j] < u < yk[j+1]
+    inner = np.flatnonzero(~(low | high | knot))
+    k, target = j[inner], u[inner]
+    out[inner] = _polish(model, k, target, _newton_start(model, k, target))
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def draw_samples(model: DensityModel, count: int, seed: int, original: bool = True):
     """Inverse-CDF samples, deterministic per seed, in original coordinates
     (set original=False for the normalized coordinate)."""
     rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, count)
-    xs = np.fromiter((inverse_cdf(model, ui) for ui in u), dtype=float, count=count)
+    xs = inverse_cdf(model, rng.uniform(0.0, 1.0, count))
     return model.transform.denormalize(xs) if original else xs
 
 
@@ -484,13 +435,17 @@ def draw_samples(model: DensityModel, count: int, seed: int, original: bool = Tr
 # ---------------------------------------------------------------------------
 
 
-def _cubic_derivative_min(c2, c3, c4, h) -> float:
-    """Exact minimum of the piece derivative (a quadratic in u) over [0, h]."""
-    lo = min(c2, c2 + h * (2.0 * c3 + 3.0 * c4 * h))
-    if c4 != 0.0:
-        u_star = -c3 / (3.0 * c4)
-        if 0.0 < u_star < h:
-            lo = min(lo, c2 + u_star * (2.0 * c3 + u_star * 3.0 * c4))
+def _cubic_derivative_min(model: DensityModel, rising: np.ndarray) -> np.ndarray:
+    """Exact minimum of each rising piece's derivative, a quadratic in u,
+    over [0, h]: at both ends and at its stationary point if that is inside."""
+    h = np.diff(model.x)[rising]
+    c2, c3, c4 = (c[rising] for c in _cubic_monomial(model))
+    lo = np.minimum(c2, c2 + h * (2.0 * c3 + 3.0 * c4 * h))
+    curved = np.flatnonzero(c4 != 0.0)
+    u_star = -c3[curved] / (3.0 * c4[curved])
+    inside = (0.0 < u_star) & (u_star < h[curved])
+    i, u = curved[inside], u_star[inside]
+    lo[i] = np.minimum(lo[i], c2[i] + u * (2.0 * c3[i] + u * 3.0 * c4[i]))
     return lo
 
 
@@ -514,36 +469,32 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
         failures.append("knot values not non-decreasing")
     if np.any(d < 0):
         failures.append("negative knot slope")
-    if model.coeffs.shape != (n - 1, 4 if model.variant == "cubic" else 6):
-        failures.append(f"coefficient table shape {model.coeffs.shape} wrong")
     if not (model.transform.b > 0 and model.transform.delta > 0):
         failures.append("invalid transform parameters")
 
     if not failures:
         # Hermite conditions checked per piece at both of its ends (the
-        # public evaluator would hand a shared knot to the next piece)
-        flat = np.diff(y) == 0
-        val_res = 0.0
-        slope_res = 0.0
-        for k in range(n - 1):
-            for xv, yv, dv in (
-                (x[k], y[k], 0.0 if flat[k] else d[k]),
-                (x[k + 1], y[k + 1], 0.0 if flat[k] else d[k + 1]),
-            ):
-                val_res = max(val_res, abs(_cdf_on_piece(model, k, xv) - yv))
-                slope_res = max(
-                    slope_res,
-                    abs(_pdf_on_piece(model, k, xv) - dv) / max(1.0, abs(dv)),
-                )
-        report["hermite_value_max"] = val_res
-        report["hermite_slope_max"] = slope_res
+        # public evaluator would hand a shared knot to the next piece); a
+        # flat piece is the constant y_k with density 0
+        k = np.arange(n - 1)
+        rising = np.diff(y) != 0
+        d_lo = np.where(rising, d[:-1], 0.0)
+        d_hi = np.where(rising, d[1:], 0.0)
+        pdf_lo = _on_rising_pieces(_piece_pdf, model, k, x[:-1], np.zeros(n - 1))
+        pdf_hi = _on_rising_pieces(_piece_pdf, model, k, x[1:], np.zeros(n - 1))
+        val_res = np.abs(np.concatenate((
+            _on_rising_pieces(_piece_cdf, model, k, x[:-1], y[:-1]) - y[:-1],
+            _on_rising_pieces(_piece_cdf, model, k, x[1:], y[:-1]) - y[1:],
+        )))
+        slope_res = np.concatenate((
+            np.abs(pdf_lo - d_lo) / np.maximum(1.0, np.abs(d_lo)),
+            np.abs(pdf_hi - d_hi) / np.maximum(1.0, np.abs(d_hi)),
+        ))
         # C1: density agrees from both sides at every interior knot
-        jumps = [
-            abs(_pdf_on_piece(model, k, x[k + 1]) - _pdf_on_piece(model, k + 1, x[k + 1]))
-            / max(1.0, abs(d[k + 1]))
-            for k in range(n - 2)
-        ]
-        report["c1_jump_max"] = max(jumps) if jumps else 0.0
+        jumps = np.abs(pdf_hi[:-1] - pdf_lo[1:]) / np.maximum(1.0, np.abs(d[1:-1]))
+        report["hermite_value_max"] = float(np.max(val_res, initial=0.0))
+        report["hermite_slope_max"] = float(np.max(slope_res, initial=0.0))
+        report["c1_jump_max"] = float(np.max(jumps, initial=0.0))
         if report["hermite_value_max"] > 1e-12:
             failures.append(f"knot interpolation residual {report['hermite_value_max']:.2e}")
         if report["hermite_slope_max"] > 1e-12:
@@ -553,17 +504,10 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
         # exact per-piece monotonicity, roundoff measured against the
         # piece's own chord slope
         if model.variant == "cubic":
-            h = np.diff(x)
-            dy = np.diff(y)
-            raw_min = 0.0
-            worst_rel = 0.0
-            for c, hk, dyk in zip(model.coeffs, h, dy):
-                if dyk == 0.0:
-                    continue
-                dmin = _cubic_derivative_min(c[1], c[2], c[3], hk)
-                raw_min = min(raw_min, dmin)
-                worst_rel = min(worst_rel, dmin / max(1.0, dyk / hk))
-            report["derivative_min"] = float(raw_min)
+            dmin = _cubic_derivative_min(model, rising)
+            chord = np.diff(y)[rising] / np.diff(x)[rising]
+            worst_rel = np.min(dmin / np.maximum(1.0, chord), initial=0.0)
+            report["derivative_min"] = float(np.min(dmin, initial=0.0))
             if worst_rel < -1e-13:
                 failures.append(
                     f"cubic piece has negative derivative (relative {worst_rel:.2e})"
@@ -576,49 +520,6 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     report["failures"] = failures
     report["ok"] = not failures
     return report
-
-
-def _pdf_on_piece(model: DensityModel, k: int, xv: float) -> float:
-    """Density of piece k at xv regardless of which piece xv belongs to."""
-    y0, y1 = model.y[k], model.y[k + 1]
-    if model.variant == "cubic":
-        if y1 == y0:
-            return 0.0
-        h = model.x[k + 1] - model.x[k]
-        t = (xv - model.x[k]) / h
-        return float(
-            _hermite_slope(t, model.slopes[k], model.slopes[k + 1], (y1 - y0) / h)
-        )
-    if y1 == y0:
-        return 0.0
-    d0, d1 = model.slopes[k], model.slopes[k + 1]
-    h = model.x[k + 1] - model.x[k]
-    s = (y1 - y0) / h
-    v = (d0 + d1) / s
-    t = (xv - model.x[k]) / h
-    om = 1.0 - t
-    den = om**2 + v * t * om + t * t
-    return float((d0 * om**2 + 2.0 * s * t * om + d1 * t * t) / den**2)
-
-
-def _cdf_on_piece(model: DensityModel, k: int, xv: float) -> float:
-    """CDF of piece k at xv regardless of which piece xv belongs to."""
-    y0, y1 = model.y[k], model.y[k + 1]
-    if model.variant == "cubic":
-        h = model.x[k + 1] - model.x[k]
-        t = (xv - model.x[k]) / h
-        if y1 == y0:
-            return float(y0)
-        return float(_hermite_value(t, y0, y1, model.slopes[k], model.slopes[k + 1], h))
-    if y1 == y0:
-        return float(y0)
-    d0, d1 = model.slopes[k], model.slopes[k + 1]
-    h = model.x[k + 1] - model.x[k]
-    s = (y1 - y0) / h
-    w, v = _rational_wv(y0, y1, d0, d1, s)
-    t = (xv - model.x[k]) / h
-    om = 1.0 - t
-    return float((y0 * om**2 + w * t * om + y1 * t * t) / (om**2 + v * t * om + t * t))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +539,6 @@ def model_to_dict(model: DensityModel) -> dict:
         "knots_x": model.x.tolist(),
         "knots_y": model.y.tolist(),
         "slopes": model.slopes.tolist(),
-        "pieces": model.coeffs.tolist(),
     }
 
 
@@ -653,7 +553,6 @@ def model_from_dict(doc: dict) -> DensityModel:
             x=np.asarray(doc["knots_x"], dtype=float),
             y=np.asarray(doc["knots_y"], dtype=float),
             slopes=np.asarray(doc["slopes"], dtype=float),
-            coeffs=np.asarray(doc["pieces"], dtype=float),
             transform=TransformParams(a=tr["a"], b=tr["b"], delta=tr["delta"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

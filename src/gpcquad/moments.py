@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NumericalError
-from .interp import DensityModel, _pdf_on_piece
+from .interp import DensityModel, _cubic_monomial, _piece_pdf
 
 __all__ = [
     "MOMENT_CAP",
@@ -78,12 +78,12 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
     _check_kmax(kmax)
     terms: list[list[float]] = [[] for _ in range(kmax + 1)]
     x, y = model.x, model.y
+    c2, c3, c4 = _cubic_monomial(model)
     for j in range(model.n - 1):
         if y[j + 1] == y[j]:
             continue
-        c = model.coeffs[j]
         h = x[j + 1] - x[j]
-        raw = _cubic_piece_raw_moments(c[1], c[2], c[3], h, kmax)
+        raw = _cubic_piece_raw_moments(c2[j], c3[j], c4[j], h, kmax)
         _accumulate_binomial(terms, raw, x[j], kmax)
     return np.array([math.fsum(t) for t in terms])
 
@@ -229,7 +229,7 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
         v = (d[j] + d[j + 1]) / s
         layer = min(0.25, 10.0 / max(v, 40.0))
         val, err = quad(
-            lambda t, j=j: h * (x0 + t * h) ** k * _pdf_on_piece(model, j, x0 + t * h),
+            lambda t, j=j: h * (x0 + t * h) ** k * _piece_pdf(model, j, x0 + t * h),
             0.0,
             1.0,
             epsabs=1e-13,

@@ -126,7 +126,10 @@ def compute_recurrence(
     norms = np.sqrt(np.cumprod(rec.kappa))
     phi = tuple(monic[i] / norms[i] for i in range(n_hat + 1))
     basis = OrthonormalBasis(
-        degree=n_hat, monic_coeffs=tuple(monic), norms=norms, phi_coeffs=phi
+        degree=n_hat,
+        monic_coeffs=tuple(monic),
+        norms=norms,
+        phi_coeffs=phi,
     )
     return rec, basis
 
@@ -167,6 +170,7 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
             kappa=np.asarray(doc["kappa"], dtype=float),
         )
         n_hat = doc["degree"]
+        phi = tuple(np.asarray(c, dtype=float) for c in doc["phi_coeffs"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
     monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
@@ -175,7 +179,7 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
         degree=n_hat,
         monic_coeffs=tuple(monic),
         norms=norms,
-        phi_coeffs=tuple(np.asarray(c, dtype=float) for c in doc["phi_coeffs"]),
+        phi_coeffs=phi,
     )
     return rec, basis
 

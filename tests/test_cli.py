@@ -16,8 +16,10 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
     fit_cubic,
+    save_model,
 )
 from gpcquad.cli import main
+from gpcquad.interp import MODEL_FORMAT_VERSION
 from conftest import diagonal_data
 
 
@@ -161,11 +163,24 @@ def test_plotdata_uniform_grid(tmp_path, capsys):
 
 def test_invalid_model_file_and_missing_file(tmp_path, capsys):
     bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"format_version": 1, "variant": "cubic"}))
+    bogus.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION, "variant": "cubic"}))
     code, _, _ = run_cli(capsys, "quad", str(bogus), "--out", str(tmp_path))
     assert code == 1
     code, _, _ = run_cli(capsys, "quad", str(tmp_path / "nope.json"), "--out", str(tmp_path))
     assert code == 3
+
+
+def test_format_1_model_file_must_be_refit(tmp_path, capsys):
+    """Format-1 files (with the per-piece coefficient table) are rejected."""
+    model_file = tmp_path / "m.json"
+    save_model(fit_cubic(diagonal_data(5)), model_file)
+    doc = json.loads(model_file.read_text())
+    doc["format_version"] = 1
+    doc["pieces"] = [[0.25 * k, 1.0, 0.0, 0.0] for k in range(4)]
+    model_file.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, "quad", str(model_file), "--out", str(tmp_path))
+    assert code == 1 and report is None
+    assert "format version 1" in err
 
 
 def test_cli_round_trip_matches_in_process(tmp_path, capsys):

@@ -18,6 +18,7 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
 )
+from gpcquad.ecdf import _distinct_steps
 from conftest import mixture_values
 
 
@@ -71,6 +72,16 @@ def test_ecdf_eval_distinct_value_levels(rng):
     _, cdf = fit_transform(values, 0.01)
     for k, xv in enumerate(cdf.sorted_values, start=1):
         assert ecdf_eval(cdf, xv) == pytest.approx(k / 50)
+
+
+def test_distinct_steps_match_np_unique(rng):
+    for _ in range(20):
+        values = mixture_values(rng)  # point masses give repeated values
+        _, cdf = fit_transform(values, default_delta(values))
+        ux, counts = np.unique(cdf.sorted_values, return_counts=True)
+        got_x, got_y = _distinct_steps(cdf)
+        np.testing.assert_array_equal(got_x, ux)
+        np.testing.assert_array_equal(got_y, np.cumsum(counts) / cdf.count)
 
 
 def test_select_points_diagonal_m4(rng):

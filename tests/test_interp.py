@@ -25,6 +25,7 @@ from gpcquad import (
     save_model,
     validate_model,
 )
+from gpcquad.interp import MODEL_FORMAT_VERSION, _cubic_monomial
 from conftest import diagonal_data, random_selected_data
 
 FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
@@ -107,15 +108,16 @@ def test_linear_reproduction(variant):
 
 
 def test_fit_cubic_linear_coefficients():
-    model = fit_cubic(diagonal_data(5))
-    np.testing.assert_allclose(model.coeffs[:, 1], 1.0, rtol=0)  # c2 = 1
-    np.testing.assert_allclose(model.coeffs[:, 2:], 0.0, atol=0)  # c3 = c4 = 0
+    c2, c3, c4 = _cubic_monomial(fit_cubic(diagonal_data(5)))
+    np.testing.assert_allclose(c2, 1.0, rtol=0)
+    np.testing.assert_allclose(c3, 0.0, atol=0)
+    np.testing.assert_allclose(c4, 0.0, atol=0)
 
 
 def test_fit_cubic_flat_first_interval():
     data = MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.0, 1.0]))
     model = fit_cubic(data)
-    np.testing.assert_array_equal(model.coeffs[0], [0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal([c[0] for c in _cubic_monomial(model)], [0.0, 0.0, 0.0])
     xs = np.linspace(0.0, 0.49, 50)
     np.testing.assert_array_equal(pdf_eval(model, xs), np.zeros(50))
     assert cdf_eval(model, 0.25) == 0.0
@@ -221,12 +223,9 @@ def test_inverse_round_trip(rng, variant):
         data, transform, _ = random_selected_data(rng, atoms=False)
         model = FITTERS[variant](data, transform=transform)
         ys = rng.uniform(0.0, 1.0, 1000)
-        flats = {float(v) for v in model.y[:-1][np.diff(model.y) == 0]}
-        for y in ys:
-            if float(y) in flats:
-                continue
-            x = inverse_cdf(model, float(y))
-            assert abs(cdf_eval(model, x) - y) <= 1e-12
+        ys = ys[~np.isin(ys, model.y[:-1][np.diff(model.y) == 0])]
+        xs = inverse_cdf(model, ys)
+        assert np.max(np.abs(cdf_eval(model, xs) - ys)) <= 1e-12
 
 
 def test_inverse_plateau_returns_midpoint():
@@ -238,6 +237,40 @@ def test_inverse_plateau_returns_midpoint():
     with pytest.warns(PlateauWarning):
         mid = inverse_cdf(model, 0.5)
     assert mid == pytest.approx(0.5)  # midpoint of [0.2, 0.8]
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_inverse_array_matches_scalar_calls(rng, variant):
+    data, transform, _ = random_selected_data(rng)
+    model = FITTERS[variant](data, transform=transform)
+    rising = np.diff(model.y) != 0
+    levels = np.concatenate(([0.0, 1.0], model.y[1:][rising], model.y[:-1][rising]))
+    ys = np.concatenate((rng.uniform(0.0, 1.0, 500), levels))
+    scalar = np.array([inverse_cdf(model, float(y)) for y in ys])
+    np.testing.assert_array_equal(inverse_cdf(model, ys), scalar)
+    grid = inverse_cdf(model, ys.reshape(-1, 1))
+    assert grid.shape == (ys.size, 1)
+    np.testing.assert_array_equal(grid[:, 0], scalar)
+
+
+def test_inverse_one_plateau_warning_per_call():
+    data = MonotoneData(
+        x=np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+        y=np.array([0.0, 0.3, 0.3, 0.7, 0.7, 1.0]),
+    )
+    model = fit_cubic(data)
+    with pytest.warns(PlateauWarning) as caught:
+        xs = inverse_cdf(model, np.array([0.3, 0.5, 0.7, 0.3]))
+    assert len(caught) == 1
+    np.testing.assert_allclose(xs[[0, 2, 3]], [0.3, 0.7, 0.3])
+    assert 0.4 < xs[1] < 0.6
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+def test_inverse_rejects_any_bad_target(bad):
+    model = fit_cubic(diagonal_data(5))
+    with pytest.raises(ValueError):
+        inverse_cdf(model, np.array([0.2, bad, 0.7]))
 
 
 def test_draw_samples_deterministic_and_in_range(rng):
@@ -262,7 +295,7 @@ def test_model_json_round_trip(tmp_path, rng, variant):
     save_model(model, path)
     again = load_model(path)
     assert again.variant == model.variant
-    for field in ("x", "y", "slopes", "coeffs"):
+    for field in ("x", "y", "slopes"):
         np.testing.assert_array_equal(getattr(again, field), getattr(model, field))
     assert again.transform == model.transform
     xs = rng.uniform(-0.1, 1.1, 300)
@@ -281,7 +314,7 @@ def test_load_rejects_bad_version_and_tampering(tmp_path, rng):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):
         load_model(bad)
-    doc["format_version"] = 1
+    doc["format_version"] = MODEL_FORMAT_VERSION
     doc["slopes"][1] = -3.0  # negative slope must be caught on load
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):

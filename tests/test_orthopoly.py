@@ -16,6 +16,7 @@ from gpcquad import (
     pdf_eval,
     save_basis,
 )
+from gpcquad.orthopoly import basis_from_dict, basis_to_dict
 from conftest import diagonal_data, random_selected_data
 
 UNIFORM_MOMENTS = 1.0 / (np.arange(30) + 1.0)
@@ -167,3 +168,12 @@ def test_basis_json_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(rec2.kappa, rec.kappa)
     for i in range(5):
         np.testing.assert_array_equal(basis2.phi_coeffs[i], basis.phi_coeffs[i])
+
+
+def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
+    data, transform, _ = random_selected_data(rng)
+    rec, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
+    doc = basis_to_dict(rec, basis)
+    del doc["phi_coeffs"]
+    with pytest.raises(ValueError, match="malformed basis document"):
+        basis_from_dict(doc)

@@ -69,3 +69,9 @@ def test_rule_expectation_matches_sample_mean():
     rule = gauss_rule(rec)
     mean = integrate(rule, lambda x: transform.a + transform.b * x)
     assert mean == pytest.approx(values.mean(), abs=0.05)
+
+
+def test_fit_density_rejects_unknown_variant():
+    values = np.random.default_rng(1).normal(size=2000)
+    with pytest.raises(ValueError, match="unknown variant"):
+        fit_density(values, variant="cubc")
