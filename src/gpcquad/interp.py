@@ -456,26 +456,39 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     meaningful for steep near-atom ramps as well as O(1) densities.
     """
     x, y, d = model.x, model.y, model.slopes
-    n = model.n
+    tr = model.transform
     report: dict = {}
     failures = []
     if model.variant not in ("cubic", "rational"):
         failures.append(f"unknown variant {model.variant!r}")
-    if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
-        failures.append("endpoints not pinned to (0,0), (1,1)")
-    if not np.all(np.diff(x) > 0):
-        failures.append("knots not strictly increasing")
-    if not np.all(np.diff(y) >= 0):
-        failures.append("knot values not non-decreasing")
-    if np.any(d < 0):
-        failures.append("negative knot slope")
-    if not (model.transform.b > 0 and model.transform.delta > 0):
-        failures.append("invalid transform parameters")
+    fields = {"knots_x": x, "knots_y": y, "slopes": d,
+              "transform.a": tr.a, "transform.b": tr.b, "transform.delta": tr.delta}
+    non_finite = [name for name, value in fields.items() if not np.all(np.isfinite(value))]
+    # array arithmetic below needs equal-length 1-D knot data
+    if not (np.ndim(x) == np.ndim(y) == np.ndim(d) == 1 and len(x) == len(y) == len(d) >= 2):
+        failures.append(
+            f"knots_x, knots_y and slopes must be 1-D with one length >= 2, "
+            f"got lengths {np.size(x)}, {np.size(y)}, {np.size(d)}"
+        )
+    elif non_finite:
+        failures.append(f"non-finite values in {', '.join(non_finite)}")
+    else:
+        if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
+            failures.append("endpoints not pinned to (0,0), (1,1)")
+        if not np.all(np.diff(x) > 0):
+            failures.append("knots not strictly increasing")
+        if not np.all(np.diff(y) >= 0):
+            failures.append("knot values not non-decreasing")
+        if np.any(d < 0):
+            failures.append("negative knot slope")
+        if not (tr.b > 0 and tr.delta > 0):
+            failures.append("invalid transform parameters")
 
     if not failures:
         # Hermite conditions checked per piece at both of its ends (the
         # public evaluator would hand a shared knot to the next piece); a
         # flat piece is the constant y_k with density 0
+        n = model.n
         k = np.arange(n - 1)
         rising = np.diff(y) != 0
         d_lo = np.where(rising, d[:-1], 0.0)
@@ -553,7 +566,7 @@ def model_from_dict(doc: dict) -> DensityModel:
             x=np.asarray(doc["knots_x"], dtype=float),
             y=np.asarray(doc["knots_y"], dtype=float),
             slopes=np.asarray(doc["slopes"], dtype=float),
-            transform=TransformParams(a=tr["a"], b=tr["b"], delta=tr["delta"]),
+            transform=TransformParams(*(float(tr[key]) for key in ("a", "b", "delta"))),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"malformed model document: {exc}") from exc

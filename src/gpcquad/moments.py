@@ -12,6 +12,13 @@ the severe cancellation the global monomial basis suffers on narrow pieces.
 For the rational variant the expansion point is the interval midpoint, where
 the denominator loses its linear term and its roots sit at least half an
 interval away, keeping the long division well conditioned.
+
+The integrals run on arrays over all rising pieces at once; Python loops
+remain only over the moment order and the series term. Sums whose terms can
+cancel (the binomial scatter into each moment, the polynomial part of the
+division branch) go through `math.fsum`, which rounds correctly whatever the
+term order. A series step has at most two nonzero terms, and one IEEE
+addition of two terms is already correctly rounded, so it needs no fsum.
 """
 
 from __future__ import annotations
@@ -56,7 +63,20 @@ def moments(model: DensityModel, kmax: int) -> np.ndarray:
     """M_0..M_kmax of the fitted density, dispatched on the variant."""
     if model.variant == "cubic":
         return moments_cubic(model, kmax)
-    return moments_rational(model, kmax)
+    if model.variant == "rational":
+        return moments_rational(model, kmax)
+    raise ValueError(f"unknown variant {model.variant!r}; expected 'cubic' or 'rational'")
+
+
+def _binomial_sum(raw: np.ndarray, center: np.ndarray, kmax: int) -> np.ndarray:
+    """M_k = sum over pieces and i of C(k, i) center^(k-i) raw_i, where
+    raw[p, i] is piece p's local moment in w = x - center[p]."""
+    cpow = center[:, None] ** np.arange(kmax + 1)
+    out = np.empty(kmax + 1)
+    for k in range(kmax + 1):
+        comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
+        out[k] = math.fsum((comb * cpow[:, k::-1] * raw[:, : k + 1]).ravel().tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -64,28 +84,21 @@ def moments(model: DensityModel, kmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cubic_piece_raw_moments(c2, c3, c4, h, kmax) -> np.ndarray:
-    """J_i = integral of u^i * (c2 + 2 c3 u + 3 c4 u^2) du over [0, h]."""
-    i = np.arange(kmax + 1)
-    hp = h ** (i + 1)
-    return hp * (c2 / (i + 1) + 2.0 * c3 * h / (i + 2) + 3.0 * c4 * h * h / (i + 3))
-
-
 def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
-    """Moments via the polynomial antiderivative of x^k times each piece."""
+    """Moments via the polynomial antiderivative of x^k times each piece.
+
+    Piece p contributes J_i = integral of u^i (c2 + 2 c3 u + 3 c4 u^2) du
+    over [0, h] in u = x - x_p.
+    """
     if model.variant != "cubic":
         raise ValueError(f"expected a cubic model, got {model.variant!r}")
     _check_kmax(kmax)
-    terms: list[list[float]] = [[] for _ in range(kmax + 1)]
-    x, y = model.x, model.y
-    c2, c3, c4 = _cubic_monomial(model)
-    for j in range(model.n - 1):
-        if y[j + 1] == y[j]:
-            continue
-        h = x[j + 1] - x[j]
-        raw = _cubic_piece_raw_moments(c2[j], c3[j], c4[j], h, kmax)
-        _accumulate_binomial(terms, raw, x[j], kmax)
-    return np.array([math.fsum(t) for t in terms])
+    rising = np.diff(model.y) != 0
+    c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(model))
+    h = np.diff(model.x)[rising][:, None]
+    i = np.arange(kmax + 1)
+    raw = h ** (i + 1) * (c2 / (i + 1) + 2.0 * c3 * h / (i + 2) + 3.0 * c4 * h * h / (i + 3))
+    return _binomial_sum(raw, model.x[:-1][rising], kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -93,26 +106,22 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _divide_by_even_quadratic(p: np.ndarray, d0: float, d2: float):
-    """Divide p(w) by d2*w^2 + d0; return (quotient, r0, r1)."""
-    rem = p.copy()
-    deg = len(rem) - 1
-    q = np.zeros(max(deg - 1, 1))
-    for j in range(deg, 1, -1):
-        qc = rem[j] / d2
-        q[j - 2] = qc
-        rem[j] = 0.0
-        rem[j - 2] -= d0 * qc
-    return q, rem[0], rem[1] if deg >= 1 else 0.0
+def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
+    """Moments via long division of each piece's rational density.
 
-
-def _rational_piece_raw_moments(y0, y1, d0, d1, x0, x1, kmax) -> np.ndarray:
-    """J_i = integral of w^i * density dw over w in [-h/2, h/2].
-
-    Uses w^i * rho = d/dw [w^i N/D] - i w^{i-1} N/D, long division of the
-    second term, and the symmetric bounds: even antiderivative differences
-    drop out, odd ones double.
+    Piece p contributes J_i = integral of w^i * density over w in
+    [-h/2, h/2] around its midpoint. Uses w^i rho = d/dw [w^i N/D] -
+    i w^(i-1) N/D, divides the second term by D (exactly, or through a
+    geometric series in D2 w^2 / D0 when that is small), and the symmetric
+    bounds: even antiderivative differences drop out, odd ones double.
     """
+    if model.variant != "rational":
+        raise ValueError(f"expected a rational model, got {model.variant!r}")
+    _check_kmax(kmax)
+    x, y, d = model.x, model.y, model.slopes
+    rising = np.diff(y) != 0
+    x0, x1, y0, y1 = x[:-1][rising], x[1:][rising], y[:-1][rising], y[1:][rising]
+    d0, d1 = d[:-1][rising], d[1:][rising]
     h = x1 - x0
     dy = y1 - y0
     s = dy / h
@@ -125,81 +134,72 @@ def _rational_piece_raw_moments(y0, y1, d0, d1, x0, x1, kmax) -> np.ndarray:
     D0 = h * h * (2.0 + v) / 4.0
     D2 = 2.0 - v
     half = 0.5 * h
-    ratio = abs(D2) * half * half / D0
-    use_series = ratio <= _SERIES_THRESHOLD
+    ratio = np.abs(D2) * half * half / D0
+    series = ratio <= _SERIES_THRESHOLD
 
-    # powers cover the polynomial degrees plus the series depth (<= 18 terms
-    # of w^2 each at the 0.1 threshold)
-    halfpow = half ** np.arange(kmax + 2 * 19 + 4)
+    # 1/(D0 + D2 w^2) = (1/D0) sum_t (-D2 w^2 / D0)^t; term t shrinks by
+    # `ratio` per step, so ceil(-18/log10(ratio)) terms reach 1e-18
+    n_terms = np.array(
+        [max(1, math.ceil(-18.0 / math.log10(r))) if r else 1 for r in ratio[series].tolist()],
+        dtype=int,
+    )
+    depth = n_terms.max(initial=0)
+    powers = np.arange(kmax + 2 * depth + 1)
+    halfpow = half[:, None] ** powers
+    # opi[:, P] = integral of w^(P-1) over the symmetric range
+    opi = np.zeros_like(halfpow)
+    opi[:, 1::2] = 2.0 * halfpow[:, 1::2] / powers[1::2]
 
-    def odd_power_integral(power):  # integral of w^(power-1), symmetric range
-        return 2.0 * halfpow[power] / power if power % 2 == 1 else 0.0
+    # raw[:, i] = boundary term minus the integral of i w^(i-1) N(w) / D(w)
+    i = np.arange(1, kmax + 1)
+    raw = np.empty((len(h), kmax + 1))
+    raw[:, 0] = dy
+    raw[:, 1:] = halfpow[:, 1 : kmax + 1] * np.where(i % 2 == 0, dy[:, None], (y1 + y0)[:, None])
+    iA, iB, iC = (i * c[:, None] for c in (A, B, C))
 
-    out = np.empty(kmax + 1)
-    out[0] = dy
-    for i in range(1, kmax + 1):
-        boundary = halfpow[i] * (y1 - y0 if i % 2 == 0 else y1 + y0)
-        # numerator of the division: i * w^(i-1) * N(w)
-        p = np.zeros(i + 2)
-        p[i - 1] += i * A
-        p[i] += i * B
-        p[i + 1] += i * C
-        if use_series:
-            # 1/(D0 + D2 w^2) = (1/D0) sum_t (-D2 w^2 / D0)^t; term t shrinks
-            # by `ratio` per step, so ceil(-18/log10(ratio)) terms reach 1e-18
-            if ratio == 0.0:
-                n_terms = 1
-            else:
-                n_terms = max(1, math.ceil(-18.0 / math.log10(ratio)))
-            integral = 0.0
-            factor = 1.0 / D0
-            for t in range(n_terms):
-                step = math.fsum(
-                    p[j] * odd_power_integral(j + 2 * t + 1) for j in range(len(p))
-                )
-                integral += factor * step
-                factor *= -D2 / D0
-            out[i] = boundary - integral
-            continue
-        q, r0, _r1 = _divide_by_even_quadratic(p, D0, D2)
-        poly = math.fsum(q[j] * odd_power_integral(j + 1) for j in range(len(q)))
-        # the r1 * log|D| term integrates to zero over symmetric bounds
-        if D2 > 0.0:
-            root = math.sqrt(4.0 * D0 * D2)
-            tail = (4.0 * r0 / root) * math.atan(D2 * h / root)
-        else:
-            b = math.sqrt(-4.0 * D0 * D2)
-            aa = -D2 * h  # |D2 * h|
-            small = 4.0 * (-D2) * h * h / (b + aa)  # b - aa, cancellation-free
-            tail = (2.0 * r0 / b) * math.log((b + aa) / small)
-        out[i] = boundary - poly - tail
-    return out
-
-
-def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
-    """Moments via long division of each piece's rational density."""
-    if model.variant != "rational":
-        raise ValueError(f"expected a rational model, got {model.variant!r}")
-    _check_kmax(kmax)
-    terms: list[list[float]] = [[] for _ in range(kmax + 1)]
-    x, y, d = model.x, model.y, model.slopes
-    for j in range(model.n - 1):
-        if y[j + 1] == y[j]:
-            continue
-        raw = _rational_piece_raw_moments(
-            y[j], y[j + 1], d[j], d[j + 1], x[j], x[j + 1], kmax
+    # series pieces, deepest first, so those still summing at term t are a prefix
+    deepest = np.argsort(-n_terms, kind="stable")
+    order, live = np.flatnonzero(series)[deepest], n_terms[deepest]
+    sA, sB, sC, so = iA[order], iB[order], iC[order], opi[order]
+    integral = np.zeros((len(order), kmax))
+    factor = 1.0 / D0[order]
+    q_ratio = -D2[order] / D0[order]
+    for t in range(depth):
+        c = np.count_nonzero(live > t)
+        lo = 1 + 2 * t  # so[:, lo + i - 1] integrates w^(i - 1 + 2t), i = 1..kmax
+        # at most two of the three terms have an odd-power integral, so this
+        # sum is correctly rounded
+        step = (
+            sA[:c] * so[:c, lo : lo + kmax]
+            + sB[:c] * so[:c, lo + 1 : lo + 1 + kmax]
+            + sC[:c] * so[:c, lo + 2 : lo + 2 + kmax]
         )
-        _accumulate_binomial(terms, raw, 0.5 * (x[j] + x[j + 1]), kmax)
-    return np.array([math.fsum(t) for t in terms])
+        integral[:c] += factor[:c, None] * step
+        factor[:c] *= q_ratio[:c]
+    raw[order, 1:] -= integral
 
-
-def _accumulate_binomial(terms, raw, center, kmax) -> None:
-    """Scatter x^k = (w + center)^k expansions of the raw local moments."""
-    cpow = center ** np.arange(kmax + 1)
-    for k in range(kmax + 1):
-        row = terms[k]
-        for i in range(k + 1):
-            row.append(math.comb(k, i) * cpow[k - i] * raw[i])
+    # division pieces: exact quotient by D0 + D2 w^2 plus an atan (D2 > 0) or
+    # log (D2 < 0) remainder; the r1 * log|D| term integrates to zero
+    div = np.flatnonzero(~series)
+    D0d, D2d, hd = D0[div], D2[div], h[div]
+    pos, neg = D2d > 0.0, D2d <= 0.0
+    root, scale, fn = np.empty(len(div)), np.where(pos, 4.0, 2.0), np.empty(len(div))
+    root[pos] = np.sqrt(4.0 * D0d[pos] * D2d[pos])
+    fn[pos] = [math.atan(z) for z in (D2d[pos] * hd[pos] / root[pos]).tolist()]
+    root[neg] = np.sqrt(-4.0 * D0d[neg] * D2d[neg])
+    aa = -D2d[neg] * hd[neg]  # |D2 * h|
+    small = 4.0 * (-D2d[neg]) * hd[neg] * hd[neg] / (root[neg] + aa)  # b - aa, cancellation-free
+    fn[neg] = [math.log(z) for z in ((root[neg] + aa) / small).tolist()]
+    for k in range(1, kmax + 1):
+        rem = np.zeros((len(div), k + 2))
+        rem[:, k - 1 :] = np.stack((iA[div, k - 1], iB[div, k - 1], iC[div, k - 1]), axis=1)
+        quot = np.zeros((len(div), k))
+        for j in range(k + 1, 1, -1):
+            quot[:, j - 2] = rem[:, j] / D2d
+            rem[:, j - 2] -= D0d * quot[:, j - 2]
+        poly = [math.fsum(row) for row in (quot * opi[div, 1 : k + 1]).tolist()]
+        raw[div, k] = raw[div, k] - poly - (scale * rem[:, 0] / root) * fn
+    return _binomial_sum(raw, 0.5 * (x0 + x1), kmax)
 
 
 # ---------------------------------------------------------------------------

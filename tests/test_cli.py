@@ -183,6 +183,17 @@ def test_format_1_model_file_must_be_refit(tmp_path, capsys):
     assert "format version 1" in err
 
 
+def test_non_finite_model_file_is_rejected(tmp_path, capsys):
+    model_file = tmp_path / "m.json"
+    save_model(fit_cubic(diagonal_data(5)), model_file)
+    doc = json.loads(model_file.read_text())
+    doc["slopes"][2] = float("nan")
+    model_file.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, "quad", str(model_file), "--out", str(tmp_path))
+    assert code == 1 and report is None
+    assert "non-finite values in slopes" in err
+
+
 def test_cli_round_trip_matches_in_process(tmp_path, capsys):
     """fit -> quad through files reproduces the in-process pipeline bitwise."""
     model = parse_model("a ~ N(0.0, 2.0)\nb ~ U(-1.0, 1.0)\nf = a + b*b\n")

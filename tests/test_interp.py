@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcquad import (
+    DensityModel,
     InvariantViolation,
     MonotoneData,
     PlateauWarning,
@@ -25,7 +26,7 @@ from gpcquad import (
     save_model,
     validate_model,
 )
-from gpcquad.interp import MODEL_FORMAT_VERSION, _cubic_monomial
+from gpcquad.interp import MODEL_FORMAT_VERSION, _cubic_monomial, model_from_dict, model_to_dict
 from conftest import diagonal_data, random_selected_data
 
 FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
@@ -319,6 +320,41 @@ def test_load_rejects_bad_version_and_tampering(tmp_path, rng):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):
         load_model(bad)
+
+
+def test_load_rejects_non_finite_values(rng):
+    data, transform, _ = random_selected_data(rng)
+    doc = model_to_dict(fit_rational(data, transform=transform))
+    for field, index in (("slopes", 2), ("knots_y", 3), ("knots_x", 1)):
+        bad = json.loads(json.dumps(doc))
+        bad[field][index] = float("nan")
+        with pytest.raises(InvariantViolation, match=f"non-finite values in {field}"):
+            model_from_dict(bad)
+    for key in ("a", "b", "delta"):
+        bad = json.loads(json.dumps(doc))
+        bad["transform"][key] = float("nan")
+        with pytest.raises(InvariantViolation, match=f"non-finite values in transform.{key}"):
+            model_from_dict(bad)
+    bad["transform"]["delta"] = "small"
+    with pytest.raises(InvariantViolation, match="malformed model document"):
+        model_from_dict(bad)
+
+
+def test_load_rejects_mismatched_lengths(rng):
+    data, transform, _ = random_selected_data(rng)
+    doc = model_to_dict(fit_cubic(data, transform=transform))
+    n = len(doc["knots_x"])
+    doc["slopes"].pop()
+    with pytest.raises(InvariantViolation, match=f"got lengths {n}, {n}, {n - 1}"):
+        model_from_dict(doc)
+    doc["knots_x"] = doc["knots_y"] = doc["slopes"] = [0.0]
+    with pytest.raises(InvariantViolation, match="got lengths 1, 1, 1"):
+        model_from_dict(doc)
+    report = validate_model(
+        DensityModel("cubic", np.zeros((2, 2)), np.zeros(2), np.zeros(2), transform),
+        raise_on_failure=False,
+    )
+    assert not report["ok"] and "1-D" in report["failures"][0]
 
 
 # ---------------------------------------------------------------------------

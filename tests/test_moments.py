@@ -1,16 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gpcquad import (
     MOMENT_CAP,
+    SYNTHETIC_MODEL,
     MonotoneData,
+    default_delta,
     fit_cubic,
     fit_rational,
+    fit_transform,
     moments,
     moments_cubic,
     moments_rational,
     numeric_moment_oracle,
+    parse_model,
+    sample,
+    select_points,
 )
+from gpcquad.moments import _SERIES_THRESHOLD
 from conftest import diagonal_data, random_selected_data
 
 
@@ -105,3 +114,55 @@ def test_moments_atom_heavy_corpus(rng):
             for k in (0, 1, kmax // 2, kmax):
                 oracle = numeric_moment_oracle(model, k)
                 assert abs(got[k] - oracle) <= tol * max(1.0, abs(got[k]))
+
+
+def series_division_counts(model):
+    """Rising rational pieces integrated by the series / by long division."""
+    rising = np.diff(model.y) != 0
+    s = np.diff(model.y)[rising] / np.diff(model.x)[rising]
+    v = (model.slopes[:-1][rising] + model.slopes[1:][rising]) / s
+    series = np.abs(2.0 - v) / (2.0 + v) <= _SERIES_THRESHOLD
+    return int(series.sum()), int((~series).sum())
+
+
+def test_synthetic_fits_match_oracle_at_cap():
+    values = sample(parse_model(SYNTHETIC_MODEL), 20_000, seed=3).values
+    transform, cdf = fit_transform(values, default_delta(values))
+    data = select_points(cdf, 45)
+    for fitter in (fit_cubic, fit_rational):
+        model = fitter(data, transform=transform)
+        got = moments(model, 21)
+        oracle = np.array([numeric_moment_oracle(model, k) for k in range(22)])
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+    n_series, n_division = series_division_counts(model)
+    assert n_series > 0 and n_division > 0
+
+
+def test_moment_prefixes_are_bitwise_consistent(rng):
+    for _ in range(4):
+        data, transform, _ = random_selected_data(rng, atoms=True)
+        for fitter in (fit_cubic, fit_rational):
+            model = fitter(data, transform=transform)
+            full = moments(model, 21)
+            for k in range(22):
+                assert moments(model, k).tobytes() == full[: k + 1].tobytes()
+
+
+def test_rational_all_series_and_all_division():
+    uniform = fit_rational(diagonal_data(6))
+    assert series_division_counts(uniform) == (5, 0)
+    np.testing.assert_allclose(moments(uniform, 21), 1.0 / (np.arange(22) + 1.0), rtol=1e-13)
+    # one rising piece between plateaus: zero knot slopes, division only
+    data = MonotoneData(x=np.array([0.0, 0.3, 0.6, 1.0]), y=np.array([0.0, 0.0, 1.0, 1.0]))
+    single = fit_rational(data)
+    assert series_division_counts(single) == (0, 1)
+    for model in (single, fit_cubic(data)):
+        got = moments(model, 21)
+        oracle = np.array([numeric_moment_oracle(model, k) for k in range(22)])
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+
+
+def test_unknown_variant_is_named():
+    model = dataclasses.replace(fit_cubic(diagonal_data(4)), variant="cubc")
+    with pytest.raises(ValueError, match="unknown variant 'cubc'"):
+        moments(model, 4)
