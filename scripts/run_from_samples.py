@@ -28,22 +28,19 @@ def make_sample_file(path, n, seed):
 
 
 def main(n_samples=500_000, m=45, degree=4, seed=7):
-    path = Path(tempfile.mkdtemp()) / "freq_samples.txt"
-    make_sample_file(path, n_samples, seed)
-    values = gq.load_samples(path)
-    print(f"loaded {len(values)} samples from {path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "freq_samples.txt"
+        make_sample_file(path, n_samples, seed)
+        values = gq.load_samples(path)
+        print(f"loaded {len(values)} samples from {path}")
     print(f"range [{values.min():.6f}, {values.max():.6f}], mean {values.mean():.6f}")
 
-    transform, cdf = gq.fit_transform(values, gq.default_delta(values))
-    data = gq.select_points(cdf, m)
+    transform, data = gq.select_from_samples(values, m)
     print(f"n = {data.n} interpolation points (m = {m})")
 
-    for variant, fitter in (("cubic", gq.fit_cubic), ("rational", gq.fit_rational)):
-        density = fitter(data, transform=transform)
-        mom = gq.moments(density, 2 * degree + 1)
-        rec, basis = gq.compute_recurrence(mom, degree)
-        rule = gq.gauss_rule(rec)
-        eps = gq.orthonormality_error(basis, rule)
+    for variant in gq.VARIANTS:
+        density = gq.fit_variant(data, variant, transform)
+        *_, rule, eps = gq.rule_from_model(density, degree)
         mean = gq.integrate(rule, lambda x: transform.a + transform.b * x)
         print(f"\n[{variant}]")
         print(f"  {'node':>12} {'weight':>12} {'node (original)':>18}")

@@ -24,18 +24,14 @@ def main(n_samples=1_000_000, m=45, degree=4, seed=2026):
     print(f"\n{n_samples} samples in {t1 - t0:.2f}s  "
           f"(mean {draws.values.mean():.4f}, std {draws.values.std():.4f})")
 
-    transform, cdf = gq.fit_transform(draws, gq.default_delta(draws.values))
-    data = gq.select_points(cdf, m)
+    transform, data = gq.select_from_samples(draws.values, m)
     print(f"selected n = {data.n} points with m = {m}; "
           f"a = {transform.a:.4f}, b = {transform.b:.4f}")
 
-    for variant, fitter in (("cubic", gq.fit_cubic), ("rational", gq.fit_rational)):
+    for variant in gq.VARIANTS:
         t2 = time.time()
-        density = fitter(data, transform=transform)
-        mom = gq.moments(density, 2 * degree + 1)
-        rec, basis = gq.compute_recurrence(mom, degree)
-        rule = gq.gauss_rule(rec)
-        eps = gq.orthonormality_error(basis, rule)
+        density = gq.fit_variant(data, variant, transform)
+        mom, _, _, rule, eps = gq.rule_from_model(density, degree)
         dt = (time.time() - t2) * 1e3
         print(f"\n[{variant}]  fit + basis + rule in {dt:.1f} ms")
         print(f"  moments M_1..M_4: "

@@ -58,6 +58,9 @@ from .orthopoly import (
     load_basis,
     save_basis,
 )
+from .pipeline import (
+    VARIANTS, basis_from_model, fit_density, fit_variant, rule_from_model, select_from_samples
+)
 from .quadrature import (
     JacobiMatrix,
     QuadratureRule,
@@ -83,12 +86,3 @@ from .surrogate import (
 )
 
 __version__ = "0.1.0"
-
-
-def fit_density(values, m: int = 45, delta: float | None = None, variant: str = "cubic"):
-    """Convenience wrapper: samples -> transform -> point selection -> fit."""
-    fitters = {"cubic": fit_cubic, "rational": fit_rational}
-    if variant not in fitters:
-        raise ValueError(f"unknown variant {variant!r}; expected 'cubic' or 'rational'")
-    transform, cdf = fit_transform(values, default_delta(values) if delta is None else delta)
-    return fitters[variant](select_points(cdf, m), transform=transform)

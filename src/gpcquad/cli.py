@@ -12,53 +12,28 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ecdf import default_delta, fit_transform, load_monotone_csv, select_points
+from .ecdf import load_monotone_csv
 from .errors import GpcquadError, NumericalError
 from .interp import (
     DensityModel,
     cdf_eval,
     draw_samples,
-    fit_cubic,
-    fit_rational,
     load_model,
     pdf_eval,
     save_model,
     validate_model,
 )
-from .moments import moments
-from .orthopoly import DEGREE_CAP, compute_recurrence, save_basis
-from .quadrature import gauss_rule, orthonormality_error, rule_to_dict, save_rule, save_rule_csv
+from .orthopoly import save_basis
+from .pipeline import VARIANTS, basis_from_model, fit_variant, rule_from_model, select_from_samples
+from .quadrature import rule_to_dict, save_rule, save_rule_csv
 from .surrogate import SYNTHETIC_MODEL, load_samples, parse_model, sample, save_samples
 
-__all__ = ["PipelineConfig", "main"]
-
-
-@dataclass
-class PipelineConfig:
-    """Validated knobs of the fitting pipeline."""
-
-    samples: int = 1_000_000
-    seed: int = 0
-    m: int = 45
-    delta: float | None = None
-    variant: str = "both"
-    out: Path = Path(".")
-
-    def validate(self) -> None:
-        if self.samples < 2:
-            raise ValueError(f"--samples must be at least 2, got {self.samples}")
-        if self.m < 2:
-            raise ValueError(f"--m must be at least 2, got {self.m}")
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError(f"--delta must be positive, got {self.delta}")
-        if self.variant not in ("cubic", "rational", "both"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+__all__ = ["main"]
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -96,39 +71,25 @@ def _fit_checks(model: DensityModel, grid: int = 4096) -> dict:
 
 
 def _cmd_fit(args) -> int:
-    config = PipelineConfig(
-        samples=args.samples,
-        seed=args.seed,
-        m=args.m,
-        delta=args.delta,
-        variant=args.variant,
-        out=Path(args.out),
-    )
-    config.validate()
-    config.out.mkdir(parents=True, exist_ok=True)
-
     if args.points:
         data = load_monotone_csv(args.points)
         transform = None  # identity: points are already in the unit coordinate
         stem = Path(args.points).stem
     else:
         if args.model:
-            source = _model_source(args.model)
-            model = parse_model(source)
-            values = sample(model, config.samples, config.seed).values
+            model = parse_model(_model_source(args.model))
+            values = sample(model, args.samples, args.seed).values
             stem = "synthetic" if args.model == "builtin:synthetic" else Path(args.model).stem
         else:
             values = load_samples(args.data)
             stem = Path(args.data).stem
-        delta = config.delta if config.delta is not None else default_delta(values)
-        transform, cdf = fit_transform(values, delta)
-        data = select_points(cdf, config.m)
+        transform, data = select_from_samples(values, args.m, args.delta)
 
-    variants = ("cubic", "rational") if config.variant == "both" else (config.variant,)
+    variants = VARIANTS if args.variant == "both" else (args.variant,)
     report = {
         "command": "fit",
         "n": data.n,
-        "m": config.m,
+        "m": args.m,
         "knots": [[float(a), float(b)] for a, b in zip(data.x, data.y)],
         "variants": {},
     }
@@ -138,11 +99,12 @@ def _cmd_fit(args) -> int:
             "b": transform.b,
             "delta": transform.delta,
         }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for variant in variants:
-        fitter = fit_cubic if variant == "cubic" else fit_rational
-        density = fitter(data, transform=transform)
-        out_file = config.out / f"{stem}-{variant}.json"
+        density = fit_variant(data, variant, transform)
+        out_file = out / f"{stem}-{variant}.json"
         save_model(density, out_file)
         checks = _fit_checks(density)
         all_ok = all_ok and checks["ok"]
@@ -159,11 +121,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    density = load_model(args.model)
-    if not 0 <= args.degree <= DEGREE_CAP:
-        raise ValueError(f"--degree must be within [0, {DEGREE_CAP}] (degree cap exceeded)")
-    mom = moments(density, 2 * args.degree + 1)
-    rec, basis = compute_recurrence(mom, args.degree)
+    mom, rec, basis = basis_from_model(load_model(args.model), args.degree)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     out_file = out / f"{Path(args.model).stem}-basis{args.degree}.json"
@@ -187,12 +145,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_quad(args) -> int:
     density = load_model(args.model)
-    if not 0 <= args.degree <= DEGREE_CAP:
-        raise ValueError(f"--degree must be within [0, {DEGREE_CAP}] (degree cap exceeded)")
-    mom = moments(density, 2 * args.degree + 1)
-    rec, basis = compute_recurrence(mom, args.degree)
-    rule = gauss_rule(rec)
-    eps = orthonormality_error(basis, rule)
+    *_, rule, eps = rule_from_model(density, args.degree)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.model).stem

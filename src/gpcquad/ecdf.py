@@ -96,12 +96,19 @@ def fit_transform(
     if len(values) < 2:
         raise DegenerateSamplesError(f"need at least 2 samples, got {len(values)}")
     lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = hi if math.isfinite(lo) else lo
+        raise DegenerateSamplesError(f"samples must be finite, found the value {bad}")
     if hi == lo:
         raise DegenerateSamplesError(f"degenerate sample set: all values equal {lo}")
     if not delta > 0:
         raise DegenerateSamplesError(f"delta must be positive, got {delta}")
     a = lo - delta
     b = hi + delta - a
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DegenerateSamplesError(
+            f"sample range [{lo}, {hi}] widened by delta = {delta} overflows float64"
+        )
     params = TransformParams(a=a, b=b, delta=delta)
     normalized = np.sort(params.normalize(values))
     if not (normalized[0] > 0.0 and normalized[-1] < 1.0):
@@ -221,12 +228,17 @@ def save_monotone_csv(data: MonotoneData, path) -> None:
 def load_monotone_csv(path) -> MonotoneData:
     xs, ys = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    start = 1 if lines and lines[0].lower().startswith("x") else 0
-    for ln in lines[start:]:
-        a, b = ln.split(",")
-        xs.append(float(a))
-        ys.append(float(b))
+        rows = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    start = 1 if rows and rows[0][1].lower().startswith("x") else 0
+    for i, ln in rows[start:]:
+        try:
+            x, y = (float(field) for field in ln.split(","))
+        except ValueError as exc:  # wrong field count or a non-numeric field
+            raise InvariantViolation(
+                f"{path}, row {i}: expected two numbers x,y, got {ln!r}"
+            ) from exc
+        xs.append(x)
+        ys.append(y)
     data = MonotoneData(x=np.asarray(xs), y=np.asarray(ys))
     data.validate()
     return data

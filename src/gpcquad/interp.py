@@ -422,12 +422,10 @@ def inverse_cdf(model: DensityModel, y):
     return float(out[0]) if not shape else out.reshape(shape)
 
 
-def draw_samples(model: DensityModel, count: int, seed: int, original: bool = True):
-    """Inverse-CDF samples, deterministic per seed, in original coordinates
-    (set original=False for the normalized coordinate)."""
+def draw_samples(model: DensityModel, count: int, seed: int):
+    """Inverse-CDF samples, deterministic per seed, in original coordinates."""
     rng = np.random.default_rng(seed)
-    xs = inverse_cdf(model, rng.uniform(0.0, 1.0, count))
-    return model.transform.denormalize(xs) if original else xs
+    return model.transform.denormalize(inverse_cdf(model, rng.uniform(0.0, 1.0, count)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import KappaNotPositiveError
 
 __all__ = [
     "DEGREE_CAP",
+    "check_degree",
     "RecurrenceCoeffs",
     "OrthonormalBasis",
     "compute_recurrence",
@@ -32,6 +33,12 @@ __all__ = [
 DEGREE_CAP = 10
 
 BASIS_FORMAT_VERSION = 1
+
+
+def check_degree(n_hat: int) -> None:
+    """Raise ValueError unless 0 <= n_hat <= DEGREE_CAP."""
+    if not 0 <= n_hat <= DEGREE_CAP:
+        raise ValueError(f"degree must be within [0, {DEGREE_CAP}], got {n_hat}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,6 @@ class OrthonormalBasis:
 
     degree: int
     monic_coeffs: tuple
-    norms: np.ndarray
     phi_coeffs: tuple
 
 
@@ -81,8 +87,7 @@ def compute_recurrence(
     normalization ratio is non-positive, which signals corrupted moments or
     a density supported on too few points for the requested degree.
     """
-    if not 0 <= n_hat <= DEGREE_CAP:
-        raise ValueError(f"degree must be within [0, {DEGREE_CAP}], got {n_hat}")
+    check_degree(n_hat)
     moments = np.asarray(moments, dtype=np.longdouble)
     if len(moments) < 2 * n_hat + 2:
         raise ValueError(
@@ -125,12 +130,7 @@ def compute_recurrence(
     monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
     norms = np.sqrt(np.cumprod(rec.kappa))
     phi = tuple(monic[i] / norms[i] for i in range(n_hat + 1))
-    basis = OrthonormalBasis(
-        degree=n_hat,
-        monic_coeffs=tuple(monic),
-        norms=norms,
-        phi_coeffs=phi,
-    )
+    basis = OrthonormalBasis(degree=n_hat, monic_coeffs=tuple(monic), phi_coeffs=phi)
     return rec, basis
 
 
@@ -174,14 +174,7 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
     monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
-    norms = np.sqrt(np.cumprod(rec.kappa))
-    basis = OrthonormalBasis(
-        degree=n_hat,
-        monic_coeffs=tuple(monic),
-        norms=norms,
-        phi_coeffs=phi,
-    )
-    return rec, basis
+    return rec, OrthonormalBasis(degree=n_hat, monic_coeffs=tuple(monic), phi_coeffs=phi)
 
 
 def save_basis(rec: RecurrenceCoeffs, basis: OrthonormalBasis, path) -> None:

@@ -16,6 +16,7 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
     fit_cubic,
+    fit_rational,
     save_model,
 )
 from gpcquad.cli import main
@@ -105,9 +106,22 @@ def test_basis_closed_forms_and_degree_cap(tmp_path, capsys):
     assert code == 0
     assert report["gamma"] == [pytest.approx(0.5, abs=1e-12)]
 
-    code, _, err = run_cli(capsys, "basis", model_file, "--degree", "11", "--out", str(tmp_path))
-    assert code == 1
-    assert "degree" in err
+    for cmd in ("basis", "quad"):
+        for degree in ("11", "-1"):
+            code, report, err = run_cli(
+                capsys, cmd, model_file, "--degree", degree, "--out", str(tmp_path)
+            )
+            assert code == 1 and report is None
+            assert "degree must be within [0, 10]" in err
+
+
+def test_points_file_with_a_malformed_row(tmp_path, capsys):
+    for row, name in (("0.5,0.5,0.5", "three"), ("0.5", "one"), ("a,0.5", "text")):
+        points = tmp_path / f"{name}.csv"
+        points.write_text(f"x,y\n0.0,0.0\n{row}\n1.0,1.0\n")
+        code, report, err = run_cli(capsys, "fit", "--points", str(points), "--out", str(tmp_path))
+        assert code == 1 and report is None
+        assert f"{name}.csv, row 3: expected two numbers x,y, got {row!r}" in err
 
 
 def test_sample_command(tmp_path, capsys):
@@ -194,13 +208,15 @@ def test_non_finite_model_file_is_rejected(tmp_path, capsys):
     assert "non-finite values in slopes" in err
 
 
-def test_cli_round_trip_matches_in_process(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_cli_round_trip_matches_in_process(variant, tmp_path, capsys):
     """fit -> quad through files reproduces the in-process pipeline bitwise."""
     model = parse_model("a ~ N(0.0, 2.0)\nb ~ U(-1.0, 1.0)\nf = a + b*b\n")
     values = sample(model, 30_000, seed=21).values
     transform, cdf = fit_transform(values, default_delta(values))
     data = select_points(cdf, 30)
-    density = fit_cubic(data, transform=transform)
+    fitter = fit_cubic if variant == "cubic" else fit_rational
+    density = fitter(data, transform=transform)
     rec, _ = compute_recurrence(moments(density, 9), 4)
     rule = gauss_rule(rec)
 
@@ -209,11 +225,11 @@ def test_cli_round_trip_matches_in_process(tmp_path, capsys):
     code, report, _ = run_cli(
         capsys,
         "fit", "--model", str(model_file), "--samples", "30000", "--seed", "21",
-        "--m", "30", "--variant", "cubic", "--out", str(tmp_path),
+        "--m", "30", "--variant", variant, "--out", str(tmp_path),
     )
     assert code == 0
     code, qreport, _ = run_cli(
-        capsys, "quad", report["variants"]["cubic"]["file"], "--degree", "4",
+        capsys, "quad", report["variants"][variant]["file"], "--degree", "4",
         "--out", str(tmp_path),
     )
     assert code == 0

@@ -36,6 +36,12 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         fit_transform(np.array([5.0]), delta=0.1)
     with pytest.raises(DegenerateSamplesError):
         fit_transform(np.array([1.0, 2.0]), delta=0.0)
+    with pytest.raises(DegenerateSamplesError, match="must be finite, found the value nan"):
+        fit_transform(np.array([0.0, 1.0, np.nan]), delta=0.1)
+    with pytest.raises(DegenerateSamplesError, match="must be finite, found the value inf"):
+        fit_transform(np.array([0.0, 1.0, np.inf]), delta=0.1)
+    with pytest.raises(DegenerateSamplesError, match=r"range \[-1e\+308, 1e\+308\].*overflows"):
+        fit_transform(np.array([-1e308, 0.0, 1e308]), delta=0.1)
 
 
 def test_normalized_extremes_are_delta_over_b(rng):

@@ -27,3 +27,4 @@ def test_demo_script_runs(script, tmp_path):
     errors = [float(e) for e in re.findall(r"orthonormality error = (\S+)", proc.stdout)]
     assert len(errors) == 2, proc.stdout  # one rule per variant
     assert max(errors) <= 1e-12, proc.stdout
+    assert not any(tmp_path.iterdir()), "the script left temporary files behind"
