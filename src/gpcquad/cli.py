@@ -9,6 +9,7 @@ stderr. Exit codes: 0 success (all checks pass), 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -222,6 +223,7 @@ def _cmd_plotdata(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache  # built once per process: main() may be called many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpcquad",
@@ -273,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

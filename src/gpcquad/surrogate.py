@@ -15,6 +15,7 @@ exp, sin, cos, sqrt, abs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -461,33 +462,63 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
 # (optional header detected by a failed parse of the first line)
 # ---------------------------------------------------------------------------
 
+# Values per write in `save_samples`: bounds the text held at once to a
+# few hundred kilobytes whatever the sample count.
+_SAVE_CHUNK = 1 << 13
+
+
+def _sample_row(path, i: int, row: str) -> float:
+    """The value of one row of a sample file; `i` is its 1-based line."""
+    try:
+        (field,) = (f for f in row.split(",") if f.strip())
+        value = float(field)
+    except ValueError:  # not exactly one non-blank field, or not a number
+        value = math.nan
+    if not math.isfinite(value):
+        raise DegenerateSamplesError(f"{path}, row {i}: expected one finite number, got {row!r}")
+    return value
+
 
 def load_samples(path) -> np.ndarray:
-    values = []
+    """Read a sample file written by `save_samples` or by hand.
+
+    One value per line, or a single-column CSV (blank fields beside the
+    value are ignored); an optional header line; blank lines are skipped.
+    Raises `DegenerateSamplesError` for a file without values and for a
+    row that is not one finite number, naming its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+        text = fh.read()
+    lines = text.split("\n")
+    rows = list(filter(None, map(str.strip, lines)))
+    skip = 0
+    if rows:
+        try:
+            float(rows[0].split(",")[0])
+        except ValueError:
+            skip = 1  # header line
+    rows = rows[skip:]
+    if not rows:
         raise DegenerateSamplesError(f"no samples in {path}")
-    start = 0
+    if "," in text:
+        # a comma beside the value pads it like a blank, and float() strips
+        # blanks; a row with two values still fails to parse
+        rows = "\n".join(rows).replace(",", " ").split("\n")
     try:
-        float(lines[0].split(",")[0])
+        values = np.array(rows, dtype=float)
     except ValueError:
-        start = 1  # header line
-    for ln in lines[start:]:
-        fields = [f for f in ln.split(",") if f.strip()]
-        if len(fields) != 1:
-            raise DegenerateSamplesError(
-                f"expected a single value per row in {path}, got {ln!r}"
-            )
-        values.append(float(fields[0]))
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateSamplesError(f"non-finite sample in {path}")
-    return arr
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # row by row, to name the line of the first row the bulk parse rejected
+        numbered = [(i, ln) for i, ln in enumerate(map(str.strip, lines), 1) if ln]
+        values = np.array([_sample_row(path, i, ln) for i, ln in numbered[skip:]])
+    return values
 
 
 def save_samples(values: np.ndarray, path) -> None:
+    """Write one `repr` per line, so `load_samples` reads back the same bits."""
+    values = np.asarray(values, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(values, dtype=float):
-            fh.write(f"{float(v)!r}\n")
+        for start in range(0, len(values), _SAVE_CHUNK):
+            chunk = values[start : start + _SAVE_CHUNK].tolist()
+            fh.write("\n".join(map(repr, chunk)) + "\n")

@@ -6,10 +6,12 @@ import pytest
 
 from gpcquad import (
     compute_recurrence,
+    draw_samples,
     fit_transform,
     default_delta,
     gauss_rule,
     load_model,
+    load_samples,
     moments,
     parse_model,
     sample,
@@ -70,6 +72,11 @@ def test_fit_degenerate_sample_file(tmp_path, capsys):
     assert code == 1
     assert "degenerate" in err or "at least 2" in err
 
+    bad.write_text("value\n")
+    code, _, err = run_cli(capsys, "fit", "--data", str(bad), "--out", str(tmp_path))
+    assert code == 1
+    assert f"no samples in {bad}" in err
+
 
 def test_fit_replay_from_points_gives_uniform(tmp_path, capsys):
     points = tmp_path / "diag.csv"
@@ -124,6 +131,15 @@ def test_points_file_with_a_malformed_row(tmp_path, capsys):
         assert f"{name}.csv, row 3: expected two numbers x,y, got {row!r}" in err
 
 
+def test_sample_file_with_a_malformed_row(tmp_path, capsys):
+    for row, name in (("0.5,0.5", "two"), ("abc", "text"), ("nan", "nan"), ("-inf", "inf")):
+        data = tmp_path / f"{name}.txt"
+        data.write_text(f"value\n0.0\n\n{row}\n1.0\n")
+        code, report, err = run_cli(capsys, "fit", "--data", str(data), "--out", str(tmp_path))
+        assert code == 1 and report is None
+        assert f"{name}.txt, row 4: expected one finite number, got {row!r}" in err
+
+
 def test_sample_command(tmp_path, capsys):
     points = tmp_path / "diag.csv"
     save_monotone_csv(diagonal_data(6), points)
@@ -141,7 +157,8 @@ def test_sample_command(tmp_path, capsys):
         capsys, "sample", model_file, "--count", "100000", "--seed", "4", "--out", str(out)
     )
     assert code == 0
-    values = np.loadtxt(out)
+    values = load_samples(out)
+    assert values.tobytes() == draw_samples(load_model(model_file), 100000, 4).tobytes()
     # uniform on (0,1): mean within 0.01 of M_1 = 1/2
     assert abs(values.mean() - 0.5) < 0.01
 

@@ -196,6 +196,104 @@ def test_sample_file_round_trip(tmp_path):
 
 def test_load_samples_rejects_empty(tmp_path):
     empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    with pytest.raises(DegenerateSamplesError):
-        load_samples(empty)
+    for text in ("", "\n \n", "value\n", "value\n\n \n"):
+        empty.write_text(text)
+        with pytest.raises(DegenerateSamplesError, match="no samples in"):
+            load_samples(empty)
+
+
+# The per-line loader and writer that `load_samples`/`save_samples` replaced,
+# kept as the reference their results must match bit for bit.
+def reference_load_samples(path) -> np.ndarray:
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise DegenerateSamplesError(f"no samples in {path}")
+    start = 0
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        start = 1  # header line
+    for ln in lines[start:]:
+        fields = [f for f in ln.split(",") if f.strip()]
+        if len(fields) != 1:
+            raise DegenerateSamplesError(
+                f"expected a single value per row in {path}, got {ln!r}"
+            )
+        values.append(float(fields[0]))
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateSamplesError(f"non-finite sample in {path}")
+    return arr
+
+
+def reference_save_samples(values: np.ndarray, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in np.asarray(values, dtype=float):
+            fh.write(f"{float(v)!r}\n")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"1.5\r\n-2.25\r\n3e8\r\n",       # CRLF
+        b"1.5\r-2.25\r",                    # lone CR
+        b"\n1.5\n\n\n-2.25\n\n",            # blank lines
+        b"value\n1.5\n-2.25\n",             # header
+        b"value,\r\n\r\n1.5,\r\n-2.25,\r\n",  # CSV header, CRLF, blank line
+        b"  1.5  \n\t-2.25\t\n \x0c0.001\n",  # surrounding whitespace
+        b"1.5,\n-2.25, \n",                 # single-column CSV rows
+        b"value\n, ,1.5\n1.5 ,\t,\n",       # blank fields before and after
+        b", ,1.5\n-2.25\n",                 # a first row without a leading number is a header
+        b"1_000\n-0.0\n5e-324\n",            # underscores, signed zero, subnormal
+        b"0.1\n1e-320\n1.7976931348623157e308\n9.999e-5\n",
+        "1.5\n\u00a0-2.25\u2003\n".encode(),  # non-ASCII blanks
+    ],
+    ids=["crlf", "cr", "blank-lines", "header", "csv-header-crlf", "whitespace", "csv",
+         "blank-fields", "blank-first-field", "underscore-zero-subnormal", "extremes",
+         "unicode-blanks"],
+)
+def test_load_samples_matches_reference(tmp_path, raw):
+    path = tmp_path / "samples.txt"
+    path.write_bytes(raw)
+    want = reference_load_samples(path)
+    got = load_samples(path)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, reference_error",
+    [
+        ("1.5\n2.5,3.5\n", DegenerateSamplesError),  # two fields
+        ("1.5\n,\n2.5\n", DegenerateSamplesError),  # no field
+        ("value\nabc\n1.5\n", ValueError),  # text: the reference leaks a bare ValueError
+        ("1.5\nnan\n", DegenerateSamplesError),
+        ("1.5\n-inf\n", DegenerateSamplesError),
+        ("1.5\n1e999\n", DegenerateSamplesError),  # overflows to inf
+    ],
+    ids=["two-fields", "no-field", "text", "nan", "inf", "overflow"],
+)
+def test_load_samples_rejects_what_the_reference_rejects(tmp_path, text, reference_error):
+    path = tmp_path / "samples.txt"
+    path.write_text(text)
+    with pytest.raises(reference_error):
+        reference_load_samples(path)
+    with pytest.raises(DegenerateSamplesError, match=r"samples\.txt, row 2: "):
+        load_samples(path)
+
+
+def test_save_samples_matches_reference(tmp_path):
+    edge = [-0.0, 0.0, 5e-324, 9.999e-5, 1e-4, 1e16, 1.7976931348623157e308, -1.5, 0.1]
+    bits = np.random.default_rng(7).integers(0, 2**64, 100_000, dtype=np.uint64)
+    spread = bits.view(float)  # uniform over bit patterns: every exponent
+    spread = spread[np.isfinite(spread)]
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    for values in (np.array(edge), spread, np.empty(0)):
+        save_samples(values, got)
+        reference_save_samples(values, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert got.read_text() == ""
+    save_samples(spread, got)
+    assert load_samples(got).tobytes() == spread.tobytes()
