@@ -500,16 +500,13 @@ def load_samples(path) -> np.ndarray:
     rows = rows[skip:]
     if not rows:
         raise DegenerateSamplesError(f"no samples in {path}")
-    if "," in text:
-        # a comma beside the value pads it like a blank, and float() strips
-        # blanks; a row with two values still fails to parse
-        rows = "\n".join(rows).replace(",", " ").split("\n")
     try:
         values = np.array(rows, dtype=float)
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        # row by row, to name the line of the first row the bulk parse rejected
+        # row by row: reads CSV rows such as `1.5,`, and names the line of
+        # the first row that is not one finite number
         numbered = [(i, ln) for i, ln in enumerate(map(str.strip, lines), 1) if ln]
         values = np.array([_sample_row(path, i, ln) for i, ln in numbered[skip:]])
     return values
@@ -518,6 +515,8 @@ def load_samples(path) -> np.ndarray:
 def save_samples(values: np.ndarray, path) -> None:
     """Write one `repr` per line, so `load_samples` reads back the same bits."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"save_samples takes a 1-D array, got shape {values.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(values), _SAVE_CHUNK):
             chunk = values[start : start + _SAVE_CHUNK].tolist()

@@ -297,3 +297,14 @@ def test_save_samples_matches_reference(tmp_path):
     assert got.read_text() == ""
     save_samples(spread, got)
     assert load_samples(got).tobytes() == spread.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (4, 2), ()], ids=["column", "two-columns", "scalar"])
+def test_save_samples_rejects_what_is_not_1d(tmp_path, shape):
+    values = np.full(shape, 0.5)
+    with pytest.raises(TypeError):  # the reference fails while writing
+        reference_save_samples(values, tmp_path / "want.txt")
+    path = tmp_path / "got.txt"
+    with pytest.raises(ValueError, match=r"1-D array, got shape"):
+        save_samples(values, path)
+    assert not path.exists()
