@@ -37,7 +37,9 @@ class TransformParams:
     delta: float
 
     def normalize(self, xhat):
-        return (np.asarray(xhat, dtype=float) - self.a) / self.b
+        x = np.asarray(xhat, dtype=float) - self.a
+        x /= self.b  # in place: one array as long as the input, not two
+        return x
 
     def denormalize(self, x):
         return self.a + self.b * np.asarray(x, dtype=float)
@@ -110,7 +112,8 @@ def fit_transform(
             f"sample range [{lo}, {hi}] widened by delta = {delta} overflows float64"
         )
     params = TransformParams(a=a, b=b, delta=delta)
-    normalized = np.sort(params.normalize(values))
+    normalized = params.normalize(values)
+    normalized.sort()
     if not (normalized[0] > 0.0 and normalized[-1] < 1.0):
         raise DegenerateSamplesError(
             f"delta = {delta} is too small relative to the sample range to "
@@ -126,50 +129,54 @@ def ecdf_eval(ecdf: EmpiricalCDF, x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) else out
 
 
-def _distinct_steps(ecdf: EmpiricalCDF) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sample values and the ECDF level at each, read off the
-    already-sorted values (what np.unique would return, without its sort)."""
-    sv = ecdf.sorted_values
-    first = np.empty(sv.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(sv[1:], sv[:-1], out=first[1:])
-    ends = np.append(np.flatnonzero(first)[1:], sv.size)
-    return sv[first], ends / ecdf.count
+def _walk(ecdf: EmpiricalCDF, m: int) -> tuple[list, list]:
+    """Greedy chord walk over the distinct-value ECDF nodes.
 
-
-def _walk(ux: np.ndarray, uy: np.ndarray, target: float) -> list[int]:
-    """Greedy chord walk over candidate indices.
-
-    From each selected point take the farthest candidate whose straight-line
-    distance does not exceed `target`; if even the next candidate overshoots,
-    take it anyway (the subdivision pass repairs the step constraint).
-    The chord is non-decreasing along the candidates because both coordinates
-    are, so the farthest admissible candidate is found by bisection.
+    From each selected point take the farthest node whose straight-line
+    distance does not exceed 1/m; if even the next node overshoots, take it
+    anyway (the subdivision pass repairs the step constraint). The chord is
+    non-decreasing along the sorted values because both coordinates are, so
+    the farthest admissible node is found by bisection over sorted indices;
+    every index adds at least 1/N to y, so none lies more than N/m indices
+    past the current point. Returns the selected nodes' x and y.
     """
-    chosen = []
-    px, py = 0.0, 0.0
-    c = -1
+    sv, count = ecdf.sorted_values, ecdf.count
+    last = sv.size - 1
+
+    def node(i):
+        """(x, count of values <= x) at sorted index i"""
+        x = sv[i]
+        if i == last or sv[i + 1] != x:
+            return x, i + 1
+        return x, int(np.searchsorted(sv, x, side="right"))  # inside a tie run
+
+    xs, ys = [], []
+    # np.float64 operands in every chord, as in the reference walk in the
+    # tests: numpy's scalar ** 2 need not round like Python's
+    px = py = np.float64(0.0)
+    target = 1.0 / m
     t2 = target * target
-    last = len(ux) - 1
-    while c < last:
-        lo, hi = c + 1, last
-        d2 = (ux[lo] - px) ** 2 + (uy[lo] - py) ** 2
-        if d2 > t2:
-            j = lo
-        else:
+    reach = -(-sv.size // m)
+    end = 0  # sorted values at or below the current point
+    while end <= last:
+        lo, hi = end, min(end + reach, last)
+        x, k = node(lo)
+        d2 = (x - px) ** 2 + (k / count - py) ** 2
+        if d2 <= t2:
             # bisect for the last index with chord^2 <= t2
             while lo < hi:
                 mid = (lo + hi + 1) // 2
-                d2 = (ux[mid] - px) ** 2 + (uy[mid] - py) ** 2
+                xmid, kmid = node(mid)
+                d2 = (xmid - px) ** 2 + (kmid / count - py) ** 2
                 if d2 <= t2:
-                    lo = mid
+                    lo, x, k = mid, xmid, kmid
                 else:
                     hi = mid - 1
-            j = lo
-        chosen.append(j)
-        px, py = ux[j], uy[j]
-        c = j
-    return chosen
+        px, py = x, np.float64(k / count)
+        xs.append(px)
+        ys.append(py)
+        end = k
+    return xs, ys
 
 
 def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
@@ -184,14 +191,13 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
     """
     if m < 2:
         raise SelectionError(f"m must be at least 2, got {m}")
-    ux, uy = _distinct_steps(ecdf)
-    if not (ux[0] > 0.0 and ux[-1] < 1.0):
+    sv = ecdf.sorted_values
+    if not (sv[0] > 0.0 and sv[-1] < 1.0):
         raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
-    target = 1.0 / m
 
-    chosen = _walk(ux, uy, target)
-    px = np.concatenate(([0.0], ux[chosen], [1.0]))
-    py = np.concatenate(([0.0], uy[chosen], [1.0]))
+    xs, ys = _walk(ecdf, m)
+    px = np.array([0.0, *xs, 1.0])
+    py = np.array([0.0, *ys, 1.0])
 
     # enforce the per-coordinate step bound by splitting oversized segments
     out_x = [0.0]

@@ -438,19 +438,27 @@ def evaluate(model: SurrogateModel, point) -> float:
     return value
 
 
+# Rows per block in `sample`: each temporary of the expression tree holds
+# 2**13 doubles (64 KB) and stays in cache, and none is as long as the sample.
+_BLOCK = 1 << 13
+
+
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     """Draw `count` i.i.d. parameter vectors and evaluate the model at each.
 
     Deterministic for a fixed seed: one PCG64 stream, variables drawn in
-    declaration order.
+    declaration order. The drawn columns and the output array are the only
+    arrays as long as the sample; the model is evaluated in row blocks.
     """
     if count < 2:
         raise DegenerateSamplesError(f"need at least 2 samples, got {count}")
     rng = np.random.default_rng(seed)
     columns = [dist.draw(rng, count) for dist in model.distributions]
+    values = np.empty(count)
     with np.errstate(all="ignore"):
-        values = np.asarray(_eval_tree(model.expr, columns), dtype=float)
-    values = np.broadcast_to(values, (count,)).copy()
+        for start in range(0, count, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            values[rows] = _eval_tree(model.expr, [column[rows] for column in columns])
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"model evaluated to a non-finite value at draw {bad}")
@@ -513,10 +521,18 @@ def load_samples(path) -> np.ndarray:
 
 
 def save_samples(values: np.ndarray, path) -> None:
-    """Write one `repr` per line, so `load_samples` reads back the same bits."""
+    """Write one `repr` per line, so `load_samples` reads back the same bits.
+
+    Raises `ValueError`, before the file is opened, for an array that is
+    not 1-D or holds a non-finite value (`load_samples` rejects both).
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"save_samples takes a 1-D array, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"save_samples takes finite values, got {values[bad]} at index {bad}")
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(values), _SAVE_CHUNK):
             chunk = values[start : start + _SAVE_CHUNK].tolist()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
 )
-from gpcquad.ecdf import _distinct_steps
 from conftest import mixture_values
 
 
@@ -80,14 +81,75 @@ def test_ecdf_eval_distinct_value_levels(rng):
         assert ecdf_eval(cdf, xv) == pytest.approx(k / 50)
 
 
-def test_distinct_steps_match_np_unique(rng):
-    for _ in range(20):
-        values = mixture_values(rng)  # point masses give repeated values
+# The point selection as it stood when it walked the distinct values that
+# np.unique returns: the reference `select_points` must match bit for bit.
+def reference_select_points(cdf, m):
+    ux, counts = np.unique(cdf.sorted_values, return_counts=True)
+    uy = np.cumsum(counts) / cdf.count
+    chosen = []
+    px, py = 0.0, 0.0
+    c = -1
+    target = 1.0 / m
+    t2 = target * target
+    last = len(ux) - 1
+    while c < last:
+        lo, hi = c + 1, last
+        d2 = (ux[lo] - px) ** 2 + (uy[lo] - py) ** 2
+        if d2 <= t2:
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                d2 = (ux[mid] - px) ** 2 + (uy[mid] - py) ** 2
+                if d2 <= t2:
+                    lo = mid
+                else:
+                    hi = mid - 1
+        chosen.append(lo)
+        px, py = ux[lo], uy[lo]
+        c = lo
+    px = np.concatenate(([0.0], ux[chosen], [1.0]))
+    py = np.concatenate(([0.0], uy[chosen], [1.0]))
+    out_x, out_y = [0.0], [0.0]
+    for k in range(1, len(px)):
+        dx = px[k] - px[k - 1]
+        dy = py[k] - py[k - 1]
+        pieces = max(1, math.ceil(max(dx, dy) * m))
+        for i in range(1, pieces):
+            out_x.append(px[k - 1] + dx * (i / pieces))
+            out_y.append(py[k - 1] + dy * (i / pieces))
+        out_x.append(px[k])
+        out_y.append(py[k])
+    y = np.asarray(out_y)
+    return np.asarray(out_x), np.minimum.accumulate(y[::-1])[::-1]
+
+
+def _assert_selects_like_reference(cdf, m):
+    want_x, want_y = reference_select_points(cdf, m)
+    if np.any(np.diff(want_x) <= 0):
+        with pytest.raises(SelectionError):
+            select_points(cdf, m)
+        return
+    data = select_points(cdf, m)
+    assert data.x.tobytes() == want_x.tobytes()
+    assert data.y.tobytes() == want_y.tobytes()
+
+
+def test_select_points_matches_reference_walk_on_atoms(rng):
+    for _ in range(40):
+        values = mixture_values(rng, size=int(rng.integers(50, 4000)))  # point masses: ties
         _, cdf = fit_transform(values, default_delta(values))
-        ux, counts = np.unique(cdf.sorted_values, return_counts=True)
-        got_x, got_y = _distinct_steps(cdf)
-        np.testing.assert_array_equal(got_x, ux)
-        np.testing.assert_array_equal(got_y, np.cumsum(counts) / cdf.count)
+        for m in (2, 7, int(rng.integers(2, 201)), 200):
+            _assert_selects_like_reference(cdf, m)
+
+
+@pytest.fixture(scope="module")
+def synthetic_cdf():
+    values = sample(parse_model(SYNTHETIC_MODEL), 1_000_000, seed=1).values
+    return fit_transform(values, default_delta(values))[1]
+
+
+@pytest.mark.parametrize("m", [2, 45, 200])
+def test_select_points_matches_reference_walk_synthetic(synthetic_cdf, m):
+    _assert_selects_like_reference(synthetic_cdf, m)
 
 
 def test_select_points_diagonal_m4(rng):
@@ -100,11 +162,8 @@ def test_select_points_diagonal_m4(rng):
     assert np.max(np.diff(data.y)) <= 0.25 + 1e-12
 
 
-def test_select_points_synthetic_point_count():
-    model = parse_model(SYNTHETIC_MODEL)
-    values = sample(model, 1_000_000, seed=1).values
-    _, cdf = fit_transform(values, default_delta(values))
-    data = select_points(cdf, 45)
+def test_select_points_synthetic_point_count(synthetic_cdf):
+    data = select_points(synthetic_cdf, 45)
     assert 64 <= data.n <= 84
     data.validate(45)
 

@@ -18,6 +18,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
+from gpcquad.surrogate import _BLOCK, _eval_tree
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
 
@@ -155,6 +156,48 @@ def test_sample_determinism_and_count_guard():
     assert not np.array_equal(first.values, sample(model, 512, seed=43).values)
     with pytest.raises(DegenerateSamplesError):
         sample(model, 1, seed=0)
+
+
+# Whole-column evaluation, as `sample` did before it evaluated the model in
+# row blocks: the reference its values must match bit for bit.
+def reference_sample_values(model, count, seed):
+    rng = np.random.default_rng(seed)
+    columns = [dist.draw(rng, count) for dist in model.distributions]
+    with np.errstate(all="ignore"):
+        values = np.asarray(_eval_tree(model.expr, columns), dtype=float)
+    return np.broadcast_to(values, (count,)).copy()
+
+
+@pytest.mark.parametrize("count", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize(
+    "source", ["x ~ N(0, 1)\nf = 3\n", IDENTITY_UNIFORM, SYNTHETIC_MODEL],
+    ids=["constant", "identity", "synthetic"],
+)
+def test_blocked_sample_matches_whole_columns(source, count):
+    model = parse_model(source)
+    got = sample(model, count, seed=11).values
+    want = reference_sample_values(model, count, seed=11)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _first_exceeding_first_block(seed, count):
+    """max of the first block of N(0, 1) draws, and the first later draw above it"""
+    x = np.random.default_rng(seed).normal(0.0, 1.0, count)
+    top = float(x[:_BLOCK].max())
+    later = np.flatnonzero(x > top)
+    assert later.size and later[0] >= _BLOCK
+    return top, int(later[0])
+
+
+def test_sample_errors_in_a_later_block():
+    count = 3 * _BLOCK + 7
+    top, first = _first_exceeding_first_block(2, count)  # draw 16409, third block
+    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        sample(model, count, seed=2)
+    model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
+    with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
+        sample(model, count, seed=2)
 
 
 def test_sample_mean_identity_uniform():
@@ -307,4 +350,12 @@ def test_save_samples_rejects_what_is_not_1d(tmp_path, shape):
     path = tmp_path / "got.txt"
     with pytest.raises(ValueError, match=r"1-D array, got shape"):
         save_samples(values, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_samples_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "got.txt"
+    with pytest.raises(ValueError, match=rf"finite values, got {bad} at index 1$"):
+        save_samples(np.array([1.0, bad, 2.0]), path)
     assert not path.exists()
