@@ -4,7 +4,14 @@ Peaks are read with tracemalloc, which numpy reports its array buffers to."""
 
 import tracemalloc
 
-from gpcquad import SYNTHETIC_MODEL, default_delta, fit_transform, parse_model, sample, select_points
+from gpcquad import (
+    SYNTHETIC_MODEL,
+    default_delta,
+    fit_transform,
+    parse_model,
+    sample,
+    select_points,
+)
 
 N = 200_000
 UNIT = 8 * N  # bytes in one float64 array as long as the sample
