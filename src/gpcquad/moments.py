@@ -13,17 +13,36 @@ For the rational variant the expansion point is the interval midpoint, where
 the denominator loses its linear term and its roots sit at least half an
 interval away, keeping the long division well conditioned.
 
-The integrals run on arrays over all rising pieces at once; Python loops
-remain only over the moment order and the series term. Sums whose terms can
-cancel (the binomial scatter into each moment, the polynomial part of the
-division branch) go through `math.fsum`, which rounds correctly whatever the
-term order. A series step has at most two nonzero terms, and one IEEE
-addition of two terms is already correctly rounded, so it needs no fsum.
+The integrals run on arrays over all rising pieces and all orders at once;
+the one Python loop left steps through the series terms, and the long
+division steps through its quotient coefficients for every order together.
+Sums whose terms can cancel are rounded correctly, so their bits do not
+depend on the term order:
+
+- The binomial scatter into each moment goes through `_segment_fsums`, which
+  returns the bits `math.fsum` would for each moment's terms. It splits
+  every term t exactly into a high and a low part, high = (t + sigma) -
+  sigma and low = t - high, with sigma a power of two at least 2 n max|t|
+  over the moment's n terms (Rump, Ogita and Oishi, "Accurate
+  floating-point summation", SIAM J. Sci. Comput. 2008). The high parts lie
+  on one grid of spacing u * sigma and their partial sums stay below sigma,
+  so they add up exactly in any order, to S. The low parts add up in plain
+  float64 to tau, within delta = 2 n u sum|low| of their exact sum.
+  Rounding is monotone, so when fsum((S, tau, -delta)) equals fsum((S, tau,
+  delta)) that value is the correctly rounded exact sum. Otherwise (a sum
+  within delta of a rounding tie, a zero or a non-finite term) the moment
+  falls back to `math.fsum` over its terms.
+- The polynomial part of the division branch, at most kmax terms per piece
+  and order, goes through `math.fsum` directly.
+
+A series step has at most two nonzero terms, and one IEEE addition of two
+terms is already correctly rounded, so it needs no fsum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,14 +68,26 @@ MOMENT_CAP = 22
 _SERIES_THRESHOLD = 0.1
 
 
-def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
+def _check_order(k) -> int:
+    """k as an int; a ValueError naming k when it is not a non-negative
+    integer (integer types such as np.int64 pass, floats such as 3.0 do not)."""
+    try:
+        order = operator.index(k)
+    except TypeError:
+        order = -1
+    if order < 0:
+        raise ValueError(f"moment order must be a non-negative integer, got {k!r}")
+    return order
+
+
+def _check_kmax(kmax) -> int:
+    kmax = _check_order(kmax)
     if kmax > MOMENT_CAP:
         raise ValueError(
             f"kmax = {kmax} exceeds the cap {MOMENT_CAP}; higher monomial "
             f"moments are too ill-conditioned for the recurrence construction"
         )
+    return kmax
 
 
 def moments(model: DensityModel, kmax: int) -> np.ndarray:
@@ -68,15 +99,46 @@ def moments(model: DensityModel, kmax: int) -> np.ndarray:
     raise ValueError(f"unknown variant {model.variant!r}; expected 'cubic' or 'rational'")
 
 
+def _segment_fsums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of terms[:, starts[j]:starts[j + 1]] for each j, bit for bit
+    (the last run ends at the last column); see the module docstring."""
+    rows, cols = terms.shape
+    widths = np.diff(starts, append=cols)
+    n = rows * widths
+    work = np.abs(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2.0 * n * np.maximum.reduceat(work.max(axis=0, initial=0.0), starts)
+        sigma = np.ldexp(1.0, np.frexp(bound)[1])
+        finite = np.isfinite(bound) & np.isfinite(sigma)
+        col_sigma = np.repeat(np.where(finite, sigma, 1.0), widths)
+        high = np.add(terms, col_sigma, out=work)
+        high -= col_sigma
+        big = np.add.reduceat(high.sum(axis=0), starts)
+        low = np.subtract(terms, high, out=work)
+        tau = np.add.reduceat(low.sum(axis=0), starts)
+        # 2 n u sum|low|, u = 2^-53 the unit roundoff
+        delta = (n * 2.0**-52) * np.add.reduceat(np.abs(low, out=work).sum(axis=0), starts)
+    out = np.empty(len(starts))
+    for j, (s, t, d, ok) in enumerate(zip(big.tolist(), tau.tolist(), delta.tolist(), finite)):
+        below, above = math.fsum((s, t, -d)), math.fsum((s, t, d))
+        if ok and below == above and below != 0.0:
+            out[j] = below
+        else:
+            out[j] = math.fsum(terms[:, starts[j] : starts[j] + widths[j]].ravel().tolist())
+    return out
+
+
 def _binomial_sum(raw: np.ndarray, center: np.ndarray, kmax: int) -> np.ndarray:
     """M_k = sum over pieces and i of C(k, i) center^(k-i) raw_i, where
     raw[p, i] is piece p's local moment in w = x - center[p]."""
+    k, i = np.tril_indices(kmax + 1)
+    comb = np.array([float(math.comb(a, b)) for a, b in zip(k.tolist(), i.tolist())])
     cpow = center[:, None] ** np.arange(kmax + 1)
-    out = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        comb = np.array([float(math.comb(k, i)) for i in range(k + 1)])
-        out[k] = math.fsum((comb * cpow[:, k::-1] * raw[:, : k + 1]).ravel().tolist())
-    return out
+    # (comb * cpow) * raw: the two roundings of the per-order product
+    terms = cpow[:, k - i]
+    terms *= comb
+    terms *= raw[:, i]
+    return _segment_fsums(terms, np.flatnonzero(i == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +154,7 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
     """
     if model.variant != "cubic":
         raise ValueError(f"expected a cubic model, got {model.variant!r}")
-    _check_kmax(kmax)
+    kmax = _check_kmax(kmax)
     rising = np.diff(model.y) != 0
     c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(model))
     h = np.diff(model.x)[rising][:, None]
@@ -106,6 +168,35 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _long_division(iA, iB, iC, D0, D2, opi):
+    """Divide k w^(k-1) (A + B w + C w^2) by D0 + D2 w^2 for every order
+    k = 1..kmax at once, order k in column k - 1 of iA = k A, iB, iC.
+
+    Returns the integral of each quotient over the symmetric range (opi as
+    in `moments_rational`) and each constant remainder. Counted from the
+    top term, the running remainder is R_0 = kC, R_1 = kB, R_2 = kA - D0 q_0
+    and R_r = 0 - D0 q_(r-2), and the quotient coefficient of w^(k-1-r) is
+    q_r = R_r / D2. Order k stops after q_(k-1); its constant remainder is
+    R_(k+1).
+    """
+    nd, kmax = iA.shape
+    rem = np.empty((kmax + 2, nd, kmax))
+    rem[0], rem[1] = iC, iB
+    quot = np.zeros((nd, kmax, kmax))  # quot[:, k - 1, r] = q_r of order k
+    for r in range(kmax + 2):
+        if r >= 2:
+            c = r - 2
+            rem[r, :, c:] = (iA if r == 2 else 0.0) - D0[:, None] * quot[:, c:, c]
+        if r < kmax:
+            quot[:, r:, r] = rem[r, :, r:] / D2[:, None]
+    k, r = np.tril_indices(kmax)  # term r of order k + 1: q_r times opi[:, k + 1 - r]
+    first = np.flatnonzero(r == 0).tolist()
+    runs = list(zip(first, first[1:] + [len(k)]))
+    terms = (quot[:, k, r] * opi[:, k + 1 - r]).tolist()
+    poly = np.array([math.fsum(row[a:b]) for row in terms for a, b in runs]).reshape(nd, kmax)
+    return poly, rem[np.arange(2, kmax + 2), :, np.arange(kmax)].T
+
+
 def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     """Moments via long division of each piece's rational density.
 
@@ -117,7 +208,7 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     """
     if model.variant != "rational":
         raise ValueError(f"expected a rational model, got {model.variant!r}")
-    _check_kmax(kmax)
+    kmax = _check_kmax(kmax)
     x, y, d = model.x, model.y, model.slopes
     rising = np.diff(y) != 0
     x0, x1, y0, y1 = x[:-1][rising], x[1:][rising], y[:-1][rising], y[1:][rising]
@@ -190,15 +281,8 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     aa = -D2d[neg] * hd[neg]  # |D2 * h|
     small = 4.0 * (-D2d[neg]) * hd[neg] * hd[neg] / (root[neg] + aa)  # b - aa, cancellation-free
     fn[neg] = [math.log(z) for z in ((root[neg] + aa) / small).tolist()]
-    for k in range(1, kmax + 1):
-        rem = np.zeros((len(div), k + 2))
-        rem[:, k - 1 :] = np.stack((iA[div, k - 1], iB[div, k - 1], iC[div, k - 1]), axis=1)
-        quot = np.zeros((len(div), k))
-        for j in range(k + 1, 1, -1):
-            quot[:, j - 2] = rem[:, j] / D2d
-            rem[:, j - 2] -= D0d * quot[:, j - 2]
-        poly = [math.fsum(row) for row in (quot * opi[div, 1 : k + 1]).tolist()]
-        raw[div, k] = raw[div, k] - poly - (scale * rem[:, 0] / root) * fn
+    poly, const = _long_division(iA[div], iB[div], iC[div], D0d, D2d, opi[div])
+    raw[div, 1:] = raw[div, 1:] - poly - (scale[:, None] * const / root[:, None]) * fn[:, None]
     return _binomial_sum(raw, 0.5 * (x0 + x1), kmax)
 
 
@@ -213,6 +297,7 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
     Deliberately routed through the density evaluator so it shares nothing
     with the analytic antiderivatives above.
     """
+    k = _check_order(k)
     x, y, d = model.x, model.y, model.slopes
     pieces = []
     worst = (0.0, None)
