@@ -30,7 +30,7 @@ depend on the term order:
   float64 to tau, within delta = 2 n u sum|low| of their exact sum.
   Rounding is monotone, so when fsum((S, tau, -delta)) equals fsum((S, tau,
   delta)) that value is the correctly rounded exact sum. Otherwise (a sum
-  within delta of a rounding tie, a zero or a non-finite term) the moment
+  within delta of a rounding tie, a zero sum, a non-finite term) the moment
   falls back to `math.fsum` over its terms.
 - The polynomial part of the division branch, at most kmax terms per piece
   and order, goes through `math.fsum` directly.
