@@ -145,15 +145,18 @@ def _walk(ecdf: EmpiricalCDF, m: int) -> tuple[list, list]:
 
     def node(i):
         """(x, count of values <= x) at sorted index i"""
-        x = sv[i]
-        if i == last or sv[i + 1] != x:
+        x = sv.item(i)
+        if i == last or sv.item(i + 1) != x:
             return x, i + 1
         return x, int(np.searchsorted(sv, x, side="right"))  # inside a tie run
 
     xs, ys = [], []
-    # np.float64 operands in every chord, as in the reference walk in the
-    # tests: numpy's scalar ** 2 need not round like Python's
-    px = py = np.float64(0.0)
+    # Python floats throughout: their + - * / are the IEEE double operations
+    # of np.float64, and both kinds of ** 2 call C pow (which x * x need not
+    # match), so every chord has the bits of the np.float64 reference walk;
+    # test_select_points_matches_reference_walk_* and
+    # test_python_square_matches_numpy_scalar_square guard this.
+    px = py = 0.0
     target = 1.0 / m
     t2 = target * target
     reach = -(-sv.size // m)
@@ -172,7 +175,7 @@ def _walk(ecdf: EmpiricalCDF, m: int) -> tuple[list, list]:
                     lo, x, k = mid, xmid, kmid
                 else:
                     hi = mid - 1
-        px, py = x, np.float64(k / count)
+        px, py = x, k / count
         xs.append(px)
         ys.append(py)
         end = k
@@ -196,21 +199,21 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
         raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
 
     xs, ys = _walk(ecdf, m)
-    px = np.array([0.0, *xs, 1.0])
-    py = np.array([0.0, *ys, 1.0])
+    px = [0.0, *xs, 1.0]
+    py = [0.0, *ys, 1.0]
 
     # enforce the per-coordinate step bound by splitting oversized segments
     out_x = [0.0]
     out_y = [0.0]
-    for k in range(1, len(px)):
-        dx = px[k] - px[k - 1]
-        dy = py[k] - py[k - 1]
+    for x0, x1, y0, y1 in zip(px, px[1:], py, py[1:]):
+        dx = x1 - x0
+        dy = y1 - y0
         pieces = max(1, math.ceil(max(dx, dy) * m))
         for i in range(1, pieces):
-            out_x.append(px[k - 1] + dx * (i / pieces))
-            out_y.append(py[k - 1] + dy * (i / pieces))
-        out_x.append(px[k])
-        out_y.append(py[k])
+            out_x.append(x0 + dx * (i / pieces))
+            out_y.append(y0 + dy * (i / pieces))
+        out_x.append(x1)
+        out_y.append(y1)
     x = np.asarray(out_x)
     y = np.asarray(out_y)
     y = np.minimum.accumulate(y[::-1])[::-1]  # shield monotonicity from roundoff

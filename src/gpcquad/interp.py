@@ -88,6 +88,8 @@ class DensityModel:
 
 def _chords(data: MonotoneData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dx = np.diff(data.x)
+    if not np.all(dx > 0):
+        raise InvariantViolation("abscissae must be strictly increasing")
     dy = np.diff(data.y)
     return dx, dy, dy / dx
 
@@ -155,11 +157,13 @@ def geometric_mean_slopes(data: MonotoneData) -> np.ndarray:
         return v if math.isfinite(v) and v > 0.0 else 0.0
 
     d = np.empty(n)
-    span = x[2:] - x[:-2]
-    for k in range(1, n - 1):
-        d[k] = power_pair(
-            s[k - 1], (x[k + 1] - x[k]) / span[k - 1], s[k], (x[k] - x[k - 1]) / span[k - 1]
-        )
+    # on Python floats: the same IEEE operations as on np.float64, unboxed
+    xl, sl = x.tolist(), s.tolist()
+    spans = (x[2:] - x[:-2]).tolist()
+    d[1:-1] = [
+        power_pair(s0, (x2 - x1) / w, s1, (x1 - x0) / w)
+        for x0, x1, x2, s0, s1, w in zip(xl, xl[1:], xl[2:], sl, sl[1:], spans)
+    ]
     s31 = (y[2] - y[0]) / (x[2] - x[0])
     d[0] = power_pair(
         s[0], (x[2] - x[0]) / (x[2] - x[1]), s31, (x[0] - x[1]) / (x[2] - x[1])

@@ -6,7 +6,9 @@ the squared first component of the corresponding unit eigenvector. The
 eigensolver is an implicit-shift QL iteration that accumulates only the
 first row of the rotation product: the matrices are at most 11x11 and the
 weights need nothing else, so no dense linear-algebra dependency is pulled
-in for this step.
+in for this step. The iteration runs on Python lists of floats, whose
+arithmetic is the same IEEE double arithmetic as on numpy scalars without
+the boxing; the arrays come back only for the final sort.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .ecdf import TransformParams
 from .errors import EigenConvergenceError, NumericalError
-from .orthopoly import OrthonormalBasis, RecurrenceCoeffs, eval_basis
+from .orthopoly import OrthonormalBasis, RecurrenceCoeffs
 
 __all__ = [
     "JacobiMatrix",
@@ -61,6 +63,11 @@ class QuadratureRule:
 
 
 def build_jacobi(rec: RecurrenceCoeffs) -> JacobiMatrix:
+    for name, values in (("gamma", rec.gamma), ("kappa", rec.kappa)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise NumericalError(f"{name}_{bad} = {values[bad]} is not finite")
     kappa_tail = rec.kappa[1:]
     if np.any(kappa_tail <= 0):
         bad = int(np.flatnonzero(kappa_tail <= 0)[0]) + 1
@@ -74,15 +81,16 @@ def tridiag_eigen(J: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
     Implicit-shift QL with Wilkinson shift; the Givens rotations are applied
     to a single row vector started at e_1, which ends up holding u_{1,j}.
     """
-    d = np.asarray(J.diag, dtype=float).copy()
+    d = np.asarray(J.diag, dtype=float).tolist()
     n = len(d)
     if len(J.offdiag) != n - 1:
         raise NumericalError(
             f"off-diagonal length {len(J.offdiag)} does not match size {n}"
         )
-    e = np.zeros(n)
-    e[: n - 1] = J.offdiag
-    z = np.zeros(n)
+    e = np.asarray(J.offdiag, dtype=float).tolist() + [0.0]
+    if not all(map(math.isfinite, d + e)):
+        raise NumericalError("Jacobi matrix has a non-finite entry")
+    z = [0.0] * n
     z[0] = 1.0
     for l in range(n):
         for sweep in range(_MAX_SWEEPS + 1):
@@ -130,8 +138,9 @@ def tridiag_eigen(J: JacobiMatrix) -> tuple[np.ndarray, np.ndarray]:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+    d = np.array(d)
     order = np.argsort(d, kind="stable")
-    return d[order], z[order]
+    return d[order], np.array(z)[order]
 
 
 def gauss_rule(rec: RecurrenceCoeffs) -> QuadratureRule:
@@ -171,9 +180,16 @@ def orthonormality_error(basis: OrthonormalBasis, rule: QuadratureRule) -> float
         raise ValueError(
             f"rule has {rule.size} nodes but the basis needs {size}"
         )
-    phi = np.empty((rule.size, size))
-    for i in range(size):
-        phi[:, i] = eval_basis(basis, i, rule.nodes)
+    # one Horner pass for all functions over the zero-padded coefficient
+    # matrix: a leading zero gives +0 * x + 0 = +0 and then +0 * x + c = c,
+    # so each column has the bits eval_basis gives it at finite nodes
+    coeffs = np.zeros((size, size))
+    for i, c in enumerate(basis.phi_coeffs):
+        coeffs[i, : len(c)] = c
+    x = rule.nodes[:, None]
+    phi = np.zeros((rule.size, size)) + coeffs[:, -1]
+    for j in range(size - 2, -1, -1):
+        phi = phi * x + coeffs[:, j]
     v = phi.T @ (phi * rule.weights[:, None])
     return float(np.max(np.sum(np.abs(np.eye(size) - v), axis=1)))
 

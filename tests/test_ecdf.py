@@ -122,6 +122,14 @@ def reference_select_points(cdf, m):
     return np.asarray(out_x), np.minimum.accumulate(y[::-1])[::-1]
 
 
+@given(st.floats(-1e150, 1e150))
+@settings(max_examples=500, deadline=None)
+def test_python_square_matches_numpy_scalar_square(v):
+    # the walk squares Python floats where the reference squares np.float64:
+    # both call C pow, which need not round like v * v
+    assert (v**2).hex() == float(np.float64(v) ** 2).hex()
+
+
 def _assert_selects_like_reference(cdf, m):
     want_x, want_y = reference_select_points(cdf, m)
     if np.any(np.diff(want_x) <= 0):

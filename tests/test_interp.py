@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,72 @@ def test_geometric_mean_slopes_linear_and_flat():
     assert slopes[0] == 0.0  # zero chord with positive exponent
     assert slopes[1] == 0.0  # flat interval on the left: 0^positive
     assert slopes[2] > 0 and slopes[3] > 0
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [parabolic_slopes, geometric_mean_slopes, lambda data: project_slopes(data, np.ones(5))],
+    ids=["parabolic", "geometric-mean", "project"],
+)
+def test_slopes_reject_repeated_abscissae(estimate):
+    # formerly RuntimeWarnings and slopes of nan or 0
+    data = MonotoneData(x=np.array([0.0, 0.5, 0.5, 0.5, 1.0]), y=np.linspace(0.0, 1.0, 5))
+    with pytest.raises(InvariantViolation, match="strictly increasing"):
+        estimate(data)
+
+
+def reference_geometric_mean_slopes(data):
+    """The slope loop as it stood: one knot at a time on np.float64 scalars."""
+    n = data.n
+    x, y = data.x, data.y
+    s = np.diff(y) / np.diff(x)
+
+    def power_pair(b1, e1, b2, e2):
+        if b1 <= 0.0 or b2 <= 0.0:
+            return 0.0
+        try:
+            v = float(b1) ** float(e1) * float(b2) ** float(e2)
+        except OverflowError:
+            return 0.0
+        return v if math.isfinite(v) and v > 0.0 else 0.0
+
+    d = np.empty(n)
+    span = x[2:] - x[:-2]
+    for k in range(1, n - 1):
+        d[k] = power_pair(
+            s[k - 1], (x[k + 1] - x[k]) / span[k - 1], s[k], (x[k] - x[k - 1]) / span[k - 1]
+        )
+    s31 = (y[2] - y[0]) / (x[2] - x[0])
+    d[0] = power_pair(
+        s[0], (x[2] - x[0]) / (x[2] - x[1]), s31, (x[0] - x[1]) / (x[2] - x[1])
+    )
+    snn2 = (y[-1] - y[-3]) / (x[-1] - x[-3])
+    d[-1] = power_pair(
+        s[-1], (x[-1] - x[-3]) / (x[-2] - x[-3]), snn2, (x[-2] - x[-1]) / (x[-2] - x[-3])
+    )
+    return d
+
+
+def test_geometric_mean_slopes_match_per_knot_reference(rng):
+    corpus = [random_selected_data(rng, m_range=(2, 201))[0] for _ in range(40)]
+    corpus += [
+        # zero chords: flat stretches inside and at both ends
+        MonotoneData(x=np.linspace(0.0, 1.0, 7), y=np.array([0, 0, 0.3, 0.3, 0.3, 1, 1.0])),
+        MonotoneData(x=np.array([0.0, 0.2, 0.5, 1.0]), y=np.array([0.0, 0.0, 0.0, 1.0])),
+        # knot gaps of 1e-300: chord slopes near the top of the float range
+        MonotoneData(
+            x=np.array([0.0, 1e-300, 2e-300, 0.5, 1.0]), y=np.array([0.0, 0.1, 0.2, 0.6, 1.0])
+        ),
+        MonotoneData(
+            x=np.array([0.0, 0.25, 0.25 + 2**-54, 0.75, 1.0]),
+            y=np.array([0.0, 0.2, 0.7, 0.8, 1.0]),
+        ),
+        diagonal_data(3),
+    ]
+    for data in corpus:
+        data.validate()
+        want = reference_geometric_mean_slopes(data)
+        assert geometric_mean_slopes(data).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
