@@ -115,6 +115,14 @@ def fit_transform(
     normalized = params.normalize(values)
     normalized.sort()
     if not (normalized[0] > 0.0 and normalized[-1] < 1.0):
+        magnitude = max(abs(lo), abs(hi))
+        spacing = math.ulp(magnitude)
+        if delta < spacing:
+            raise DegenerateSamplesError(
+                f"sample range {hi - lo} is below float64 resolution at magnitude "
+                f"{magnitude}: delta = {delta} is smaller than the spacing "
+                f"{spacing} of doubles there"
+            )
         raise DegenerateSamplesError(
             f"delta = {delta} is too small relative to the sample range to "
             f"keep normalized samples strictly inside (0, 1)"

@@ -391,16 +391,24 @@ def print_model(model: SurrogateModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval_tree(node, columns):
+def _eval_tree(node, columns, slots=()):
+    """Value of `node`: a `var` leaf reads `columns`, a `slot` leaf `slots`.
+
+    Constants are `np.float64`, so a constant subexpression such as `1/0`,
+    `10^400` or `(0-2)^0.5` yields inf or nan for the non-finite checks
+    instead of a Python exception or a complex number.
+    """
     op = node[0]
     if op == "num":
-        return node[1]
+        return np.float64(node[1])
     if op == "var":
         return columns[node[1]]
+    if op == "slot":
+        return slots[node[1]]
     if op == "neg":
-        return -_eval_tree(node[1], columns)
+        return -_eval_tree(node[1], columns, slots)
     if op == "fun":
-        arg = _eval_tree(node[2], columns)
+        arg = _eval_tree(node[2], columns, slots)
         if node[1] == "sqrt":
             if np.any(np.asarray(arg) < 0):
                 raise EvaluationError("sqrt of a negative argument")
@@ -408,8 +416,8 @@ def _eval_tree(node, columns):
         if node[1] == "abs":
             return np.abs(arg)
         return getattr(np, node[1])(arg)
-    a = _eval_tree(node[1], columns)
-    b = _eval_tree(node[2], columns)
+    a = _eval_tree(node[1], columns, slots)
+    b = _eval_tree(node[2], columns, slots)
     if op == "add":
         return a + b
     if op == "sub":
@@ -438,27 +446,82 @@ def evaluate(model: SurrogateModel, point) -> float:
     return value
 
 
-# Rows per block in `sample`: each temporary of the expression tree holds
-# 2**13 doubles (64 KB) and stays in cache, and none is as long as the sample.
+# Rows per block in `sample`: each drawn block and each temporary of the
+# expression tree holds 2**13 doubles (64 KB) and stays in cache.
 _BLOCK = 1 << 13
+
+
+def _plan(expr) -> list[tuple[int, tuple, list[int]]]:
+    """Cut `expr` into the jobs `(var, tree, reads)` that `sample` runs in order.
+
+    Every subtree whose last-drawn variable comes before its parent's is cut
+    out as a job of its own, and its parent reads it through the leaf
+    `("slot", j)`, `j` being the job's index; `reads` lists those slots.
+    A job is evaluated block by block while variable `var` is drawn, since
+    every `var` leaf left in its tree is that variable. Constant subtrees
+    stay in place. The root is the last job, with `var` -1 when the whole
+    expression is constant.
+    """
+    jobs = []
+
+    def cut(node):
+        # -> (last variable in node or -1, node with its slot leaves, their slots)
+        op = node[0]
+        if op == "num":
+            return -1, node, []
+        if op == "var":
+            return node[1], node, []
+        parts = [cut(c) if isinstance(c, tuple) else (-1, c, []) for c in node[1:]]
+        last = max(v for v, _, _ in parts)
+        kids, reads = [], []
+        for v, child, child_reads in parts:
+            if 0 <= v < last:
+                jobs.append((v, child, child_reads))
+                child, child_reads = ("slot", len(jobs) - 1), [len(jobs) - 1]
+            kids.append(child)
+            reads += child_reads
+        return last, (op, *kids), reads
+
+    jobs.append(cut(expr))
+    return jobs
 
 
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     """Draw `count` i.i.d. parameter vectors and evaluate the model at each.
 
-    Deterministic for a fixed seed: one PCG64 stream, variables drawn in
-    declaration order. The drawn columns and the output array are the only
-    arrays as long as the sample; the model is evaluated in row blocks.
+    Deterministic for a fixed seed: one PCG64 stream, each variable's
+    `count` draws in declaration order. Each variable is drawn `_BLOCK` rows
+    at a time, which consumes the stream exactly as one `count`-long draw
+    does, so no parameter column is ever as long as the sample. Every
+    subtree of the expression is evaluated while its last variable is
+    drawn, into a `count`-long slot that reuses the buffer of a slot it
+    reads (see `_plan`). The peak is the largest number of slots alive at
+    once: two for `SYNTHETIC_MODEL`, and one, the output, for a sum of
+    one-variable terms.
     """
     if count < 2:
         raise DegenerateSamplesError(f"need at least 2 samples, got {count}")
+    jobs = _plan(model.expr)
+    slots = [None] * len(jobs)
     rng = np.random.default_rng(seed)
-    columns = [dist.draw(rng, count) for dist in model.distributions]
-    values = np.empty(count)
     with np.errstate(all="ignore"):
-        for start in range(0, count, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            values[rows] = _eval_tree(model.expr, [column[rows] for column in columns])
+        # variables after the root's last one are never read, so never drawn
+        for var in range(jobs[-1][0] + 1):
+            mine = [(j, tree, reads) for j, (v, tree, reads) in enumerate(jobs) if v == var]
+            for j, _, reads in mine:
+                slots[j] = slots[reads[0]] if reads else np.empty(count)
+            read = [s for _, _, reads in mine for s in reads]
+            for start in range(0, count, _BLOCK):
+                block = model.distributions[var].draw(rng, min(_BLOCK, count - start))
+                rows = slice(start, start + _BLOCK)
+                views = {s: slots[s][rows] for s in read}
+                for j, tree, _ in mine:
+                    slots[j][rows] = _eval_tree(tree, {var: block}, views)
+            for s in read:
+                slots[s] = None
+        if slots[-1] is None:  # a constant expression
+            slots[-1] = np.full(count, _eval_tree(model.expr, ()))
+    values = slots[-1]
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"model evaluated to a non-finite value at draw {bad}")

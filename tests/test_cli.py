@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,3 +253,16 @@ def test_cli_round_trip_matches_in_process(variant, tmp_path, capsys):
     assert code == 0
     assert qreport["nodes"] == rule.nodes.tolist()
     assert qreport["weights"] == rule.weights.tolist()
+
+
+@pytest.mark.parametrize("expression", ["x + 1/0", "10^400", "x*(0-2)^0.5"])
+def test_fit_rejects_faulty_constants(expression, tmp_path, capsys):
+    source = tmp_path / "m.txt"
+    source.write_text(f"x ~ N(0, 1)\nf = {expression}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning
+        code, report, err = run_cli(
+            capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
+        )
+    assert code == 1 and report is None
+    assert err == "error: model evaluated to a non-finite value at draw 0\n"

@@ -45,6 +45,18 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         fit_transform(np.array([-1e308, 0.0, 1e308]), delta=0.1)
 
 
+def test_fit_transform_names_a_range_below_float_resolution():
+    values = 1.0 + 1e-15 * np.arange(50)  # range 4.9e-14, default delta 4.9e-17
+    spread = float(values.max() - values.min())
+    with pytest.raises(DegenerateSamplesError) as err:
+        fit_transform(values, default_delta(values))
+    assert str(err.value) == (
+        f"sample range {spread} is below float64 resolution at magnitude "
+        f"{values.max()}: delta = {default_delta(values)} is smaller than the "
+        f"spacing 2.220446049250313e-16 of doubles there"
+    )
+
+
 def test_normalized_extremes_are_delta_over_b(rng):
     values = rng.normal(3.0, 2.5, 4000)
     delta = 0.02

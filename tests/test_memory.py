@@ -32,8 +32,22 @@ def test_front_end_holds_no_full_length_temporaries():
         select_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the drawn columns, the output array and block-sized temporaries
-    assert sample_peak <= (model.dim + 2) * UNIT, sample_peak / UNIT
+    # two slots (xi1 + 0.5*exp(0.52*xi2) and sin(xi3)) and block-sized temporaries
+    assert sample_peak <= 2.2 * UNIT, sample_peak / UNIT
     # the samples held by the caller and their sorted normalized copy
     assert fit_peak <= 2.2 * UNIT, fit_peak / UNIT
     assert select_peak - held <= 0.5 * UNIT, (select_peak - held) / UNIT
+
+
+def test_sample_of_a_sum_of_terms_holds_one_full_length_array():
+    source = "".join(f"x{i} ~ {'N(0, 1)' if i % 2 else 'U(-1, 2)'}\n" for i in range(6))
+    model = parse_model(source + "f = x0 + sin(x1) + 2*x2 - x3^2 + exp(x4) + abs(x5)\n")
+    sample(model, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        sample(model, N, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output alone: each term is added to it while its variable is drawn
+    assert peak <= 1.2 * UNIT, peak / UNIT

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpcquad import (
@@ -18,7 +19,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad.surrogate import _BLOCK, _eval_tree
+from gpcquad.surrogate import _BLOCK, SurrogateModel
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
 
@@ -97,6 +98,22 @@ def test_evaluate_domain_errors():
         evaluate(model, [0.0])
 
 
+# Constant subexpressions that Python-float arithmetic turns into a
+# ZeroDivisionError, an OverflowError and a complex number.
+FAULTY_CONSTANTS = ["x + 1/0", "10^400", "x*(0-2)^0.5"]
+
+
+@pytest.mark.parametrize("expression", FAULTY_CONSTANTS)
+def test_faulty_constants_are_non_finite(expression):
+    model = parse_model(f"x ~ N(0, 1)\nf = {expression}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning
+        with pytest.raises(EvaluationError, match="non-finite value at draw 0$"):
+            sample(model, 100, seed=1)
+        with pytest.raises(EvaluationError, match=r"non-finite value at \[0.3\]$"):
+            evaluate(model, [0.3])
+
+
 def test_print_parse_fixed_point():
     for source in (
         SYNTHETIC_MODEL,
@@ -110,41 +127,41 @@ def test_print_parse_fixed_point():
         assert print_model(again) == printed
 
 
+PRINTABLE_NUMBERS = st.floats(
+    min_value=0.0,
+    max_value=1e6,
+    allow_nan=False,
+    allow_infinity=False,
+).map(abs)  # -0.0 prints as a unary minus, changing the tree
+
+
 @st.composite
-def expr_trees(draw, depth=0):
+def expr_trees(draw, depth=0, dim=2, numbers=PRINTABLE_NUMBERS):
+    """Random expression trees over variables 0..dim-1, every operator and function."""
     if depth > 4 or draw(st.booleans()):
         leaf = draw(st.sampled_from(["num", "var"]))
         if leaf == "num":
-            value = draw(
-                st.floats(
-                    min_value=0.0,
-                    max_value=1e6,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ).map(abs)  # -0.0 prints as a unary minus, changing the tree
-            )
-            return ("num", value)
-        return ("var", draw(st.integers(0, 1)))
+            return ("num", draw(numbers))
+        return ("var", draw(st.integers(0, dim - 1)))
+    sub = expr_trees(depth=depth + 1, dim=dim, numbers=numbers)
     op = draw(st.sampled_from(["add", "sub", "mul", "div", "pow", "neg", "fun"]))
     if op == "neg":
-        return ("neg", draw(expr_trees(depth=depth + 1)))
+        return ("neg", draw(sub))
     if op == "fun":
         name = draw(st.sampled_from(["exp", "sin", "cos", "sqrt", "abs"]))
-        return ("fun", name, draw(expr_trees(depth=depth + 1)))
-    return (op, draw(expr_trees(depth=depth + 1)), draw(expr_trees(depth=depth + 1)))
+        return ("fun", name, draw(sub))
+    return (op, draw(sub), draw(sub))
 
 
 @given(expr_trees())
 @settings(max_examples=200, deadline=None)
 def test_printer_round_trips_random_trees(tree):
-    from gpcquad.surrogate import SurrogateModel, print_model as pm
-
     model = SurrogateModel(
         names=("a", "b"),
         distributions=(Distribution("gaussian", 0, 1), Distribution("uniform", 0, 1)),
         expr=tree,
     )
-    assert parse_model(pm(model)) == model
+    assert parse_model(print_model(model)) == model
 
 
 def test_sample_determinism_and_count_guard():
@@ -158,26 +175,168 @@ def test_sample_determinism_and_count_guard():
         sample(model, 1, seed=0)
 
 
-# Whole-column evaluation, as `sample` did before it evaluated the model in
-# row blocks: the reference its values must match bit for bit.
+# The whole-column evaluator `sample` used before it drew its variables in
+# blocks, with constants as Python floats, frozen here as the reference its
+# values must match bit for bit.
+def reference_eval_tree(node, columns):
+    op = node[0]
+    if op == "num":
+        return node[1]
+    if op == "var":
+        return columns[node[1]]
+    if op == "neg":
+        return -reference_eval_tree(node[1], columns)
+    if op == "fun":
+        arg = reference_eval_tree(node[2], columns)
+        if node[1] == "sqrt":
+            if np.any(np.asarray(arg) < 0):
+                raise EvaluationError("sqrt of a negative argument")
+            return np.sqrt(arg)
+        if node[1] == "abs":
+            return np.abs(arg)
+        return getattr(np, node[1])(arg)
+    a = reference_eval_tree(node[1], columns)
+    b = reference_eval_tree(node[2], columns)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    if op == "pow":
+        return a**b
+    raise AssertionError(f"unreachable node {op!r}")
+
+
 def reference_sample_values(model, count, seed):
     rng = np.random.default_rng(seed)
     columns = [dist.draw(rng, count) for dist in model.distributions]
     with np.errstate(all="ignore"):
-        values = np.asarray(_eval_tree(model.expr, columns), dtype=float)
+        values = reference_eval_tree(model.expr, columns)
     return np.broadcast_to(values, (count,)).copy()
 
 
-@pytest.mark.parametrize("count", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def reference_outcome(model, count, seed):
+    """The reference's values, or the EvaluationError it raised."""
+    try:
+        return reference_sample_values(model, count, seed)
+    except EvaluationError as exc:
+        return exc
+
+
+def assert_sample_matches(model, count, seed, want):
+    """`sample` returns the reference's bits, or raises the error `sample`
+    raised at the parent commit for the reference's outcome."""
+    if isinstance(want, EvaluationError):
+        with pytest.raises(EvaluationError, match=f"^{want}$"):
+            sample(model, count, seed)
+        return
+    assert want.dtype == np.float64
+    bad = np.flatnonzero(~np.isfinite(want))
+    if bad.size:
+        with pytest.raises(EvaluationError, match=rf"non-finite value at draw {bad[0]}$"):
+            sample(model, count, seed)
+        return
+    got = sample(model, count, seed).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+COUNTS = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+@pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize(
-    "source", ["x ~ N(0, 1)\nf = 3\n", IDENTITY_UNIFORM, SYNTHETIC_MODEL],
-    ids=["constant", "identity", "synthetic"],
+    "source",
+    [
+        "x ~ N(0, 1)\nf = 3\n",
+        IDENTITY_UNIFORM,
+        SYNTHETIC_MODEL,
+        "a ~ N(0, 1)\nb ~ U(-1, 2)\nc ~ N(1, 3)\nf = c*b - exp(a)*c + b^2\n",
+        "a ~ U(0, 1)\nb ~ N(0, 1)\nc ~ U(-1, 1)\nf = sin(b) + (2 - 3)*b\n",
+        "a ~ N(0, 1)\nb ~ N(0, 1)\nf = a*(b + a) / (1 + exp(2)*a^2)\n",
+    ],
+    ids=["constant", "identity", "synthetic", "out-of-order", "unused", "repeated"],
 )
 def test_blocked_sample_matches_whole_columns(source, count):
     model = parse_model(source)
-    got = sample(model, count, seed=11).values
-    want = reference_sample_values(model, count, seed=11)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_sample_matches(model, count, 11, reference_outcome(model, count, 11))
+
+
+DISTRIBUTIONS = st.sampled_from(
+    [
+        Distribution("gaussian", 0.0, 1.0),
+        Distribution("gaussian", -1.5, 2.5),
+        Distribution("uniform", -0.5, 0.5),
+        Distribution("uniform", 0.25, 4.0),
+    ]
+)
+
+
+@st.composite
+def sampled_models(draw):
+    dim = draw(st.integers(1, 4))
+    terms = expr_trees(dim=dim, numbers=st.floats(min_value=0.0, max_value=10.0))
+    tree = draw(terms)
+    for _ in range(draw(st.integers(0, 3))):  # joined terms: more variables per tree
+        tree = (draw(st.sampled_from(["add", "sub", "mul"])), tree, draw(terms))
+    return SurrogateModel(
+        names=tuple(f"x{i}" for i in range(dim)),
+        distributions=tuple(draw(st.lists(DISTRIBUTIONS, min_size=dim, max_size=dim))),
+        expr=tree,
+    )
+
+
+def has_variable(node):
+    return node[0] == "var" or any(has_variable(c) for c in node[1:] if isinstance(c, tuple))
+
+
+def python_float_constants_fail(node):
+    """Whether a constant subtree of `node` raises an ArithmeticError or turns
+    complex in Python-float arithmetic (`1/0`, `10^400`, `(0-2)^0.5`), where
+    `sample` computes inf or nan."""
+    if not has_variable(node):
+        try:
+            with np.errstate(all="ignore"):
+                if np.iscomplexobj(reference_eval_tree(node, [])):
+                    return True
+        except ArithmeticError:
+            return True
+        except EvaluationError:
+            pass
+    return any(python_float_constants_fail(c) for c in node[1:] if isinstance(c, tuple))
+
+
+@given(sampled_models(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_blocked_sample_matches_whole_columns_on_random_models(model, seed):
+    assume(not python_float_constants_fail(model.expr))
+    for count in COUNTS:
+        assert_sample_matches(model, count, seed, reference_outcome(model, count, seed))
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [["gaussian"], ["uniform"], ["gaussian", "uniform", "uniform", "gaussian"]],
+    ids=["normal", "uniform", "interleaved"],
+)
+@pytest.mark.parametrize("seed", [1, 7])
+def test_block_wise_draws_equal_whole_draws(kinds, seed):
+    """`sample` relies on this: Generator.normal and .uniform keep no state
+    between float64 calls, so drawing a column in blocks consumes the
+    stream as one whole draw does."""
+    dists = [Distribution(kind, 0.5, 2.0) for kind in kinds]
+    count = 3 * _BLOCK + 7
+    rng = np.random.default_rng(seed)
+    whole = [dist.draw(rng, count) for dist in dists]
+    rng = np.random.default_rng(seed)
+    blocks = [
+        np.concatenate([dist.draw(rng, min(_BLOCK, count - s)) for s in range(0, count, _BLOCK)])
+        for dist in dists
+    ]
+    for a, b in zip(whole, blocks):
+        assert a.tobytes() == b.tobytes()
 
 
 def _first_exceeding_first_block(seed, count):
