@@ -119,9 +119,9 @@ def fit_transform(
         spacing = math.ulp(magnitude)
         if delta < spacing:
             raise DegenerateSamplesError(
-                f"sample range {hi - lo} is below float64 resolution at magnitude "
-                f"{magnitude}: delta = {delta} is smaller than the spacing "
-                f"{spacing} of doubles there"
+                f"delta = {delta} is below the spacing {spacing} of doubles at "
+                f"magnitude {magnitude}, so the range [{lo}, {hi}] cannot be "
+                f"widened by it"
             )
         raise DegenerateSamplesError(
             f"delta = {delta} is too small relative to the sample range to "

@@ -451,39 +451,68 @@ def evaluate(model: SurrogateModel, point) -> float:
 _BLOCK = 1 << 13
 
 
-def _plan(expr) -> list[tuple[int, tuple, list[int]]]:
-    """Cut `expr` into the jobs `(var, tree, reads)` that `sample` runs in order.
+def _plan(expr) -> dict[int, tuple[tuple, list[int]]]:
+    """Split `expr` into the jobs `{var: (tree, done)}` that `sample` runs.
 
-    Every subtree whose last-drawn variable comes before its parent's is cut
-    out as a job of its own, and its parent reads it through the leaf
-    `("slot", j)`, `j` being the job's index; `reads` lists those slots.
-    A job is evaluated block by block while variable `var` is drawn, since
-    every `var` leaf left in its tree is that variable. Constant subtrees
-    stay in place. The root is the last job, with `var` -1 when the whole
-    expression is constant.
+    Job `var` is evaluated block by block while variable `var` is drawn,
+    into the sample-long slot `var`, which a parent reads through the leaf
+    `("slot", var)`; `done` lists the slots it is the last to read.
+    A subtree whose last-drawn variable comes before its parent's is cut
+    out as the job of that variable, unless that variable would have more
+    than one such subtree: then its job is its drawn column, and those
+    subtrees stay in their parents, reading it. So each variable has at most
+    one slot, and constant subtrees stay in place. The root is the job of
+    its last variable; a constant expression has no job.
     """
-    jobs = []
+    last = {}  # id(node) -> last variable in node, -1 for a constant
+    cuts = {}  # variable -> number of subtrees cut out for it
 
-    def cut(node):
-        # -> (last variable in node or -1, node with its slot leaves, their slots)
+    def scan(node):
         op = node[0]
-        if op == "num":
-            return -1, node, []
-        if op == "var":
-            return node[1], node, []
-        parts = [cut(c) if isinstance(c, tuple) else (-1, c, []) for c in node[1:]]
-        last = max(v for v, _, _ in parts)
-        kids, reads = [], []
-        for v, child, child_reads in parts:
-            if 0 <= v < last:
-                jobs.append((v, child, child_reads))
-                child, child_reads = ("slot", len(jobs) - 1), [len(jobs) - 1]
-            kids.append(child)
-            reads += child_reads
-        return last, (op, *kids), reads
+        if op in ("num", "var"):
+            v = node[1] if op == "var" else -1
+        else:
+            kids = [scan(c) for c in node[1:] if isinstance(c, tuple)]
+            v = max(kids)
+            for k in kids:
+                if 0 <= k < v:
+                    cuts[k] = cuts.get(k, 0) + 1
+        last[id(node)] = v
+        return v
 
-    jobs.append(cut(expr))
-    return jobs
+    root = scan(expr)
+    columns = {v for v, n in cuts.items() if n > 1}
+    jobs = {v: ("var", v) for v in columns}
+
+    def cut(node):  # node with its cut subtrees and column variables as slot leaves
+        op = node[0]
+        if op in ("num", "var"):
+            return ("slot", node[1]) if op == "var" and node[1] in columns else node
+        kids = []
+        for c in node[1:]:
+            if isinstance(c, tuple):
+                v = last[id(c)]
+                c = cut(c)
+                if 0 <= v < last[id(node)] and v not in columns:
+                    jobs[v] = c
+                    c = ("slot", v)
+            kids.append(c)
+        return (op, *kids)
+
+    tree = cut(expr)
+    if root >= 0:
+        jobs[root] = tree
+    reader = {}  # slot -> last job that reads it
+    for v in sorted(jobs):
+        for s in _slot_leaves(jobs[v]):
+            reader[s] = v
+    return {v: (t, [s for s in sorted(reader) if reader[s] == v]) for v, t in jobs.items()}
+
+
+def _slot_leaves(node) -> list[int]:
+    if node[0] == "slot":
+        return [node[1]]
+    return [s for c in node[1:] if isinstance(c, tuple) for s in _slot_leaves(c)]
 
 
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
@@ -492,36 +521,38 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     Deterministic for a fixed seed: one PCG64 stream, each variable's
     `count` draws in declaration order. Each variable is drawn `_BLOCK` rows
     at a time, which consumes the stream exactly as one `count`-long draw
-    does, so no parameter column is ever as long as the sample. Every
-    subtree of the expression is evaluated while its last variable is
-    drawn, into a `count`-long slot that reuses the buffer of a slot it
-    reads (see `_plan`). The peak is the largest number of slots alive at
-    once: two for `SYNTHETIC_MODEL`, and one, the output, for a sum of
-    one-variable terms.
+    does. Every subtree of the expression is evaluated while its last
+    variable is drawn, into a `count`-long slot that reuses the buffer of a
+    slot it is the last to read (see `_plan`). Each variable has at most one
+    slot, so at most `dim` arrays as long as the sample are alive at once,
+    against the `dim + 1` of whole columns and the output: two for
+    `SYNTHETIC_MODEL`, and one, the output, for a sum of one-variable terms.
     """
     if count < 2:
         raise DegenerateSamplesError(f"need at least 2 samples, got {count}")
     jobs = _plan(model.expr)
-    slots = [None] * len(jobs)
+    root = max(jobs, default=-1)
+    slots = {}
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
-        # variables after the root's last one are never read, so never drawn
-        for var in range(jobs[-1][0] + 1):
-            mine = [(j, tree, reads) for j, (v, tree, reads) in enumerate(jobs) if v == var]
-            for j, _, reads in mine:
-                slots[j] = slots[reads[0]] if reads else np.empty(count)
-            read = [s for _, _, reads in mine for s in reads]
+        # variables after the root's are never read, so never drawn
+        for var in range(root + 1):
+            draw = model.distributions[var].draw
+            if var not in jobs:  # unused, drawn only to advance the stream
+                for start in range(0, count, _BLOCK):
+                    draw(rng, min(_BLOCK, count - start))
+                continue
+            tree, done = jobs[var]
+            out = slots[done[0]] if done else np.empty(count)
             for start in range(0, count, _BLOCK):
-                block = model.distributions[var].draw(rng, min(_BLOCK, count - start))
+                block = draw(rng, min(_BLOCK, count - start))
                 rows = slice(start, start + _BLOCK)
-                views = {s: slots[s][rows] for s in read}
-                for j, tree, _ in mine:
-                    slots[j][rows] = _eval_tree(tree, {var: block}, views)
-            for s in read:
-                slots[s] = None
-        if slots[-1] is None:  # a constant expression
-            slots[-1] = np.full(count, _eval_tree(model.expr, ()))
-    values = slots[-1]
+                views = {s: a[rows] for s, a in slots.items()}
+                out[rows] = _eval_tree(tree, {var: block}, views)
+            for s in done:
+                del slots[s]
+            slots[var] = out
+        values = slots[root] if jobs else np.full(count, _eval_tree(model.expr, ()))
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"model evaluated to a non-finite value at draw {bad}")

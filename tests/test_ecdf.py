@@ -45,15 +45,14 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         fit_transform(np.array([-1e308, 0.0, 1e308]), delta=0.1)
 
 
-def test_fit_transform_names_a_range_below_float_resolution():
+def test_fit_transform_names_a_delta_below_float_spacing():
     values = 1.0 + 1e-15 * np.arange(50)  # range 4.9e-14, default delta 4.9e-17
-    spread = float(values.max() - values.min())
     with pytest.raises(DegenerateSamplesError) as err:
         fit_transform(values, default_delta(values))
     assert str(err.value) == (
-        f"sample range {spread} is below float64 resolution at magnitude "
-        f"{values.max()}: delta = {default_delta(values)} is smaller than the "
-        f"spacing 2.220446049250313e-16 of doubles there"
+        f"delta = {default_delta(values)} is below the spacing "
+        f"2.220446049250313e-16 of doubles at magnitude {values.max()}, so the "
+        f"range [1.0, {values.max()}] cannot be widened by it"
     )
 
 

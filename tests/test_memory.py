@@ -51,3 +51,19 @@ def test_sample_of_a_sum_of_terms_holds_one_full_length_array():
         tracemalloc.stop()
     # the output alone: each term is added to it while its variable is drawn
     assert peak <= 1.2 * UNIT, peak / UNIT
+
+
+def test_sample_holds_at_most_one_full_length_array_per_variable():
+    # many terms share each variable: each would be its own slot if every
+    # subexpression ending at x0 were kept apart
+    terms = " + ".join(f"{0.5 + k}*x0^{k % 5}*x1^{k // 5}" for k in range(20))
+    model = parse_model(f"x0 ~ N(0, 1)\nx1 ~ U(-1, 2)\nf = {terms}\n")
+    sample(model, 1000, seed=0)
+    tracemalloc.start()
+    try:
+        sample(model, N, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x0's column, then the output in its buffer
+    assert peak <= (model.dim + 0.2) * UNIT, peak / UNIT

@@ -19,7 +19,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad.surrogate import _BLOCK, SurrogateModel
+from gpcquad.surrogate import _BLOCK, SurrogateModel, _plan
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
 
@@ -256,8 +256,23 @@ COUNTS = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
         "a ~ N(0, 1)\nb ~ U(-1, 2)\nc ~ N(1, 3)\nf = c*b - exp(a)*c + b^2\n",
         "a ~ U(0, 1)\nb ~ N(0, 1)\nc ~ U(-1, 1)\nf = sin(b) + (2 - 3)*b\n",
         "a ~ N(0, 1)\nb ~ N(0, 1)\nf = a*(b + a) / (1 + exp(2)*a^2)\n",
+        "a ~ N(0, 1)\nb ~ U(-1, 2)\nf = "
+        + " + ".join(f"{0.5 + k}*a^{k % 5}*b^{k // 5}" for k in range(20))
+        + "\n",
+        "a ~ N(0, 1)\nb ~ U(-1, 2)\nc ~ N(1, 3)\nf = exp(a)*b*c + b*c\n",
+        "a ~ N(0, 1)\nb ~ U(-1, 2)\nc ~ N(1, 3)\nd ~ U(0, 1)\nf = (a + b)*c*d + a*d\n",
     ],
-    ids=["constant", "identity", "synthetic", "out-of-order", "unused", "repeated"],
+    ids=[
+        "constant",
+        "identity",
+        "synthetic",
+        "out-of-order",
+        "unused",
+        "repeated",
+        "products",
+        "column-and-cut",
+        "column-read-twice",
+    ],
 )
 def test_blocked_sample_matches_whole_columns(source, count):
     model = parse_model(source)
@@ -314,6 +329,29 @@ def test_blocked_sample_matches_whole_columns_on_random_models(model, seed):
     assume(not python_float_constants_fail(model.expr))
     for count in COUNTS:
         assert_sample_matches(model, count, seed, reference_outcome(model, count, seed))
+
+
+def leaves(node, op):
+    if node[0] == op:
+        return [node[1]]
+    return [x for c in node[1:] if isinstance(c, tuple) for x in leaves(c, op)]
+
+
+@given(sampled_models())
+@settings(max_examples=150, deadline=None)
+def test_plan_reads_each_slot_while_it_is_alive(model):
+    """A job reads only its own variable and slots of earlier jobs not yet
+    freed; every slot but the output is freed once, after its last read."""
+    jobs = _plan(model.expr)
+    live = set()
+    for var in sorted(jobs):
+        tree, done = jobs[var]
+        assert set(leaves(tree, "var")) <= {var}
+        assert set(done) <= set(leaves(tree, "slot")) <= live
+        live -= set(done)
+        live.add(var)
+    assert live == ({max(jobs)} if jobs else set())
+    assert len(jobs) <= model.dim
 
 
 @pytest.mark.parametrize(
