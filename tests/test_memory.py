@@ -4,6 +4,8 @@ Peaks are read with tracemalloc, which numpy reports its array buffers to."""
 
 import tracemalloc
 
+import pytest
+
 from gpcquad import (
     SYNTHETIC_MODEL,
     default_delta,
@@ -39,9 +41,24 @@ def test_front_end_holds_no_full_length_temporaries():
     assert select_peak - held <= 0.5 * UNIT, (select_peak - held) / UNIT
 
 
-def test_sample_of_a_sum_of_terms_holds_one_full_length_array():
-    source = "".join(f"x{i} ~ {'N(0, 1)' if i % 2 else 'U(-1, 2)'}\n" for i in range(6))
-    model = parse_model(source + "f = x0 + sin(x1) + 2*x2 - x3^2 + exp(x4) + abs(x5)\n")
+SUM_OF_TERMS = "".join(f"x{i} ~ {'N(0, 1)' if i % 2 else 'U(-1, 2)'}\n" for i in range(6)) + (
+    "f = x0 + sin(x1) + 2*x2 - x3^2 + exp(x4) + abs(x5)\n"
+)
+# 20 terms share each variable: one slot per term ending at x0 would be 20
+PRODUCTS = "x0 ~ N(0, 1)\nx1 ~ U(-1, 2)\nf = %s\n" % " + ".join(
+    f"{0.5 + k}*x0^{k % 5}*x1^{k // 5}" for k in range(20)
+)
+
+
+@pytest.mark.parametrize(
+    "source, bound",
+    # sum: the output alone, each term added to it while its variable is drawn;
+    # products: x0's column, then the output in its buffer
+    [(SUM_OF_TERMS, 1.2), (PRODUCTS, 1.3)],
+    ids=["sum-of-terms", "products"],
+)
+def test_sample_holds_one_full_length_array(source, bound):
+    model = parse_model(source)
     sample(model, 1000, seed=0)
     tracemalloc.start()
     try:
@@ -49,21 +66,4 @@ def test_sample_of_a_sum_of_terms_holds_one_full_length_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the output alone: each term is added to it while its variable is drawn
-    assert peak <= 1.2 * UNIT, peak / UNIT
-
-
-def test_sample_holds_at_most_one_full_length_array_per_variable():
-    # many terms share each variable: each would be its own slot if every
-    # subexpression ending at x0 were kept apart
-    terms = " + ".join(f"{0.5 + k}*x0^{k % 5}*x1^{k // 5}" for k in range(20))
-    model = parse_model(f"x0 ~ N(0, 1)\nx1 ~ U(-1, 2)\nf = {terms}\n")
-    sample(model, 1000, seed=0)
-    tracemalloc.start()
-    try:
-        sample(model, N, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # x0's column, then the output in its buffer
-    assert peak <= (model.dim + 0.2) * UNIT, peak / UNIT
+    assert peak <= bound * UNIT, peak / UNIT
