@@ -45,7 +45,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError
 from .interp import DensityModel, _cubic_monomial, _piece_pdf
@@ -295,8 +294,11 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
     """Adaptive quadrature of x^k * pdf over each piece, summed.
 
     Deliberately routed through the density evaluator so it shares nothing
-    with the analytic antiderivatives above.
+    with the analytic antiderivatives above. scipy is imported here, on the
+    first call, so that importing the package does not load it.
     """
+    from scipy.integrate import quad
+
     k = _check_order(k)
     x, y, d = model.x, model.y, model.slopes
     pieces = []

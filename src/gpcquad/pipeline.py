@@ -9,6 +9,7 @@ that replaces one of these module attributes sees every call made here.
 from __future__ import annotations
 
 from .ecdf import default_delta, fit_transform, select_points
+from .errors import NumericalError
 from .interp import fit_cubic, fit_rational
 from .moments import moments
 from .orthopoly import check_degree, compute_recurrence
@@ -52,7 +53,21 @@ def basis_from_model(model, degree: int):
 
 def rule_from_model(model, degree: int):
     """`basis_from_model` plus the (degree + 1)-point Gauss rule and its
-    orthonormality error. Returns (moments, rec, basis, rule, eps)."""
+    orthonormality error. Returns (moments, rec, basis, rule, eps).
+
+    Raises `NumericalError` for a rule with a node outside the density's
+    support [x_0, x_n]: Gauss nodes of a density lie inside its support, so
+    such a rule comes from moments too ill-conditioned for the degree.
+    """
     mom, rec, basis = basis_from_model(model, degree)
     rule = gauss_rule(rec)
+    lo, hi = model.x[0], model.x[-1]
+    outside = (rule.nodes < lo) | (rule.nodes > hi)
+    if outside.any():
+        node = rule.nodes[outside.argmax()]
+        raise NumericalError(
+            f"degree-{degree} Gauss node {node:.6g} lies outside the density's "
+            f"support [{lo:.6g}, {hi:.6g}] (unit coordinates); the moments are "
+            f"too ill-conditioned for this degree"
+        )
     return mom, rec, basis, rule, orthonormality_error(basis, rule)

@@ -11,6 +11,13 @@ gives a single scalar expression, e.g.::
 Statements are separated by newlines or semicolons; `#` starts a comment.
 Supported operators: + - * / ^ (right-associative power); functions:
 exp, sin, cos, sqrt, abs.
+
+An expression may be at most `MAX_DEPTH` (100) levels deep: its tree may
+have at most that many nodes on a path from the root to a leaf, so a sum or
+product of K terms is K levels deep, and at most that many parentheses,
+function calls, signs and exponents may be open at once. The parser and the
+tree walkers recurse at every level, so deeper input is refused with a
+`ModelSyntaxError` rather than left to exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,9 +41,15 @@ __all__ = [
     "load_samples",
     "save_samples",
     "SYNTHETIC_MODEL",
+    "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs")
+
+# Deepest expression `parse_model` accepts (see the module docstring). At
+# this depth the parser uses about 600 stack frames for nested parentheses
+# and the tree walkers about 200, under Python's default limit of 1000.
+MAX_DEPTH = 100
 
 # Built-in demonstration model: strongly nonlinear in all four parameters
 # and non-smooth at xi4 = 0.
@@ -156,6 +169,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.var_index = var_index
+        self.open = 0  # parentheses, function calls, signs and exponents open
 
     def peek(self):
         return self.tokens[self.i]
@@ -174,6 +188,15 @@ class _Parser:
         if kind == "op" and text == op:
             return self.next()
         self.error(f"expected {op!r}")
+
+    def nested(self, parse):
+        """Run `parse` one nesting level deeper, refusing level MAX_DEPTH + 1."""
+        if self.open == MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+        self.open += 1
+        node = parse()
+        self.open -= 1
+        return node
 
     def expr(self):
         node = self.term()
@@ -201,7 +224,7 @@ class _Parser:
         kind, text, _, _ = self.peek()
         if kind == "op" and text in "+-":
             self.next()
-            child = self.unary()
+            child = self.nested(self.unary)
             return child if text == "+" else ("neg", child)
         return self.power()
 
@@ -210,7 +233,7 @@ class _Parser:
         kind, text, _, _ = self.peek()
         if kind == "op" and text == "^":
             self.next()
-            return ("pow", base, self.unary())
+            return ("pow", base, self.nested(self.unary))
         return base
 
     def atom(self):
@@ -225,7 +248,7 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise ModelSyntaxError(f"unknown function {text!r}", line, col)
                 self.next()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect_op(")")
                 return ("fun", text, arg)
             if text not in self.var_index:
@@ -233,10 +256,20 @@ class _Parser:
             return ("var", self.var_index[text])
         if kind == "op" and text == "(":
             self.next()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         self.error("expected a number, variable, function call or '('")
+
+
+def _depth(expr) -> int:
+    """Nodes on the longest root-to-leaf path of `expr`, found without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in node[1:] if isinstance(c, tuple))
+    return deepest
 
 
 def _parse_signed_number(p: _Parser) -> float:
@@ -257,7 +290,8 @@ def parse_model(source: str) -> SurrogateModel:
     """Parse model source text; see the module docstring for the grammar.
 
     Raises ModelSyntaxError (with line/column) on malformed input,
-    undeclared or duplicated variables, and unknown functions.
+    undeclared or duplicated variables, unknown functions, and an expression
+    deeper than `MAX_DEPTH` levels.
     """
     tokens = _tokenize(source)
     # split into statements on break tokens
@@ -314,9 +348,18 @@ def parse_model(source: str) -> SurrogateModel:
             nkind, ntext, nline, ncol = p.next()
             if nkind != "op" or ntext != "=":
                 raise ModelSyntaxError("expected '=' after 'f'", nline, ncol)
-            expr = p.expr()
+            try:
+                expr = p.expr()
+            except RecursionError:  # only when called from an already deep stack
+                raise ModelSyntaxError("expression nests too deeply to parse", line, col) from None
             if p.peek()[0] != "eof":
                 p.error("unexpected trailing input after expression")
+            depth = _depth(expr)
+            if depth > MAX_DEPTH:
+                raise ModelSyntaxError(
+                    f"expression is {depth} levels deep; at most {MAX_DEPTH} are allowed",
+                    line, col,
+                )
         else:
             raise ModelSyntaxError(
                 "expected a declaration 'name ~ N(...)' or 'f = <expr>'", line, col

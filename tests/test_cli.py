@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -19,12 +20,14 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
     fit_cubic,
+    fit_density,
     fit_rational,
     save_model,
 )
 from gpcquad.cli import main
 from gpcquad.interp import MODEL_FORMAT_VERSION
-from conftest import diagonal_data
+from gpcquad.surrogate import MAX_DEPTH
+from conftest import diagonal_data, mixture_values
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +269,56 @@ def test_fit_rejects_faulty_constants(expression, tmp_path, capsys):
         )
     assert code == 1 and report is None
     assert err == "error: model evaluated to a non-finite value at draw 0\n"
+
+
+def test_fit_rejects_deep_expressions(tmp_path, capsys):
+    for expression, message in [
+        ("(" * 400 + "x" + ")" * 400, f"nests deeper than {MAX_DEPTH} levels"),
+        (" + ".join(["x"] * 900), f"900 levels deep; at most {MAX_DEPTH}"),
+        (" + ".join(["x"] * 1200), f"1200 levels deep; at most {MAX_DEPTH}"),
+    ]:
+        source = tmp_path / "deep.txt"
+        source.write_text(f"x ~ N(0, 1)\nf = {expression}\n")
+        code, report, err = run_cli(
+            capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
+        )
+        assert code == 1 and report is None
+        assert err.startswith("error: ") and message in err
+
+
+def test_fit_at_the_depth_limit_keeps_its_bits(tmp_path, capsys):
+    source = tmp_path / "deep.txt"
+    source.write_text(
+        "x ~ N(0, 1)\nf = " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        + " + x" * (MAX_DEPTH - 1) + "\n"
+    )
+    code, report, _ = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "20000", "--seed", "5",
+        "--out", str(tmp_path),
+    )
+    assert code == 0 and report["ok"] is True
+    # the files written for this model before the depth limit existed
+    digests = {
+        "cubic": "1ff5905117e597e1aae1580900b9ce4aac728c9fb0627094e7e0b054fe2c356d",
+        "rational": "9686bd0cc7d0e816002ea954af5b01a9b796f9b4f17d134bd91363b5875093d3",
+    }
+    for variant, digest in digests.items():
+        data = (tmp_path / f"deep-{variant}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_quad_refuses_nodes_outside_the_support(tmp_path, capsys):
+    # a perfbench mixture-fine dataset (seed 4, job 25) whose moment-route
+    # degree-10 cubic rule has its lowest node at -0.679
+    values = mixture_values(np.random.default_rng([4, 25]), size=20000)
+    path = tmp_path / "mix-cubic.json"
+    save_model(fit_density(values, m=200, variant="cubic"), path)
+    code, report, err = run_cli(capsys, "quad", str(path), "--degree", "10", "--out", str(tmp_path))
+    assert code == 2 and report is None
+    assert err == (
+        "numerical failure: degree-10 Gauss node -0.678657 lies outside the density's "
+        "support [0, 1] (unit coordinates); the moments are too ill-conditioned for this degree\n"
+    )
+    assert not (tmp_path / "mix-cubic-rule10.json").exists()
+    code, report, _ = run_cli(capsys, "quad", str(path), "--degree", "4", "--out", str(tmp_path))
+    assert code == 0 and report["ok"] is True

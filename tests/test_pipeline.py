@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import mixture_values
 from gpcquad import (
+    NumericalError,
     cdf_original,
     compute_recurrence,
     default_delta,
@@ -18,6 +20,7 @@ from gpcquad import (
     integrate,
     moments,
     pdf_original,
+    rule_from_model,
     select_points,
 )
 
@@ -75,3 +78,15 @@ def test_fit_density_rejects_unknown_variant():
     values = np.random.default_rng(1).normal(size=2000)
     with pytest.raises(ValueError, match="unknown variant"):
         fit_density(values, variant="cubc")
+
+
+def test_rule_from_model_refuses_nodes_outside_the_support():
+    # perfbench's mixture-fine dataset at seed 4, job 25 (m = 200): the
+    # moment route's degree-10 cubic rule has its lowest node at -0.679
+    values = mixture_values(np.random.default_rng([4, 25]), size=20000)
+    model = fit_density(values, m=200, variant="cubic")
+    assert (model.x[0], model.x[-1]) == (0.0, 1.0)
+    with pytest.raises(NumericalError, match=r"node -0\.678657 lies outside .* support \[0, 1\]"):
+        rule_from_model(model, 10)
+    rule = rule_from_model(model, 4)[3]
+    assert np.all((rule.nodes >= 0.0) & (rule.nodes <= 1.0))

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad.surrogate import _BLOCK, SurrogateModel, _plan
+from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _plan
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
 
@@ -70,6 +71,55 @@ def test_syntax_error_carries_position():
         parse_model("x ~ N(0,1)\nf = x + $")
     assert err.value.line == 2
     assert err.value.column == 9
+
+
+# Deep expressions: the parser, `_plan`, `_eval_tree` and `_fmt` recurse once
+# per level, and these inputs used to end in a bare RecursionError.
+DEEP_SOURCES = {
+    "400 nested parentheses": "(" * 400 + "x" + ")" * 400,
+    "sum of 900 terms": " + ".join(["x"] * 900),
+    "sum of 1200 terms": " + ".join(["x"] * 1200),
+    "one level past the limit": " + ".join(["x"] * (MAX_DEPTH + 1)),
+    "one parenthesis past the limit": "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+}
+# Exactly at the limit: MAX_DEPTH parentheses open at once and a tree
+# MAX_DEPTH nodes deep.
+AT_LIMIT_SOURCE = (
+    "x ~ N(0, 1)\nf = " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " + x" * (MAX_DEPTH - 1) + "\n"
+)
+
+
+@pytest.mark.parametrize("expression", list(DEEP_SOURCES.values()), ids=list(DEEP_SOURCES))
+def test_parse_rejects_deep_expressions(expression):
+    with pytest.raises(ModelSyntaxError, match=f"deeper than {MAX_DEPTH} levels|at most {MAX_DEPTH}"):
+        parse_model(f"x ~ N(0, 1)\nf = {expression}\n")
+
+
+def test_parse_accepts_the_depth_limit():
+    model = parse_model(AT_LIMIT_SOURCE)
+    assert evaluate(model, [0.5]) == 0.5 * MAX_DEPTH
+    assert parse_model(print_model(model)) == model
+    draws = sample(model, 3 * _BLOCK, seed=5)
+    x = np.random.default_rng(5).normal(0.0, 1.0, 3 * _BLOCK)
+    acc = x
+    for _ in range(MAX_DEPTH - 1):  # the tree's own order of additions
+        acc = acc + x
+    assert draws.values.tobytes() == acc.tobytes()
+
+
+def _at_stack_depth(frames, call):
+    return call() if frames == 0 else _at_stack_depth(frames - 1, call)
+
+
+def test_parser_recursion_error_becomes_syntax_error():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    # leave about 100 frames: too few for MAX_DEPTH nested parentheses
+    free = sys.getrecursionlimit() - depth - 100
+    with pytest.raises(ModelSyntaxError, match="nests too deeply to parse") as err:
+        _at_stack_depth(free, lambda: parse_model(AT_LIMIT_SOURCE))
+    assert (err.value.line, err.value.column) == (2, 1)
 
 
 def test_evaluate_synthetic_points():
