@@ -12,17 +12,18 @@ Statements are separated by newlines or semicolons; `#` starts a comment.
 Supported operators: + - * / ^ (right-associative power); functions:
 exp, sin, cos, sqrt, abs.
 
-An expression may be at most `MAX_DEPTH` (100) levels deep: its tree may
-have at most that many nodes on a path from the root to a leaf, so a sum or
-product of K terms is K levels deep, and at most that many parentheses,
-function calls, signs and exponents may be open at once. The parser and the
-tree walkers recurse at every level, so deeper input is refused with a
+An expression may nest at most `MAX_DEPTH` (100) levels deep: at most that
+many parentheses, function calls, signs and exponents may be open at once.
+The parser recurses at every such level, so deeper input is refused with a
 `ModelSyntaxError` rather than left to exhaust Python's recursion limit.
+Sums and products may have any number of terms: the parser and the tree
+walkers loop along a chain of + - * / instead of recursing once per term.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -46,10 +47,15 @@ __all__ = [
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs")
 
-# Deepest expression `parse_model` accepts (see the module docstring). At
-# this depth the parser uses about 600 stack frames for nested parentheses
-# and the tree walkers about 200, under Python's default limit of 1000.
+# Deepest nesting `parse_model` accepts (see the module docstring). At this
+# depth the parser uses about 600 stack frames and the tree walkers at most
+# about 400 (4 tree levels a nesting level, as in `x + x*sin(...)^x`), under
+# Python's default limit of 1000.
 MAX_DEPTH = 100
+
+# Left-associative binary operators: the walkers loop down the left operands
+# of a chain of these (see `_spine`) and recurse only into the right ones.
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 # Built-in demonstration model: strongly nonlinear in all four parameters
 # and non-smooth at xi4 = 0.
@@ -262,16 +268,6 @@ class _Parser:
         self.error("expected a number, variable, function call or '('")
 
 
-def _depth(expr) -> int:
-    """Nodes on the longest root-to-leaf path of `expr`, found without recursion."""
-    deepest, stack = 0, [(expr, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack.extend((c, depth + 1) for c in node[1:] if isinstance(c, tuple))
-    return deepest
-
-
 def _parse_signed_number(p: _Parser) -> float:
     sign = 1.0
     kind, text, _, _ = p.peek()
@@ -291,7 +287,7 @@ def parse_model(source: str) -> SurrogateModel:
 
     Raises ModelSyntaxError (with line/column) on malformed input,
     undeclared or duplicated variables, unknown functions, and an expression
-    deeper than `MAX_DEPTH` levels.
+    nested deeper than `MAX_DEPTH` levels.
     """
     tokens = _tokenize(source)
     # split into statements on break tokens
@@ -354,12 +350,6 @@ def parse_model(source: str) -> SurrogateModel:
                 raise ModelSyntaxError("expression nests too deeply to parse", line, col) from None
             if p.peek()[0] != "eof":
                 p.error("unexpected trailing input after expression")
-            depth = _depth(expr)
-            if depth > MAX_DEPTH:
-                raise ModelSyntaxError(
-                    f"expression is {depth} levels deep; at most {MAX_DEPTH} are allowed",
-                    line, col,
-                )
         else:
             raise ModelSyntaxError(
                 "expected a declaration 'name ~ N(...)' or 'f = <expr>'", line, col
@@ -367,6 +357,21 @@ def parse_model(source: str) -> SurrogateModel:
     if expr is None:
         raise ModelSyntaxError("model has no expression line 'f = ...'", 1, 1)
     return SurrogateModel(tuple(names), tuple(dists), expr)
+
+
+def _spine(node) -> tuple[tuple, list[tuple]]:
+    """Split `node` into its chain of + - * / nodes and the first operand.
+
+    Returns `(first, links)`: `links` are the chain's nodes, innermost
+    first, each with the one before it (or `first`) as its left operand.
+    A node that is not + - * / is its own `first`, with no links.
+    """
+    links = []
+    while node[0] in _ARITH:
+        links.append(node)
+        node = node[1]
+    links.reverse()
+    return node, links
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +395,19 @@ def _fmt(node) -> tuple[str, int]:
         if prec <= _MULDIV:
             body = f"({body})"
         return f"-{body}", _NEG
-    if op in ("add", "sub"):
-        lt, lp = _fmt(node[1])
-        rt, rp = _fmt(node[2])
-        if lp < _ADDSUB:
-            lt = f"({lt})"
-        if rp <= _ADDSUB:
-            rt = f"({rt})"
-        return f"{lt} {'+' if op == 'add' else '-'} {rt}", _ADDSUB
-    if op in ("mul", "div"):
-        lt, lp = _fmt(node[1])
-        rt, rp = _fmt(node[2])
-        if lp < _MULDIV:
-            lt = f"({lt})"
-        if rp <= _MULDIV:
-            rt = f"({rt})"
-        return f"{lt}{'*' if op == 'mul' else '/'}{rt}", _MULDIV
+    if op in _ARITH:
+        first, links = _spine(node)
+        lt, lp = _fmt(first)
+        for link in links:
+            rt, rp = _fmt(link[2])
+            level = _ADDSUB if link[0] in ("add", "sub") else _MULDIV
+            if lp < level:
+                lt = f"({lt})"
+            if rp <= level:
+                rt = f"({rt})"
+            sign = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[link[0]]
+            lt, lp = f"{lt}{sign}{rt}", level
+        return lt, lp
     if op == "pow":
         lt, lp = _fmt(node[1])
         rt, rp = _fmt(node[2])
@@ -448,6 +450,12 @@ def _eval_tree(node, columns, slots=()):
         return columns[node[1]]
     if op == "slot":
         return slots[node[1]]
+    if op in _ARITH:
+        first, links = _spine(node)
+        acc = _eval_tree(first, columns, slots)
+        for link in links:
+            acc = _ARITH[link[0]](acc, _eval_tree(link[2], columns, slots))
+        return acc
     if op == "neg":
         return -_eval_tree(node[1], columns, slots)
     if op == "fun":
@@ -459,18 +467,8 @@ def _eval_tree(node, columns, slots=()):
         if node[1] == "abs":
             return np.abs(arg)
         return getattr(np, node[1])(arg)
-    a = _eval_tree(node[1], columns, slots)
-    b = _eval_tree(node[2], columns, slots)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
     if op == "pow":
-        return a**b
+        return _eval_tree(node[1], columns, slots) ** _eval_tree(node[2], columns, slots)
     raise AssertionError(f"unreachable node {op!r}")
 
 
@@ -510,37 +508,53 @@ def _plan(expr) -> dict[int, tuple[tuple, list[int]]]:
     last = {}  # id(node) -> last variable in node, -1 for a constant
     cuts = {}  # variable -> number of subtrees cut out for it
 
-    def scan(node):
-        op = node[0]
-        if op in ("num", "var"):
-            v = node[1] if op == "var" else -1
-        else:
-            kids = [scan(c) for c in node[1:] if isinstance(c, tuple)]
-            v = max(kids)
-            for k in kids:
-                if 0 <= k < v:
-                    cuts[k] = cuts.get(k, 0) + 1
+    def note(node, kids):  # record `node`, whose operands' last variables are `kids`
+        v = max(kids)
+        for k in kids:
+            if 0 <= k < v:
+                cuts[k] = cuts.get(k, 0) + 1
         last[id(node)] = v
+        return v
+
+    def scan(node):  # loops along a chain of + - * / (see `_spine`)
+        first, links = _spine(node)
+        op = first[0]
+        if op in ("num", "var"):
+            v = last[id(first)] = first[1] if op == "var" else -1
+        else:
+            kids = []
+            for c in first[1:]:
+                if isinstance(c, tuple):
+                    kids.append(scan(c))
+            v = note(first, kids)
+        for link in links:
+            v = note(link, [v, scan(link[2])])
         return v
 
     root = scan(expr)
     columns = {v for v, n in cuts.items() if n > 1}
     jobs = {v: ("var", v) for v in columns}
 
+    def hold(node, tree, parent):  # `tree`, the cut `node`, as `parent` reads it
+        v = last[id(node)]
+        if 0 <= v < last[id(parent)] and v not in columns:
+            jobs[v] = tree
+            return ("slot", v)
+        return tree
+
     def cut(node):  # node with its cut subtrees and column variables as slot leaves
-        op = node[0]
+        first, links = _spine(node)
+        op = first[0]
         if op in ("num", "var"):
-            return ("slot", node[1]) if op == "var" and node[1] in columns else node
-        kids = []
-        for c in node[1:]:
-            if isinstance(c, tuple):
-                v = last[id(c)]
-                c = cut(c)
-                if 0 <= v < last[id(node)] and v not in columns:
-                    jobs[v] = c
-                    c = ("slot", v)
-            kids.append(c)
-        return (op, *kids)
+            tree = ("slot", first[1]) if op == "var" and first[1] in columns else first
+        else:
+            kids = []
+            for c in first[1:]:
+                kids.append(hold(c, cut(c), first) if isinstance(c, tuple) else c)
+            tree = (op, *kids)
+        for below, link in zip([first, *links], links):
+            tree = (link[0], hold(below, tree, link), hold(link[2], cut(link[2]), link))
+        return tree
 
     tree = cut(expr)
     if root >= 0:
@@ -553,9 +567,14 @@ def _plan(expr) -> dict[int, tuple[tuple, list[int]]]:
 
 
 def _slot_leaves(node) -> list[int]:
-    if node[0] == "slot":
-        return [node[1]]
-    return [s for c in node[1:] if isinstance(c, tuple) for s in _slot_leaves(c)]
+    slots, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "slot":
+            slots.append(node[1])
+        else:
+            stack.extend(c for c in node[1:] if isinstance(c, tuple))
+    return slots
 
 
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:

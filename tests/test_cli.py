@@ -271,19 +271,46 @@ def test_fit_rejects_faulty_constants(expression, tmp_path, capsys):
     assert err == "error: model evaluated to a non-finite value at draw 0\n"
 
 
-def test_fit_rejects_deep_expressions(tmp_path, capsys):
-    for expression, message in [
-        ("(" * 400 + "x" + ")" * 400, f"nests deeper than {MAX_DEPTH} levels"),
-        (" + ".join(["x"] * 900), f"900 levels deep; at most {MAX_DEPTH}"),
-        (" + ".join(["x"] * 1200), f"1200 levels deep; at most {MAX_DEPTH}"),
-    ]:
-        source = tmp_path / "deep.txt"
-        source.write_text(f"x ~ N(0, 1)\nf = {expression}\n")
-        code, report, err = run_cli(
-            capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
-        )
-        assert code == 1 and report is None
-        assert err.startswith("error: ") and message in err
+def test_fit_rejects_deep_nesting(tmp_path, capsys):
+    source = tmp_path / "deep.txt"
+    source.write_text("x ~ N(0, 1)\nf = " + "(" * 400 + "x" + ")" * 400 + "\n")
+    code, report, err = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error: ") and f"nests deeper than {MAX_DEPTH} levels" in err
+
+
+def test_fit_long_sum(tmp_path, capsys):
+    # 1200 terms used to end in a bare RecursionError
+    source = tmp_path / "long.txt"
+    source.write_text("x ~ N(0, 1)\nf = " + " + ".join(["x"] * 1200) + "\n")
+    code, report, _ = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
+    )
+    assert code == 0 and report["ok"] is True
+
+
+def test_fit_sum_of_200_products_keeps_its_bits(tmp_path, capsys):
+    source = tmp_path / "wide.txt"
+    source.write_text(
+        "x0 ~ U(-1, 1)\nx1 ~ N(0, 1)\nf = "
+        + " + ".join(["x0*x1"] + [f"x0^{k}*x1" for k in range(2, 201)])
+        + "\n"
+    )
+    code, report, _ = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "20000", "--seed", "5",
+        "--out", str(tmp_path),
+    )
+    assert code == 0 and report["ok"] is True
+    # the files written for this model before the walkers looped along sums
+    digests = {
+        "cubic": "28b5319f550bb5f51401a55c0db31f902b0669ea5c934a9befe5a1f3ffcbf4c8",
+        "rational": "d585d525723001eff273ca2c12e7f6b9a54aa8ec7dfed161c9f88f03c587ce32",
+    }
+    for variant, digest in digests.items():
+        data = (tmp_path / f"wide-{variant}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_fit_at_the_depth_limit_keeps_its_bits(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import warnings
@@ -73,26 +74,28 @@ def test_syntax_error_carries_position():
     assert err.value.column == 9
 
 
-# Deep expressions: the parser, `_plan`, `_eval_tree` and `_fmt` recurse once
-# per level, and these inputs used to end in a bare RecursionError.
-DEEP_SOURCES = {
-    "400 nested parentheses": "(" * 400 + "x" + ")" * 400,
-    "sum of 900 terms": " + ".join(["x"] * 900),
-    "sum of 1200 terms": " + ".join(["x"] * 1200),
-    "one level past the limit": " + ".join(["x"] * (MAX_DEPTH + 1)),
-    "one parenthesis past the limit": "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+# Nesting: each kind opens one level; MAX_DEPTH levels parse, one more is
+# refused. 400 nested parentheses used to end in a bare RecursionError.
+NESTINGS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "function calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "signs": lambda n: "-" * n + "x",
+    "exponents": lambda n: "x^" * n + "x",
 }
-# Exactly at the limit: MAX_DEPTH parentheses open at once and a tree
-# MAX_DEPTH nodes deep.
+
+
+@pytest.mark.parametrize("nest", list(NESTINGS.values()), ids=list(NESTINGS))
+def test_parse_nests_at_most_max_depth_levels(nest):
+    parse_model(f"x ~ N(0, 1)\nf = {nest(MAX_DEPTH)}\n")
+    for levels in (MAX_DEPTH + 1, 400):
+        with pytest.raises(ModelSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_model(f"x ~ N(0, 1)\nf = {nest(levels)}\n")
+
+
+# Exactly at the limit: MAX_DEPTH parentheses open at once, inside a sum.
 AT_LIMIT_SOURCE = (
     "x ~ N(0, 1)\nf = " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " + x" * (MAX_DEPTH - 1) + "\n"
 )
-
-
-@pytest.mark.parametrize("expression", list(DEEP_SOURCES.values()), ids=list(DEEP_SOURCES))
-def test_parse_rejects_deep_expressions(expression):
-    with pytest.raises(ModelSyntaxError, match=f"deeper than {MAX_DEPTH} levels|at most {MAX_DEPTH}"):
-        parse_model(f"x ~ N(0, 1)\nf = {expression}\n")
 
 
 def test_parse_accepts_the_depth_limit():
@@ -105,6 +108,42 @@ def test_parse_accepts_the_depth_limit():
     for _ in range(MAX_DEPTH - 1):  # the tree's own order of additions
         acc = acc + x
     assert draws.values.tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("terms", [900, 1200, 20000])
+def test_long_sums_are_not_limited(terms):
+    # the walkers loop along a sum; 900 and 1200 terms used to end in a
+    # bare RecursionError
+    source = "x ~ N(0, 1)\nf = " + " + ".join(["x"] * terms) + "\n"
+    model = parse_model(source)
+    assert evaluate(model, [0.5]) == 0.5 * terms
+    # compared as text: `==` on trees this deep recurses in C and overflows
+    assert print_model(model) == source.replace("N(0, 1)", "N(0.0, 1.0)")
+    draws = sample(model, _BLOCK + 7, seed=5)
+    x = np.random.default_rng(5).normal(0.0, 1.0, _BLOCK + 7)
+    acc = x
+    for _ in range(terms - 1):
+        acc = acc + x
+    assert draws.values.tobytes() == acc.tobytes()
+
+
+# A 200-term sum of two-variable products, deeper than MAX_DEPTH as a tree
+SUM_OF_PRODUCTS = (
+    "x0 ~ U(-1, 1)\nx1 ~ N(0, 1)\nf = "
+    + " + ".join(["x0*x1"] + [f"x0^{k}*x1" for k in range(2, 201)])
+    + "\n"
+)
+
+
+def test_sum_of_200_products_keeps_its_bits():
+    model = parse_model(SUM_OF_PRODUCTS)
+    assert parse_model(print_model(model)) == model
+    # the value and draws of this model before the walkers looped along sums
+    assert evaluate(model, [-0.9, 1.5]) == -0.7105263152881919
+    values = sample(model, 3 * _BLOCK + 5, seed=11).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "dd03a57419eb1d91f87646a9a5e92154ba2b26a1ec811ab0e7caa63bc732df55"
+    )
 
 
 def _at_stack_depth(frames, call):
