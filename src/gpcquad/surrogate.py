@@ -379,6 +379,7 @@ def _spine(node) -> tuple[tuple, list[tuple]]:
 # ---------------------------------------------------------------------------
 
 _ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
+_SIGNS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 
 def _fmt(node) -> tuple[str, int]:
@@ -405,8 +406,7 @@ def _fmt(node) -> tuple[str, int]:
                 lt = f"({lt})"
             if rp <= level:
                 rt = f"({rt})"
-            sign = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[link[0]]
-            lt, lp = f"{lt}{sign}{rt}", level
+            lt, lp = f"{lt}{_SIGNS[link[0]]}{rt}", level
         return lt, lp
     if op == "pow":
         lt, lp = _fmt(node[1])
