@@ -62,15 +62,12 @@ from .pipeline import (
     VARIANTS, basis_from_model, fit_density, fit_variant, rule_from_model, select_from_samples
 )
 from .quadrature import (
-    JacobiMatrix,
     QuadratureRule,
-    build_jacobi,
     gauss_rule,
     integrate,
     orthonormality_error,
     save_rule,
     save_rule_csv,
-    tridiag_eigen,
 )
 from .surrogate import (
     SYNTHETIC_MODEL,

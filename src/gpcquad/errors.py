@@ -56,4 +56,5 @@ class KappaNotPositiveError(NumericalError):
 
 
 class EigenConvergenceError(NumericalError):
-    """Tridiagonal QL iteration failed to converge within the sweep cap."""
+    """numpy's symmetric eigensolver (LAPACK, via `numpy.linalg.eigh`) did not
+    converge on the Jacobi matrix of a recurrence."""

@@ -6,6 +6,9 @@ sequence. The contraction is carried out in the widest hardware float
 (80-bit extended on x86) because the map from moments to recurrence
 coefficients is badly conditioned at high degree; the degree cap and the
 positivity tripwire on the normalization ratios bound the damage.
+
+The basis is evaluated through the orthonormal form of the same recurrence;
+its monomial coefficients are kept as the published output.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "RecurrenceCoeffs",
     "OrthonormalBasis",
     "compute_recurrence",
+    "basis_values",
     "eval_basis",
     "basis_to_dict",
     "basis_from_dict",
@@ -56,12 +60,18 @@ class RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Coefficient vectors (ascending powers) of the monic polynomials and
-    of the orthonormal ones, phi_i = pi_i / sqrt(kappa_0 ... kappa_i)."""
+    """The orthonormal polynomials phi_i = pi_i / sqrt(kappa_0 ... kappa_i)
+    of a recurrence, i = 0..degree, with their coefficient vectors
+    (ascending powers). The coefficients are the published output; values
+    are taken through the recurrence (`basis_values`), since Horner on the
+    monomial coefficients loses accuracy as the degree grows."""
 
-    degree: int
-    monic_coeffs: tuple
+    rec: RecurrenceCoeffs
     phi_coeffs: tuple
+
+    @property
+    def degree(self) -> int:
+        return self.rec.degree
 
 
 def _monic_from_recurrence(gamma: np.ndarray, kappa: np.ndarray, n_hat: int):
@@ -130,18 +140,30 @@ def compute_recurrence(
     monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
     norms = np.sqrt(np.cumprod(rec.kappa))
     phi = tuple(monic[i] / norms[i] for i in range(n_hat + 1))
-    basis = OrthonormalBasis(degree=n_hat, monic_coeffs=tuple(monic), phi_coeffs=phi)
-    return rec, basis
+    return rec, OrthonormalBasis(rec=rec, phi_coeffs=phi)
+
+
+def basis_values(basis: OrthonormalBasis, x) -> np.ndarray:
+    """phi_0..phi_degree at x, stacked along a new last axis, by the
+    orthonormal three-term recurrence
+    phi_{i+1} = ((x - gamma_i) phi_i - sqrt(kappa_i) phi_{i-1}) / sqrt(kappa_{i+1})."""
+    x = np.asarray(x, dtype=float)
+    gamma = basis.rec.gamma
+    root = np.sqrt(basis.rec.kappa)
+    out = np.empty(x.shape + (basis.degree + 1,))
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    out[..., 0] = cur
+    for i in range(basis.degree):
+        prev, cur = cur, ((x - gamma[i]) * cur - root[i] * prev) / root[i + 1]
+        out[..., i + 1] = cur
+    return out
 
 
 def eval_basis(basis: OrthonormalBasis, i: int, x):
-    """Horner evaluation of phi_i at x (scalar or array)."""
+    """phi_i at x (scalar or array), through the recurrence."""
     if not 0 <= i <= basis.degree:
         raise IndexError(f"basis index {i} out of range [0, {basis.degree}]")
-    coeffs = basis.phi_coeffs[i]
-    out = np.zeros_like(np.asarray(x, dtype=float)) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * x + c
+    out = basis_values(basis, x)[..., i]
     return float(out) if np.isscalar(x) else out
 
 
@@ -171,10 +193,23 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
         )
         n_hat = doc["degree"]
         phi = tuple(np.asarray(c, dtype=float) for c in doc["phi_coeffs"])
+        lengths = {"gamma": len(rec.gamma), "kappa": len(rec.kappa), "phi_coeffs": len(phi)}
+        sizes_ok = all(n == n_hat + 1 for n in lengths.values())
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
-    monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
-    return rec, OrthonormalBasis(degree=n_hat, monic_coeffs=tuple(monic), phi_coeffs=phi)
+    if not sizes_ok:
+        got = ", ".join(f"{n} {name}" for name, n in lengths.items())
+        raise ValueError(
+            f"malformed basis document: degree {n_hat} needs {n_hat + 1} "
+            f"entries in each of gamma, kappa and phi_coeffs, got {got}"
+        )
+    for i, c in enumerate(phi):
+        if c.shape != (i + 1,):
+            raise ValueError(
+                f"malformed basis document: phi_coeffs[{i}] has {c.size} "
+                f"coefficients, phi_{i} needs {i + 1}"
+            )
+    return rec, OrthonormalBasis(rec=rec, phi_coeffs=phi)
 
 
 def save_basis(rec: RecurrenceCoeffs, basis: OrthonormalBasis, path) -> None:

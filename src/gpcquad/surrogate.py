@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, EvaluationError, ModelSyntaxError
+from .errors import (
+    DegenerateSamplesError,
+    EvaluationError,
+    InvariantViolation,
+    ModelSyntaxError,
+)
 
 __all__ = [
     "Distribution",
@@ -52,6 +57,12 @@ FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs")
 # about 400 (4 tree levels a nesting level, as in `x + x*sin(...)^x`), under
 # Python's default limit of 1000.
 MAX_DEPTH = 100
+
+# Deepest tree `parse_model` can build at MAX_DEPTH, counted as the walkers
+# recurse (a chain of + - * / is one level): each nesting level adds at most
+# four, as in `x + x*sin(...)^x`, and the innermost `x + x*x` three.
+# `SurrogateModel` refuses deeper trees, which only direct construction makes.
+_MAX_TREE_DEPTH = 4 * MAX_DEPTH + 3
 
 # Left-associative binary operators: the walkers loop down the left operands
 # of a chain of these (see `_spine`) and recurse only into the right ones.
@@ -112,6 +123,31 @@ class SurrogateModel:
     names: tuple[str, ...]
     distributions: tuple[Distribution, ...]
     expr: tuple
+
+    def __post_init__(self):
+        """Raise `InvariantViolation` for a model the evaluators cannot run:
+        names and distributions of different lengths, a variable index
+        outside [0, dim), or a tree deeper than `parse_model` builds."""
+        if len(self.names) != len(self.distributions):
+            raise InvariantViolation(
+                f"{len(self.names)} names for {len(self.distributions)} distributions"
+            )
+        stack = [(self.expr, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > _MAX_TREE_DEPTH:
+                raise InvariantViolation(
+                    f"expression tree is deeper than {_MAX_TREE_DEPTH} levels"
+                )
+            if node[0] == "var" and not 0 <= node[1] < self.dim:
+                raise InvariantViolation(
+                    f"variable index {node[1]} is outside [0, {self.dim})"
+                )
+            for k, child in enumerate(node[1:]):
+                if isinstance(child, tuple):
+                    # the left operand of + - * / continues the same chain
+                    same = k == 0 and node[0] in _ARITH and child[0] in _ARITH
+                    stack.append((child, depth if same else depth + 1))
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ from scipy.special import ndtr
 
 from gpcquad import (
     SYNTHETIC_MODEL,
-    JacobiMatrix,
+    RecurrenceCoeffs,
     compute_recurrence,
     default_delta,
     fit_cubic,
@@ -36,7 +36,6 @@ from gpcquad import (
     parse_model,
     sample,
     select_points,
-    tridiag_eigen,
     validate_model,
 )
 from conftest import diagonal_data, mixture_values
@@ -157,23 +156,42 @@ def _synthetic_pipeline(seed, n_samples, variant, m=45, n_hat=4):
     return density, basis, rule
 
 
+def _horner_orthonormality_error(basis, rule):
+    """orthonormality_error with the basis evaluated by Horner on its
+    published monomial coefficients instead of through the recurrence."""
+    phi = np.stack(
+        [np.polynomial.polynomial.polyval(rule.nodes, c) for c in basis.phi_coeffs], axis=1
+    )
+    v = phi.T @ (phi * rule.weights[:, None])
+    return float(np.max(np.sum(np.abs(np.eye(len(basis.phi_coeffs)) - v), axis=1)))
+
+
 def test_criterion_1_synthetic_end_to_end():
-    """Synthetic demo, m=45, degree 4, both variants: eps <= 1e-12, <= 60 s."""
+    """Synthetic demo, m=45, degree 4, both variants: eps <= 1e-12, <= 60 s.
+
+    eps is the library's orthonormality error, which evaluates the basis
+    through its recurrence; the same bound holds for the published
+    `phi_coeffs` evaluated by Horner, so the coefficients stay covered.
+    """
     start = time.time()
-    epsilons = {}
+    epsilons, horner = {}, {}
     for variant in ("cubic", "rational"):
         _, basis, rule = _synthetic_pipeline(2026, ACCEPT_N, variant)
         epsilons[variant] = orthonormality_error(basis, rule)
+        horner[variant] = _horner_orthonormality_error(basis, rule)
     elapsed = time.time() - start
-    ok = all(e <= 1e-12 for e in epsilons.values()) and elapsed <= 60.0
+    ok = all(e <= 1e-12 for e in [*epsilons.values(), *horner.values()]) and elapsed <= 60.0
     _report(
         1,
         ok,
         f"N={ACCEPT_N}: eps cubic={epsilons['cubic']:.3e}, "
-        f"rational={epsilons['rational']:.3e}, {elapsed:.1f}s",
+        f"rational={epsilons['rational']:.3e}; Horner on phi_coeffs "
+        f"cubic={horner['cubic']:.3e}, rational={horner['rational']:.3e}; {elapsed:.1f}s",
     )
     assert epsilons["cubic"] <= 1e-12
     assert epsilons["rational"] <= 1e-12
+    assert horner["cubic"] <= 1e-12
+    assert horner["rational"] <= 1e-12
     assert elapsed <= 60.0
 
 
@@ -351,25 +369,24 @@ def test_criterion_7_inverse_cdf_round_trip():
 
 
 def test_criterion_8_eigensolver_oracle():
-    """QL eigensolver vs dense solver on 100 random tridiagonals (sizes 2-11)."""
+    """gauss_rule vs scipy's tridiagonal eigensolver on 100 random Jacobi
+    matrices (sizes 2-11): nodes to 1e-12 (relative to the spectrum's scale
+    of about 5), weights to 1e-12."""
     rng = np.random.default_rng(31337)
-    worst_val = worst_norm = 0.0
+    worst_val = worst_weight = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 12))
         diag = rng.uniform(-3, 3, n)
         off = rng.uniform(1e-3, 2.0, n - 1)
-        vals, first = tridiag_eigen(JacobiMatrix(diag=diag, offdiag=off))
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        ref = np.linalg.eigvalsh(dense)
-        worst_val = max(worst_val, float(np.max(np.abs(vals - ref))))
-        worst_norm = max(worst_norm, abs(float((first**2).sum()) - 1.0))
-    scale = 1e-12
-    ok = worst_val <= scale * 10 and worst_norm <= 1e-12
+        rule = gauss_rule(RecurrenceCoeffs(gamma=diag, kappa=np.concatenate(([1.0], off**2))))
+        ref_vals, ref_vecs = eigh_tridiagonal(diag, off)
+        worst_val = max(worst_val, float(np.max(np.abs(rule.nodes - ref_vals))))
+        worst_weight = max(worst_weight, float(np.max(np.abs(rule.weights - ref_vecs[0] ** 2))))
+    ok = worst_val <= 5e-12 and worst_weight <= 1e-12
     _report(
         8,
         ok,
-        f"100 matrices: worst eigenvalue dev {worst_val:.2e} (tol 1e-12 abs, "
-        f"values O(1)), worst first-row norm defect {worst_norm:.2e}",
+        f"100 matrices: worst node dev {worst_val:.2e} (tol 5e-12, values O(1)), "
+        f"worst weight dev {worst_weight:.2e} (tol 1e-12)",
     )
-    assert worst_val <= 1e-12 * max(1.0, 5.0)  # |eigenvalues| <= ~5 here
-    assert worst_norm <= 1e-12
+    assert ok

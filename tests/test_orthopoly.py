@@ -32,15 +32,15 @@ def test_uniform_degree_one_closed_forms():
     assert rec.gamma[0] == pytest.approx(0.5, abs=1e-14)
     assert rec.kappa[0] == 1.0
     assert rec.kappa[1] == pytest.approx(1 / 12, rel=1e-13)
-    np.testing.assert_allclose(basis.monic_coeffs[1], [-0.5, 1.0], atol=1e-14)
     # phi_1 = sqrt(12) (x - 1/2) = sqrt(3) (2x - 1)
+    np.testing.assert_allclose(basis.phi_coeffs[1], [-math.sqrt(3), 2 * math.sqrt(3)], rtol=1e-13)
     assert eval_basis(basis, 1, 1.0) == pytest.approx(math.sqrt(3), rel=1e-12)
     assert eval_basis(basis, 1, 0.5) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_uniform_norm_against_integral_oracle():
     rec, basis = compute_recurrence(UNIFORM_MOMENTS, 1)
-    pi1 = np.polynomial.Polynomial(basis.monic_coeffs[1])
+    pi1 = np.polynomial.Polynomial(basis.phi_coeffs[1]) * math.sqrt(rec.kappa[1])
     val, _ = quad(lambda x: pi1(x) ** 2, 0.0, 1.0, epsabs=1e-14)
     assert val == pytest.approx(1 / 12, rel=1e-12)
     assert val == pytest.approx(rec.kappa[1] * rec.kappa[0], rel=1e-12)
@@ -60,8 +60,9 @@ def test_phi0_is_one_and_leading_coefficients_monic(rng):
     model = fit_cubic(data, transform=transform)
     rec, basis = compute_recurrence(moments(model, 11), 5)
     assert basis.phi_coeffs[0].tolist() == [1.0]
-    for i, coeffs in enumerate(basis.monic_coeffs):
-        assert coeffs[-1] == 1.0
+    norms = np.sqrt(np.cumprod(rec.kappa))
+    for i, coeffs in enumerate(basis.phi_coeffs):
+        assert coeffs[-1] * norms[i] == pytest.approx(1.0, rel=1e-15)
         assert len(coeffs) == i + 1
     xs = rng.uniform(0, 1, 50)
     np.testing.assert_array_equal(eval_basis(basis, 0, xs), np.ones(50))
@@ -115,16 +116,14 @@ def test_recurrence_eval_matches_horner(rng):
     n_hat = 6
     rec, basis = compute_recurrence(moments(model, 2 * n_hat + 1), n_hat)
     xs = rng.uniform(0.0, 1.0, 200)
-    # independent path: three-term recurrence with running normalization
-    pim1, pi = np.zeros_like(xs), np.ones_like(xs)
-    norm = 1.0
+    # independent path: Horner on the published monomial coefficients
     for i in range(n_hat + 1):
         np.testing.assert_allclose(
-            eval_basis(basis, i, xs), pi / norm, rtol=1e-10, atol=1e-10
+            eval_basis(basis, i, xs),
+            np.polynomial.polynomial.polyval(xs, basis.phi_coeffs[i]),
+            rtol=1e-10,
+            atol=1e-10,
         )
-        nxt = (xs - rec.gamma[i]) * pi - rec.kappa[i] * pim1
-        pim1, pi = pi, nxt
-        norm *= math.sqrt(rec.kappa[min(i + 1, n_hat)]) if i < n_hat else 1.0
 
 
 def test_two_point_measure_trips_kappa_error():
@@ -176,4 +175,23 @@ def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
     doc = basis_to_dict(rec, basis)
     del doc["phi_coeffs"]
     with pytest.raises(ValueError, match="malformed basis document"):
+        basis_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gamma", lambda g: g[:1], "degree 2 needs 3 entries .* got 1 gamma, 3 kappa, 3 phi_coeffs"),
+        ("degree", lambda d: d + 2, "degree 4 needs 5 entries .* got 3 gamma, 3 kappa, 3 phi_coeffs"),
+        ("phi_coeffs", lambda c: c[:-1], "degree 2 needs 3 entries .* got 3 gamma, 3 kappa, 2 phi_coeffs"),
+        ("phi_coeffs", lambda c: [c[0], c[1][:-1], c[2]], r"phi_coeffs\[1\] has 1 coefficients, phi_1 needs 2"),
+    ],
+    ids=["short-gamma", "degree-too-large", "short-phi-coeffs", "short-phi-entry"],
+)
+def test_basis_document_lengths_must_agree(rng, field, value, message):
+    data, transform, _ = random_selected_data(rng)
+    rec, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
+    doc = basis_to_dict(rec, basis)
+    doc[field] = value(doc[field])
+    with pytest.raises(ValueError, match="malformed basis document: " + message):
         basis_from_dict(doc)

@@ -13,6 +13,7 @@ from gpcquad import (
     DegenerateSamplesError,
     Distribution,
     EvaluationError,
+    InvariantViolation,
     ModelSyntaxError,
     evaluate,
     load_samples,
@@ -144,6 +145,41 @@ def test_sum_of_200_products_keeps_its_bits():
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
         "dd03a57419eb1d91f87646a9a5e92154ba2b26a1ec811ab0e7caa63bc732df55"
     )
+
+
+# The deepest tree the parser builds at MAX_DEPTH: each call to sin opens one
+# level and adds four tree levels (sum, product, power, call).
+DEEPEST_SOURCE = "x + x*x"
+for _ in range(MAX_DEPTH):
+    DEEPEST_SOURCE = f"x + x*cos({DEEPEST_SOURCE})^2"
+DEEPEST_SOURCE = f"x ~ N(0, 1)\nf = {DEEPEST_SOURCE}\n"
+
+
+def test_the_deepest_parsed_model_constructs():
+    model = parse_model(DEEPEST_SOURCE)
+    assert parse_model(print_model(model)) == model
+    assert np.isfinite(sample(model, 100, seed=3).values).all()
+
+
+def _neg_chain(levels):
+    node = ("var", 0)
+    for _ in range(levels):
+        node = ("neg", node)
+    return node
+
+
+BAD_MODELS = {
+    "names-and-distributions": (("x", "y"), ("var", 0), "2 names for 1 distributions"),
+    "variable-index": (("x",), ("add", ("var", 0), ("var", 1)), r"variable index 1 is outside \[0, 1\)"),
+    "one-level-too-deep": (("x",), ("neg", parse_model(DEEPEST_SOURCE).expr), "deeper than 403 levels"),
+    "1200-neg": (("x",), _neg_chain(1200), "deeper than 403 levels"),
+}
+
+
+@pytest.mark.parametrize("names, expr, message", list(BAD_MODELS.values()), ids=list(BAD_MODELS))
+def test_model_checks_itself(names, expr, message):
+    with pytest.raises(InvariantViolation, match=message):
+        SurrogateModel(names, (Distribution("gaussian", 0.0, 1.0),), expr)
 
 
 def _at_stack_depth(frames, call):
