@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ _MAX_TREE_DEPTH = 4 * MAX_DEPTH + 3
 # Left-associative binary operators: the walkers loop down the left operands
 # of a chain of these (see `_spine`) and recurse only into the right ones.
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+# Fields after the operator in each expression node: `num` holds a value,
+# `var` a variable index, `fun` a name from FUNCTIONS and an operand node,
+# and the others their operand nodes.
+_FIELDS = {"num": 1, "var": 1, "neg": 1, "fun": 2, "pow": 2, **dict.fromkeys(_ARITH, 2)}
 
 # Built-in demonstration model: strongly nonlinear in all four parameters
 # and non-smooth at xi4 = 0.
@@ -125,33 +131,57 @@ class SurrogateModel:
     expr: tuple
 
     def __post_init__(self):
-        """Raise `InvariantViolation` for a model the evaluators cannot run:
-        names and distributions of different lengths, a variable index
-        outside [0, dim), or a tree deeper than `parse_model` builds."""
+        """Raise `InvariantViolation` for a model the evaluators cannot run
+        or `print_model` cannot print: names and distributions of different
+        lengths, an expression node of unknown operator or shape, a function
+        outside FUNCTIONS, a variable index that is not an integer in
+        [0, dim), or a tree deeper than `parse_model` builds."""
         if len(self.names) != len(self.distributions):
             raise InvariantViolation(
                 f"{len(self.names)} names for {len(self.distributions)} distributions"
             )
-        stack = [(self.expr, 1)]
+        stack = [(self.expr, 0, False)]
         while stack:
-            node, depth = stack.pop()
+            node, depth, left = stack.pop()
+            operands = _operands(node, self.dim)
+            # the left operand of + - * / continues the same chain
+            if not (left and node[0] in _ARITH):
+                depth += 1
             if depth > _MAX_TREE_DEPTH:
                 raise InvariantViolation(
                     f"expression tree is deeper than {_MAX_TREE_DEPTH} levels"
                 )
-            if node[0] == "var" and not 0 <= node[1] < self.dim:
-                raise InvariantViolation(
-                    f"variable index {node[1]} is outside [0, {self.dim})"
-                )
-            for k, child in enumerate(node[1:]):
-                if isinstance(child, tuple):
-                    # the left operand of + - * / continues the same chain
-                    same = k == 0 and node[0] in _ARITH and child[0] in _ARITH
-                    stack.append((child, depth if same else depth + 1))
+            stack.extend((child, depth, k == 0 and node[0] in _ARITH)
+                         for k, child in enumerate(operands))
 
     @property
     def dim(self) -> int:
         return len(self.names)
+
+
+def _operands(node, dim: int) -> tuple:
+    """The operand nodes of one expression node, after checking that the
+    walkers and the printer handle it; `InvariantViolation` names it if not."""
+    op = node[0] if isinstance(node, tuple) and node else None
+    if op not in _FIELDS or len(node) != 1 + _FIELDS[op]:
+        raise InvariantViolation(f"unknown expression node {reprlib.repr(node)}")
+    if op == "var":
+        index = node[1]
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise InvariantViolation(
+                f"variable index {index!r} is not an integer in {reprlib.repr(node)}"
+            )
+        if not 0 <= index < dim:
+            raise InvariantViolation(f"variable index {index} is outside [0, {dim})")
+        return ()
+    if op == "num":
+        return ()
+    if op == "fun" and node[1] not in FUNCTIONS:
+        raise InvariantViolation(
+            f"unknown function {node[1]!r} in {reprlib.repr(node)}; "
+            f"expected one of {', '.join(FUNCTIONS)}"
+        )
+    return node[2:] if op == "fun" else node[1:]
 
 
 @dataclass(frozen=True)
@@ -701,7 +731,7 @@ def load_samples(path) -> np.ndarray:
     if not rows:
         raise DegenerateSamplesError(f"no samples in {path}")
     try:
-        values = np.array(rows, dtype=float)
+        values = np.fromiter(map(float, rows), float, len(rows))
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():

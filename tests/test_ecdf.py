@@ -20,6 +20,7 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
 )
+from gpcquad.ecdf import _walk
 from conftest import mixture_values
 
 
@@ -169,6 +170,31 @@ def synthetic_cdf():
 @pytest.mark.parametrize("m", [2, 45, 200])
 def test_select_points_matches_reference_walk_synthetic(synthetic_cdf, m):
     _assert_selects_like_reference(synthetic_cdf, m)
+
+
+def test_walk_chord_never_decreases_inside_a_window(rng):
+    # the precondition for seeding each of `_walk`'s searches from the
+    # previous advance instead of bisecting: inside every window it searches,
+    # the chord^2 from the current point, computed as `_walk` computes it,
+    # never decreases along the sorted values
+    m = 200
+    for _ in range(40):
+        values = mixture_values(rng, size=20_000)
+        _, cdf = fit_transform(values, default_delta(values))
+        sv, count = cdf.sorted_values, cdf.count
+        last, reach = sv.size - 1, -(-sv.size // m)
+        xs, ys = _walk(cdf, m)
+        # `_walk`'s node(i): the value at sorted index i and the count of
+        # values at or below it, as Python numbers
+        node_x = sv.tolist()
+        node_k = np.searchsorted(sv, sv, side="right").tolist()
+        for px, py in zip([0.0, *xs[:-1]], [0.0, *ys[:-1]]):
+            end = int(np.searchsorted(sv, px, side="right"))
+            chords = [
+                (node_x[i] - px) ** 2 + (node_k[i] / count - py) ** 2
+                for i in range(end, min(end + reach, last) + 1)
+            ]
+            assert all(a <= b for a, b in zip(chords, chords[1:]))
 
 
 def test_select_points_diagonal_m4(rng):

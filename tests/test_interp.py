@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcquad import (
+    SYNTHETIC_MODEL,
     DensityModel,
     InvariantViolation,
     MonotoneData,
@@ -14,19 +16,25 @@ from gpcquad import (
     TransformParams,
     cdf_eval,
     cdf_original,
+    default_delta,
     draw_samples,
     fit_cubic,
     fit_rational,
+    fit_transform,
     geometric_mean_slopes,
     inverse_cdf,
     load_model,
     parabolic_slopes,
+    parse_model,
     pdf_eval,
     pdf_original,
     project_slopes,
+    sample,
     save_model,
+    select_points,
     validate_model,
 )
+from gpcquad import interp
 from gpcquad.interp import MODEL_FORMAT_VERSION, _cubic_monomial, model_from_dict, model_to_dict
 from conftest import diagonal_data, random_selected_data
 
@@ -348,6 +356,158 @@ def test_draw_samples_deterministic_and_in_range(rng):
     b = draw_samples(model, 256, seed=9)
     np.testing.assert_array_equal(a, b)
     assert a.min() >= transform.a and a.max() <= transform.a + transform.b
+
+
+# The inversion as it stood before cubic pieces started from the converged
+# root of their own polynomial, kept as the reference for rational draws,
+# which must match it bit for bit.
+def reference_newton_start(model, k, target):
+    x0 = model.x[k]
+    h = model.x[k + 1] - x0
+    y0, y1 = model.y[k], model.y[k + 1]
+    if model.variant == "cubic":
+        return x0 + h * (target - y0) / (y1 - y0)
+    d0, d1 = model.slopes[k], model.slopes[k + 1]
+    s = (y1 - y0) / h
+    w = (y1 * d0 + y0 * d1) / s
+    v = (d0 + d1) / s
+    r0 = y0 - target
+    rm = w - target * v
+    r1 = y1 - target
+    a = r0 - rm + r1
+    b = rm - 2.0 * r0
+    c = r0
+    theta = np.full(target.shape, 0.5)
+    linear = (a == 0.0) & (b != 0.0)
+    theta[linear] = -c[linear] / b[linear]
+    disc = b * b - 4.0 * a * c
+    quad = np.flatnonzero((a != 0.0) & (disc >= 0.0))
+    q = -0.5 * (b[quad] + np.copysign(np.sqrt(disc[quad]), b[quad]))
+
+    def on_piece(th):
+        return (-1e-12 <= th) & (th <= 1.0 + 1e-12)
+
+    root = q / a[quad]
+    other = ~on_piece(root)
+    root[other] = c[quad][other] / q[other]
+    theta[quad] = np.where(on_piece(root), root, 0.5)
+    return x0 + np.minimum(np.maximum(theta, 0.0), 1.0) * h
+
+
+def reference_polish(model, k, target, x):
+    lo, hi = model.x[k], model.x[k + 1]
+    x = np.minimum(np.maximum(x, lo), hi)
+    todo = np.arange(len(x))
+    for _ in range(100):
+        xa = x[todo]
+        val = interp._piece_cdf(model, k[todo], xa) - target[todo]
+        open_ = np.abs(val) > 1e-13
+        todo, xa, val = todo[open_], xa[open_], val[open_]
+        if not todo.size:
+            break
+        above = val > 0.0
+        hi[todo[above]] = xa[above]
+        lo[todo[~above]] = xa[~above]
+        der = interp._piece_pdf(model, k[todo], xa)
+        lo_t, hi_t = lo[todo], hi[todo]
+        nxt = 0.5 * (lo_t + hi_t)
+        slope = np.flatnonzero(der > 0.0)
+        newton = xa[slope] - val[slope] / der[slope]
+        inside = (lo_t[slope] < newton) & (newton < hi_t[slope])
+        nxt[slope[inside]] = newton[inside]
+        x[todo] = nxt
+        todo = todo[hi_t - lo_t > 4e-16 * np.maximum(1.0, np.abs(lo_t))]
+    return x
+
+
+def reference_inverse_cdf(model, y):
+    shape = np.shape(y)
+    u = np.asarray(y, dtype=float).ravel()
+    xk, yk = model.x, model.y
+    out = np.empty(u.shape)
+    low = u <= yk[0]
+    high = u >= yk[-1]
+    out[low] = xk[0]
+    out[high] = xk[-1]
+    j = np.searchsorted(yk, u, side="right") - 1
+    knot = ~(low | high) & (yk[j] == u)
+    out[knot] = xk[j[knot]]
+    first = np.searchsorted(yk, u, side="left")
+    plateau = np.flatnonzero(knot & (first < j))
+    if plateau.size:
+        out[plateau] = 0.5 * (xk[first[plateau]] + xk[j[plateau]])
+        p = plateau[0]
+        warnings.warn(
+            f"{plateau.size} target(s) lie on plateaus, e.g. {u[p]} on "
+            f"[{xk[first[p]]}, {xk[j[p]]}]; returning plateau midpoints",
+            PlateauWarning,
+        )
+    inner = np.flatnonzero(~(low | high | knot))
+    k, target = j[inner], u[inner]
+    out[inner] = reference_polish(model, k, target, reference_newton_start(model, k, target))
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+@pytest.fixture(scope="module")
+def synthetic_fits():
+    """Both fits of 2e5 draws of the built-in model at m = 45."""
+    values = sample(parse_model(SYNTHETIC_MODEL), 200_000, seed=11).values
+    transform, cdf = fit_transform(values, default_delta(values))
+    points = select_points(cdf, 45)
+    return {variant: fit(points, transform=transform) for variant, fit in FITTERS.items()}
+
+
+def inverse_with_warnings(inverse, model, ys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        xs = inverse(model, ys)
+    return xs, [str(w.message) for w in caught]
+
+
+def test_rational_draws_match_the_reference(rng, synthetic_fits):
+    models = [synthetic_fits["rational"]]
+    models += [fit_rational(*random_selected_data(rng)[:2]) for _ in range(20)]
+    for model in models:
+        # uniform targets plus every knot level, plateau levels included
+        ys = np.concatenate((rng.uniform(0.0, 1.0, 2000), model.y))
+        got, got_warnings = inverse_with_warnings(inverse_cdf, model, ys)
+        want, want_warnings = inverse_with_warnings(reference_inverse_cdf, model, ys)
+        assert got.tobytes() == want.tobytes()
+        assert got_warnings == want_warnings
+        assert all(inverse_cdf(model, y) == x for y, x in zip(ys[:50], want[:50]))
+
+
+def test_cubic_draws_meet_the_residual_tolerance(rng, synthetic_fits):
+    models = [synthetic_fits["cubic"]]
+    models += [fit_cubic(*random_selected_data(rng)[:2]) for _ in range(20)]
+    for model in models:
+        ys = rng.uniform(0.0, 1.0, 20_000)
+        ys = ys[~np.isin(ys, model.y)]
+        xs = inverse_cdf(model, ys)
+        residual = np.abs(cdf_eval(model, xs) - ys)
+        # `_polish` gives up only where its bracket has shrunk to 4e-16 wide
+        # (an atom ramp): the CDF must cross the target that close to x
+        width = 4e-16 * np.maximum(1.0, np.abs(xs))
+        collapsed = (cdf_eval(model, xs - width) <= ys) & (ys <= cdf_eval(model, xs + width))
+        assert np.all((residual <= 1e-13) | collapsed)
+        if model is models[0]:  # a smooth density: no bracket collapses
+            assert np.max(residual) <= 1e-13
+
+
+def test_cubic_inverse_evaluates_the_cdf_at_most_twice(synthetic_fits, monkeypatch):
+    model = synthetic_fits["cubic"]
+    sizes = []
+    kernel = interp._piece_cdf
+
+    def counted(model, k, x):
+        sizes.append(np.size(x))
+        return kernel(model, k, x)
+
+    monkeypatch.setattr(interp, "_piece_cdf", counted)
+    for seed in range(5):
+        sizes.clear()
+        inverse_cdf(model, np.random.default_rng(seed).uniform(0.0, 1.0, 20_000))
+        assert 1 <= len(sizes) <= 2, sizes
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,13 @@ BAD_MODELS = {
     "variable-index": (("x",), ("add", ("var", 0), ("var", 1)), r"variable index 1 is outside \[0, 1\)"),
     "one-level-too-deep": (("x",), ("neg", parse_model(DEEPEST_SOURCE).expr), "deeper than 403 levels"),
     "1200-neg": (("x",), _neg_chain(1200), "deeper than 403 levels"),
+    # formerly a bare AssertionError from `evaluate`
+    "unknown-operator": (("x",), ("foo", ("var", 0)), r"unknown expression node \('foo', \('var', 0\)\)"),
+    # formerly evaluated through numpy, then printed as text `parse_model` rejects
+    "unknown-function": (("x",), ("fun", "tan", ("var", 0)), r"unknown function 'tan' in \('fun', 'tan', "),
+    # formerly a bare TypeError from the constructor itself
+    "non-integer-index": (("x",), ("var", "x"), r"variable index 'x' is not an integer in \('var', 'x'\)"),
+    "missing-operand": (("x",), ("add", ("var", 0)), r"unknown expression node \('add', \('var', 0\)\)"),
 }
 
 
@@ -632,13 +639,14 @@ def test_load_samples_matches_reference(tmp_path, raw):
     "text, reference_error",
     [
         ("1.5\n2.5,3.5\n", DegenerateSamplesError),  # two fields
+        ("1.5\n2.5 3.5\n", ValueError),  # two numbers in one row: not one float
         ("1.5\n,\n2.5\n", DegenerateSamplesError),  # no field
         ("value\nabc\n1.5\n", ValueError),  # text: the reference leaks a bare ValueError
         ("1.5\nnan\n", DegenerateSamplesError),
         ("1.5\n-inf\n", DegenerateSamplesError),
         ("1.5\n1e999\n", DegenerateSamplesError),  # overflows to inf
     ],
-    ids=["two-fields", "no-field", "text", "nan", "inf", "overflow"],
+    ids=["two-fields", "two-numbers", "no-field", "text", "nan", "inf", "overflow"],
 )
 def test_load_samples_rejects_what_the_reference_rejects(tmp_path, text, reference_error):
     path = tmp_path / "samples.txt"
