@@ -340,51 +340,57 @@ def _newton_step(t: np.ndarray, g, dg) -> np.ndarray:
     return np.clip(t, 0.0, 1.0, out=t)
 
 
-def _newton_start(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Starting points on rising pieces k.
-
-    Cubic pieces: Newton from the chord root on the piece's own polynomial
-    in t = (x - x_k)/h, g(t) = a t + (3 - 2a - b) t^2 + (a + b - 2) t^3 =
+def _cubic_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Newton on rising cubic pieces k, in t = (x - x_k)/h, from the chord
+    root, on g(t) = a t + (3 - 2a - b) t^2 + (a + b - 2) t^3 =
     (F - y_k)/(y_{k+1} - y_k), with a, b the knot slopes over the chord
     slope: three steps for every target, then more for the few whose CDF
     residual is still above 1e-14, so that `_polish` only confirms the start
-    in one pass. Rational pieces: the closed-form quadratic root of
-    N(x) - target*D(x) = 0.
-    """
+    in one pass."""
+    h = model.x[k + 1] - model.x[k]
+    y0 = model.y[k]
+    dy = model.y[k + 1] - y0
+    a, b = h * model.slopes[k] / dy, h * model.slopes[k + 1] / dy
+    t = (target - y0) / dy  # the chord root, Newton's start
+    g = (-t, a, 3.0 - 2.0 * a - b, a + b - 2.0)  # g(t) - z
+    dg = (a, 2.0 * g[2], 3.0 * g[3])
+    for _ in range(3):
+        _newton_step(t, g, dg)
+    # the few that started far from their root (three steps leave some
+    # at 1e-9): on until the residual is a tenth of `_polish`'s 1e-13
+    far = np.flatnonzero(np.abs(_horner(t, g)) * dy > 1e-14)
+    for _ in range(10):
+        if not far.size:
+            break
+        g_far = [c[far] for c in g]
+        t[far] = _newton_step(t[far], g_far, [c[far] for c in dg])
+        far = far[np.abs(_horner(t[far], g_far)) * dy[far] > 1e-14]
+    return t
+
+
+def _rational_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The closed-form root in theta = (x - x_k)/h of N(x) - target*D(x) = 0
+    on rising rational pieces k, clipped to [0, 1]; 0.5 where none is found
+    (the polish recovers). Each knot array is dropped once it is used, so
+    that no more than about a dozen arrays as long as k are alive at once."""
     x0 = model.x[k]
     h = model.x[k + 1] - x0
     y0, y1 = model.y[k], model.y[k + 1]
     d0, d1 = model.slopes[k], model.slopes[k + 1]
-    if model.variant == "cubic":
-        dy = y1 - y0
-        a, b = h * d0 / dy, h * d1 / dy
-        z = (target - y0) / dy
-        g = (-z, a, 3.0 - 2.0 * a - b, a + b - 2.0)  # g(t) - z
-        dg = (a, 2.0 * g[2], 3.0 * g[3])
-        t = z.copy()
-        for _ in range(3):
-            _newton_step(t, g, dg)
-        # the few that started far from their root (three steps leave some
-        # at 1e-9): on until the residual is a tenth of `_polish`'s 1e-13
-        far = np.flatnonzero(np.abs(_horner(t, g)) * dy > 1e-14)
-        for _ in range(10):
-            if not far.size:
-                break
-            g_far = [c[far] for c in g]
-            t[far] = _newton_step(t[far], g_far, [c[far] for c in dg])
-            far = far[np.abs(_horner(t[far], g_far)) * dy[far] > 1e-14]
-        return x0 + t * h
     s = (y1 - y0) / h
     w = (y1 * d0 + y0 * d1) / s
     v = (d0 + d1) / s
+    del x0, h, d0, d1, s
     # Bernstein -> power basis in theta for (N - z*D)(theta) = 0
     r0 = y0 - target
     rm = w - target * v
     r1 = y1 - target
+    del y0, y1, w, v
     a = r0 - rm + r1
     b = rm - 2.0 * r0
     c = r0
-    theta = np.full(target.shape, 0.5)  # no root found: the polish recovers
+    del rm, r1
+    theta = np.full(target.shape, 0.5)
     linear = (a == 0.0) & (b != 0.0)
     theta[linear] = -c[linear] / b[linear]
     disc = b * b - 4.0 * a * c
@@ -398,7 +404,15 @@ def _newton_start(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.
     other = ~on_piece(root)  # q != 0 here: q = 0 makes the first root 0
     root[other] = c[quad][other] / q[other]
     theta[quad] = np.where(on_piece(root), root, 0.5)
-    return x0 + np.minimum(np.maximum(theta, 0.0), 1.0) * h
+    return np.minimum(np.maximum(theta, 0.0), 1.0)
+
+
+def _newton_start(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Starting points on rising pieces k: the converged root of each cubic
+    piece's own polynomial, or the closed-form root of each rational piece."""
+    root = (_cubic_root if model.variant == "cubic" else _rational_root)(model, k, target)
+    x0 = model.x[k]
+    return x0 + root * (model.x[k + 1] - x0)
 
 
 def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -411,12 +425,13 @@ def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarra
     """
     lo, hi = model.x[k], model.x[k + 1]
     x = np.minimum(np.maximum(x, lo), hi)
-    todo = np.arange(len(x))
+    todo = slice(None)  # the first pass takes every element, without copies
     for _ in range(100):
         xa = x[todo]
         val = _piece_cdf(model, k[todo], xa) - target[todo]
         open_ = np.abs(val) > 1e-13
-        todo, xa, val = todo[open_], xa[open_], val[open_]
+        todo = np.flatnonzero(open_) if isinstance(todo, slice) else todo[open_]
+        xa, val = xa[open_], val[open_]
         if not todo.size:
             break
         above = val > 0.0
@@ -432,6 +447,52 @@ def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarra
         x[todo] = nxt
         todo = todo[hi_t - lo_t > 4e-16 * np.maximum(1.0, np.abs(lo_t))]
     return x
+
+
+def _inverse(model: DensityModel, u: np.ndarray, out: np.ndarray):
+    """`inverse_cdf` of the 1-D targets u in [0, 1] into `out`, without the
+    warning.
+
+    Returns `(plateaus, example)`: the number of targets on plateaus and,
+    if there are any, `(target, lo, hi)` for the first. Each preimage
+    depends on its own target alone, so inverting an array in slices gives
+    the same bits as inverting it whole.
+    """
+    xk, yk = model.x, model.y
+    low = u <= yk[0]
+    high = u >= yk[-1]
+    out[low] = xk[0]
+    out[high] = xk[-1]
+    j = np.searchsorted(yk, u, side="right") - 1
+    at_knot = ~(low | high) & (yk[j] == u)
+    knot = np.flatnonzero(at_knot)
+    out[knot] = xk[j[knot]]
+    first = np.searchsorted(yk, u[knot], side="left")  # first knot at that level
+    shared = first < j[knot]
+    plateau, first = knot[shared], first[shared]
+    example = None
+    if plateau.size:
+        out[plateau] = 0.5 * (xk[first] + xk[j[plateau]])
+        p = plateau[0]
+        example = (u[p], xk[first[0]], xk[j[p]])
+    # the rest lie strictly inside a rising piece: yk[j] < u < yk[j+1]
+    inner = np.flatnonzero(~(low | high | at_knot))
+    if inner.size == u.size:
+        inner = slice(None)  # all of them, as with uniform draws: no copies
+    k, target = j[inner], u[inner]
+    out[inner] = _polish(model, k, target, _newton_start(model, k, target))
+    return plateau.size, example
+
+
+def _warn_plateaus(count: int, example) -> None:
+    """One PlateauWarning, attributed to the caller of the public function."""
+    target, lo, hi = example
+    warnings.warn(
+        f"{count} target(s) lie on plateaus, e.g. {target} on "
+        f"[{lo}, {hi}]; returning plateau midpoints",
+        PlateauWarning,
+        stacklevel=3,
+    )
 
 
 def inverse_cdf(model: DensityModel, y):
@@ -452,33 +513,19 @@ def inverse_cdf(model: DensityModel, y):
     bad = ~((u >= 0.0) & (u <= 1.0))
     if bad.any():
         raise ValueError(f"target CDF value must be in [0,1], got {u[bad][0]}")
-    xk, yk = model.x, model.y
     out = np.empty(u.shape)
-    low = u <= yk[0]
-    high = u >= yk[-1]
-    out[low] = xk[0]
-    out[high] = xk[-1]
-    j = np.searchsorted(yk, u, side="right") - 1
-    at_knot = ~(low | high) & (yk[j] == u)
-    knot = np.flatnonzero(at_knot)
-    out[knot] = xk[j[knot]]
-    first = np.searchsorted(yk, u[knot], side="left")  # first knot at that level
-    shared = first < j[knot]
-    plateau, first = knot[shared], first[shared]
-    if plateau.size:
-        out[plateau] = 0.5 * (xk[first] + xk[j[plateau]])
-        p = plateau[0]
-        warnings.warn(
-            f"{plateau.size} target(s) lie on plateaus, e.g. {u[p]} on "
-            f"[{xk[first[0]]}, {xk[j[p]]}]; returning plateau midpoints",
-            PlateauWarning,
-            stacklevel=2,
-        )
-    # the rest lie strictly inside a rising piece: yk[j] < u < yk[j+1]
-    inner = np.flatnonzero(~(low | high | at_knot))
-    k, target = j[inner], u[inner]
-    out[inner] = _polish(model, k, target, _newton_start(model, k, target))
+    plateaus, example = _inverse(model, u, out)
+    if plateaus:
+        _warn_plateaus(plateaus, example)
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+# Draws per block in `draw_samples`. The inversion holds up to about 18
+# arrays as long as a block (the piece CDF kernel alone up to 14), so 2**12
+# doubles (32 KB) keep them under 0.6 MB, and under half an output array
+# from 2e5 draws on; 2**13 would hold twice that, and 2**11 costs more in
+# per-block overhead than it saves.
+_BLOCK = 1 << 12
 
 
 def draw_samples(model: DensityModel, count: int, seed: int):
@@ -487,9 +534,27 @@ def draw_samples(model: DensityModel, count: int, seed: int):
     The same seed gives the same draws within one version; each draw
     stops at a 1e-13 CDF residual (see `inverse_cdf`), inside criterion
     7's 1e-12. Cubic draws differ in their last bits from earlier versions.
+
+    The uniform targets are drawn, inverted and mapped back `_BLOCK` at a
+    time, which consumes the stream as one `count`-long draw does and gives
+    the same bits, so the output is the only array as long as the sample.
+    Targets on plateaus raise one PlateauWarning for the whole call.
     """
     rng = np.random.default_rng(seed)
-    return model.transform.denormalize(inverse_cdf(model, rng.uniform(0.0, 1.0, count)))
+    a, b = model.transform.a, model.transform.b
+    out = np.empty(count)
+    plateaus, example = 0, None
+    for start in range(0, count, _BLOCK):
+        x = out[start : start + _BLOCK]
+        hits, first = _inverse(model, rng.uniform(0.0, 1.0, len(x)), x)
+        if hits:
+            plateaus += hits
+            example = example or first
+        x *= b  # in place, the bits of a + b*x
+        x += a
+    if plateaus:
+        _warn_plateaus(plateaus, example)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ class SurrogateModel:
         or `print_model` cannot print: names and distributions of different
         lengths, an expression node of unknown operator or shape, a function
         outside FUNCTIONS, a variable index that is not an integer in
-        [0, dim), or a tree deeper than `parse_model` builds."""
+        [0, dim), a constant that is not a real number or is nan, or a tree
+        deeper than `parse_model` builds."""
         if len(self.names) != len(self.distributions):
             raise InvariantViolation(
                 f"{len(self.names)} names for {len(self.distributions)} distributions"
@@ -175,6 +176,11 @@ def _operands(node, dim: int) -> tuple:
             raise InvariantViolation(f"variable index {index} is outside [0, {dim})")
         return ()
     if op == "num":
+        value = node[1]
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise InvariantViolation(f"constant {value!r} is not a real number in {reprlib.repr(node)}")
+        if math.isnan(value):  # no model text yields one, and none prints
+            raise InvariantViolation(f"constant nan in {reprlib.repr(node)}")
         return ()
     if op == "fun" and node[1] not in FUNCTIONS:
         raise InvariantViolation(
@@ -448,10 +454,21 @@ _ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
 _SIGNS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 
+def _number(value) -> str:
+    """`value` as text `parse_model` reads back to the same double: the
+    `repr` of a Python float, with inf as 1e999, which overflows to it."""
+    value = float(value)
+    return ("-" if math.copysign(1.0, value) < 0 else "") + (
+        "1e999" if math.isinf(value) else repr(abs(value))
+    )
+
+
 def _fmt(node) -> tuple[str, int]:
     op = node[0]
     if op == "num":
-        return repr(node[1]), _ATOM
+        text = _number(node[1])
+        # a negative constant prints as a negation, and binds like one
+        return text, _NEG if text.startswith("-") else _ATOM
     if op == "var":
         return f"@{node[1]}", _ATOM  # placeholder, replaced by caller
     if op == "fun":
@@ -490,7 +507,7 @@ def print_model(model: SurrogateModel) -> str:
     lines = []
     for name, dist in zip(model.names, model.distributions):
         letter = "N" if dist.kind == "gaussian" else "U"
-        lines.append(f"{name} ~ {letter}({dist.p1!r}, {dist.p2!r})")
+        lines.append(f"{name} ~ {letter}({_number(dist.p1)}, {_number(dist.p2)})")
     body, _ = _fmt(model.expr)
     body = re.sub(r"@(\d+)", lambda m: model.names[int(m.group(1))], body)
     lines.append(f"f = {body}")
@@ -709,16 +726,16 @@ def _sample_row(path, i: int, row: str) -> float:
     return value
 
 
-def load_samples(path) -> np.ndarray:
-    """Read a sample file written by `save_samples` or by hand.
+def _first_row(fh):
+    """The next line of `fh` that is not blank, or None at the end."""
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            return line
+    return None
 
-    One value per line, or a single-column CSV (blank fields beside the
-    value are ignored); an optional header line; blank lines are skipped.
-    Raises `DegenerateSamplesError` for a file without values and for a
-    row that is not one finite number, naming its line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+
+def _load_rows(path, text: str) -> np.ndarray:
+    """`load_samples` on the file's text, one `float()` per row."""
     lines = text.split("\n")
     rows = list(filter(None, map(str.strip, lines)))
     skip = 0
@@ -740,6 +757,46 @@ def load_samples(path) -> np.ndarray:
         numbered = [(i, ln) for i, ln in enumerate(map(str.strip, lines), 1) if ln]
         values = np.array([_sample_row(path, i, ln) for i, ln in numbered[skip:]])
     return values
+
+
+def load_samples(path) -> np.ndarray:
+    """Read a sample file written by `save_samples` or by hand.
+
+    One value per line, or a single-column CSV (blank fields beside the
+    value are ignored); an optional header line; blank lines are skipped.
+    Raises `DegenerateSamplesError` for a file without values and for a
+    row that is not one finite number, naming its line.
+
+    The first line that is not blank is a header if its first field is not
+    a number. The rest goes through numpy's text reader, which holds no
+    string per row; a file it refuses or reads as non-finite or as several
+    columns is read again row by row with `float()`, which gives the same
+    values and names the line of the first bad row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = _first_row(fh)
+        if first is None:
+            raise DegenerateSamplesError(f"no samples in {path}")
+        try:
+            float(first.strip().split(",")[0])
+        except ValueError:  # a header: the values start on the next line
+            start = fh.tell()
+            if _first_row(fh) is None:
+                raise DegenerateSamplesError(f"no samples in {path}") from None
+            fh.seek(start)
+        else:
+            fh.seek(0)
+        try:
+            # the open file, not its name: numpy opens a name through its
+            # `_datasource`, which imports gzip, decompresses by extension
+            # and fetches URLs
+            values = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
+            fh.seek(0)
+            return _load_rows(path, fh.read())
+    return values.reshape(-1)
 
 
 def save_samples(values: np.ndarray, path) -> None:

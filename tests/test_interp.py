@@ -457,10 +457,10 @@ def synthetic_fits():
     return {variant: fit(points, transform=transform) for variant, fit in FITTERS.items()}
 
 
-def inverse_with_warnings(inverse, model, ys):
+def inverse_with_warnings(inverse, model, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        xs = inverse(model, ys)
+        xs = inverse(model, *args)
     return xs, [str(w.message) for w in caught]
 
 
@@ -508,6 +508,44 @@ def test_cubic_inverse_evaluates_the_cdf_at_most_twice(synthetic_fits, monkeypat
         sizes.clear()
         inverse_cdf(model, np.random.default_rng(seed).uniform(0.0, 1.0, 20_000))
         assert 1 <= len(sizes) <= 2, sizes
+
+
+# `draw_samples` as it stood before it drew in blocks: one whole-length
+# uniform draw, one `inverse_cdf` call, then `a + b*x`. Kept as the reference
+# its bits and its warning must match.
+def reference_draw_samples(model, count, seed):
+    rng = np.random.default_rng(seed)
+    return model.transform.denormalize(inverse_cdf(model, rng.uniform(0.0, 1.0, count)))
+
+
+BLOCK_COUNTS = [0, 1, interp._BLOCK - 1, interp._BLOCK, interp._BLOCK + 1,
+                8191, 8192, 8193, 3 * 8192 + 7, 100_000]
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_block_draws_match_the_whole_draw(synthetic_fits, variant):
+    model = synthetic_fits[variant]
+    for count in BLOCK_COUNTS:
+        got = draw_samples(model, count, seed=count + 1)
+        want = reference_draw_samples(model, count, count + 1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), count
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_block_draws_warn_once_for_all_plateaus(variant):
+    count, seed = 3 * interp._BLOCK + 7, 5
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, count)
+    # two plateaus at the levels of draws in the first and third blocks
+    lo, hi = sorted((u[10], u[2 * interp._BLOCK + 3]))
+    data = MonotoneData(
+        x=np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]), y=np.array([0.0, lo, lo, hi, hi, 1.0])
+    )
+    model = FITTERS[variant](data)
+    got, got_warnings = inverse_with_warnings(draw_samples, model, count, seed)
+    want, want_warnings = inverse_with_warnings(reference_draw_samples, model, count, seed)
+    assert got.tobytes() == want.tobytes()
+    assert len(got_warnings) == 1 and got_warnings == want_warnings
+    assert got_warnings[0].startswith("2 target(s) lie on plateaus, e.g. ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Memory guard for the front end sample -> fit_transform -> select_points:
-no stage may build temporaries as long as the sample beyond what it returns.
-Peaks are read with tracemalloc, which numpy reports its array buffers to."""
+"""Memory guards for the front end sample -> fit_transform -> select_points
+and for draw_samples and load_samples: no stage may build temporaries as
+long as the sample beyond what it returns. Peaks are read with tracemalloc,
+which numpy reports its array buffers to."""
 
 import tracemalloc
 
@@ -9,9 +10,14 @@ import pytest
 from gpcquad import (
     SYNTHETIC_MODEL,
     default_delta,
+    draw_samples,
+    fit_cubic,
+    fit_rational,
     fit_transform,
+    load_samples,
     parse_model,
     sample,
+    save_samples,
     select_points,
 )
 
@@ -67,3 +73,36 @@ def test_sample_holds_one_full_length_array(source, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * UNIT, peak / UNIT
+
+
+def peak_of(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def synthetic_sample():
+    return sample(parse_model(SYNTHETIC_MODEL), N, seed=1).values
+
+
+@pytest.mark.parametrize("fit", [fit_cubic, fit_rational], ids=["cubic", "rational"])
+def test_draw_samples_holds_one_full_length_array(synthetic_sample, fit):
+    transform, cdf = fit_transform(synthetic_sample, default_delta(synthetic_sample))
+    model = fit(select_points(cdf, 45), transform=transform)
+    draw_samples(model, 1000, seed=0)
+    # the output, and the inversion's temporaries for one block of draws
+    peak = peak_of(lambda: draw_samples(model, N, seed=1))
+    assert peak <= 1.5 * UNIT, peak / UNIT
+
+
+def test_load_samples_holds_one_full_length_array(synthetic_sample, tmp_path):
+    path = tmp_path / "samples.txt"
+    save_samples(synthetic_sample, path)
+    load_samples(path)
+    # the values, and numpy's reader with no string held per row
+    peak = peak_of(lambda: load_samples(path))
+    assert peak <= 1.5 * UNIT, peak / UNIT

@@ -1,4 +1,5 @@
-"""Start-up guard: importing gpcquad and running every CLI subcommand loads no
+"""Start-up guard: importing gpcquad and running every CLI subcommand, with
+`fit` both on a model and on the sample file `sample` writes, loads no
 scipy module (on a 2-vCPU x86-64 virtual machine, scipy.integrate alone took
 0.65-0.79 s of a 0.73-0.98 s package import), and `numeric_moment_oracle`,
 which imports scipy on its first call, still returns the same bits."""
@@ -30,6 +31,7 @@ CHILD = textwrap.dedent(
         ["quad", model, "--degree", "4", "--out", str(out)],
         ["sample", model, "--count", "1000", "--seed", "3", "--out", str(out / "s.txt")],
         ["plotdata", model, "--grid", "64", "--out", str(out / "curve.csv")],
+        ["fit", "--data", str(out / "s.txt"), "--out", str(out / "refit")],
     ]
     codes = []
     for argv in commands:
@@ -65,6 +67,6 @@ def test_cli_commands_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     assert result["scipy_modules"] == []
     assert result["oracle"] == ORACLE_BITS

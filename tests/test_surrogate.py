@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import warnings
 
@@ -294,6 +295,40 @@ def test_printer_round_trips_random_trees(tree):
         expr=tree,
     )
     assert parse_model(print_model(model)) == model
+
+
+# Constants a model can hold that the printer formerly wrote as text
+# `parse_model` rejects (`inf`, `-inf`, `np.float64(1.5)`) or reads as a
+# different value (`-2.0^x` is -(2.0^x)).
+PRINTED_CONSTANTS = {
+    "inf-from-text": parse_model("x ~ N(0, 1)\nf = x + 1/1e999").expr,
+    "inf": ("div", ("var", 0), ("num", math.inf)),
+    "minus-inf": ("add", ("var", 0), ("fun", "exp", ("num", -math.inf))),
+    "numpy-scalar": ("mul", ("var", 0), ("num", np.float64(1.5))),
+    "negative-base": ("add", ("var", 0), ("pow", ("num", -2.0), ("num", 2.0))),
+    "negative-zero": ("add", ("var", 0), ("mul", ("num", -0.0), ("var", 0))),
+}
+
+
+@pytest.mark.parametrize("expr", list(PRINTED_CONSTANTS.values()), ids=list(PRINTED_CONSTANTS))
+def test_printed_constants_parse_to_the_same_values(expr):
+    model = SurrogateModel(("x",), (Distribution("gaussian", np.float64(0.0), 1.0),), expr)
+    again = parse_model(print_model(model))
+    assert sample(again, 1000, seed=4).values.tobytes() == sample(model, 1000, seed=4).values.tobytes()
+    for point in ([0.3], [-1.7], [0.0]):
+        assert evaluate(again, point) == evaluate(model, point)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(math.nan, r"constant nan in \('num', nan\)"),
+     ("1.5", r"constant '1.5' is not a real number"),
+     (True, "constant True is not a real number")],
+    ids=["nan", "string", "bool"],
+)
+def test_model_refuses_constants_it_cannot_print(value, message):
+    with pytest.raises(InvariantViolation, match=message):
+        SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),), ("add", ("var", 0), ("num", value)))
 
 
 def test_sample_determinism_and_count_guard():
@@ -655,6 +690,98 @@ def test_load_samples_rejects_what_the_reference_rejects(tmp_path, text, referen
         reference_load_samples(path)
     with pytest.raises(DegenerateSamplesError, match=r"samples\.txt, row 2: "):
         load_samples(path)
+
+
+# Text the two loaders must read alike: numbers in `repr` (every exponent,
+# signed zeros, subnormals, nan and inf) and with underscores, odd tokens,
+# and blanks, ASCII or not, around fields, in blank fields and on blank lines.
+BLANKS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000"])
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**7, 10**7).map(lambda n: f"{n:_}"),
+    st.sampled_from(["1e999", "-0.0", "5e-324", "+.5", "7.", "1E+05", "0x1p3", "\u0661\u0662",
+                     "1.5 2.5", "abc", "value", "1.5\x00"]),
+)
+
+
+@st.composite
+def sample_file_lines(draw):
+    """Lines of a sample file, without their line ends."""
+    def blank():
+        return "".join(draw(st.lists(BLANKS, max_size=2)))
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["value", "value,", "x, y", " ,1.5", "samples\u00a0"])))
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["value"] * 6 + ["csv", "pair", "blank"]))
+        if shape == "blank":
+            lines.append(blank())
+            continue
+        field = blank() + draw(NUMBER_TEXT) + blank()
+        if shape == "pair":  # two numbers: a row the reference rejects
+            field += "," + draw(NUMBER_TEXT)
+        if shape == "csv":
+            before = [blank() for _ in range(draw(st.integers(0, 2)))]
+            after = [blank() for _ in range(draw(st.integers(0, 2)))]
+            field = ",".join(before + [field] + after)
+        lines.append(field)
+    return lines
+
+
+def reference_outcome_of(path):
+    """The reference's values or error; a header-only file, for which the
+    reference returned no values, is "no samples" as for `load_samples`."""
+    try:
+        values = reference_load_samples(path)
+    except ValueError as exc:  # the reference's bare ValueError from float()
+        return exc
+    except DegenerateSamplesError as exc:
+        return exc
+    return values if values.size else DegenerateSamplesError(f"no samples in {path}")
+
+
+@given(sample_file_lines(), st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=13, max_size=13),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_load_samples_agrees_with_the_reference_on_any_file(tmp_path_factory, lines, ends, last_end):
+    """`load_samples` returns the reference's bits, or raises
+    `DegenerateSamplesError` where the reference raises: "no samples" where
+    it finds none, and otherwise naming the first line the reference
+    rejects, that is, the line L such that the reference accepts the file
+    cut before L and rejects the file cut after it."""
+    folder = tmp_path_factory.mktemp("load")
+    path = folder / "samples.txt"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not last_end:
+        text = text[: -len(ends[len(lines) - 1])]
+    path.write_bytes(text.encode("utf-8"))
+    want = reference_outcome_of(path)
+    if isinstance(want, np.ndarray):
+        got = load_samples(path)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return
+    with pytest.raises(DegenerateSamplesError) as err:
+        load_samples(path)
+    message = str(err.value)
+    if "no samples" in str(want):
+        assert message == f"no samples in {path}"
+        return
+    row = re.match(rf"{re.escape(str(path))}, row (\d+): ", message)
+    assert row, message
+    # the lines as both loaders see them: universal newlines, split on \n
+    with open(path, "r", encoding="utf-8") as fh:
+        read = fh.read().split("\n")
+    cut = folder / "cut.txt"
+    line = int(row.group(1))
+    cut.write_text("\n".join(read[: line - 1]), encoding="utf-8")
+    before = reference_outcome_of(cut)
+    assert isinstance(before, np.ndarray) or "no samples" in str(before)
+    cut.write_text("\n".join(read[:line]), encoding="utf-8")
+    after = reference_outcome_of(cut)
+    assert not isinstance(after, np.ndarray) and "no samples" not in str(after)
 
 
 def test_save_samples_matches_reference(tmp_path):
