@@ -59,7 +59,13 @@ from .orthopoly import (
     save_basis,
 )
 from .pipeline import (
-    VARIANTS, basis_from_model, fit_density, fit_variant, rule_from_model, select_from_samples
+    VARIANTS,
+    basis_from_model,
+    fit_density,
+    fit_variant,
+    rule_from_model,
+    rules_from_model,
+    select_from_samples,
 )
 from .quadrature import (
     QuadratureRule,

@@ -94,14 +94,18 @@ class Distribution:
     p2: float
 
     def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform"):
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
+            raise ValueError(f"{self.kind} parameters must be finite, got ({self.p1}, {self.p2})")
         if self.kind == "gaussian":
             if not self.p2 > 0:
                 raise ValueError(f"gaussian stddev must be positive, got {self.p2}")
-        elif self.kind == "uniform":
-            if not self.p1 < self.p2:
-                raise ValueError(f"uniform requires lo < hi, got ({self.p1}, {self.p2})")
-        else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        elif not self.p1 < self.p2:
+            raise ValueError(f"uniform requires lo < hi, got ({self.p1}, {self.p2})")
+        elif not math.isfinite(self.p2 - self.p1):
+            # numpy's uniform draws need hi - lo itself to be a finite double
+            raise ValueError(f"uniform width hi - lo overflows, got ({self.p1}, {self.p2})")
 
     def mean(self) -> float:
         if self.kind == "gaussian":

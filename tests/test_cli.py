@@ -271,6 +271,17 @@ def test_fit_rejects_faulty_constants(expression, tmp_path, capsys):
     assert err == "error: model evaluated to a non-finite value at draw 0\n"
 
 
+
+def test_fit_rejects_a_uniform_too_wide_to_draw(tmp_path, capsys):
+    # used to end in numpy's uncaught OverflowError at the first draw
+    source = tmp_path / "wide.txt"
+    source.write_text("x ~ U(-1e308, 1e308)\nf = x\n")
+    code, report, err = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
+    )
+    assert code == 1 and report is None
+    assert err.startswith("error: uniform width hi - lo overflows") and "Traceback" not in err
+
 def test_fit_rejects_deep_nesting(tmp_path, capsys):
     source = tmp_path / "deep.txt"
     source.write_text("x ~ N(0, 1)\nf = " + "(" * 400 + "x" + ")" * 400 + "\n")

@@ -331,6 +331,38 @@ def test_model_refuses_constants_it_cannot_print(value, message):
         SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),), ("add", ("var", 0), ("num", value)))
 
 
+
+@pytest.mark.parametrize(
+    "kind, p1, p2, message",
+    [("gaussian", math.nan, 1.0, "parameters must be finite"),
+     ("gaussian", math.inf, 1.0, "parameters must be finite"),
+     ("gaussian", 0.0, math.inf, "parameters must be finite"),
+     ("uniform", -math.inf, 0.0, "parameters must be finite"),
+     ("uniform", 0.0, math.nan, "parameters must be finite"),
+     ("uniform", -1e308, 1e308, "width hi - lo overflows")],
+    ids=["nan-mean", "inf-mean", "inf-stddev", "inf-lo", "nan-hi", "overflowing-width"],
+)
+def test_distribution_refuses_parameters_it_cannot_draw_or_print(kind, p1, p2, message):
+    with pytest.raises(ValueError, match=message):
+        Distribution(kind, p1, p2)
+
+
+@pytest.mark.parametrize(
+    "declaration",
+    ["N(1e999, 1)", "N(0, 1e999)", "U(-1e999, 0)", "U(-1e308, 1e308)"],
+)
+def test_parse_refuses_distributions_it_cannot_draw(declaration):
+    with pytest.raises(ModelSyntaxError, match="finite|overflows") as err:
+        parse_model(f"x ~ {declaration}\nf = x\n")
+    assert (err.value.line, err.value.column) == (1, 5)
+
+
+def test_widest_finite_uniform_round_trips():
+    model = parse_model("x ~ U(-8e307, 8e307)\nf = x\n")
+    again = parse_model(print_model(model))
+    assert again.distributions == model.distributions
+    assert np.isfinite(sample(again, 100, seed=1).values).all()
+
 def test_sample_determinism_and_count_guard():
     model = parse_model(SYNTHETIC_MODEL)
     first = sample(model, 512, seed=42)
