@@ -539,7 +539,10 @@ def draw_samples(model: DensityModel, count: int, seed: int):
     time, which consumes the stream as one `count`-long draw does and gives
     the same bits, so the output is the only array as long as the sample.
     Targets on plateaus raise one PlateauWarning for the whole call.
+    A `count` that is not a non-negative integer raises ValueError.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     rng = np.random.default_rng(seed)
     a, b = model.transform.a, model.transform.b
     out = np.empty(count)

@@ -40,7 +40,10 @@ BASIS_FORMAT_VERSION = 1
 
 
 def check_degree(n_hat: int) -> None:
-    """Raise ValueError unless 0 <= n_hat <= DEGREE_CAP."""
+    """Raise ValueError unless n_hat is an integer, not a bool, in
+    [0, DEGREE_CAP]."""
+    if isinstance(n_hat, bool) or not isinstance(n_hat, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, got {n_hat!r}")
     if not 0 <= n_hat <= DEGREE_CAP:
         raise ValueError(f"degree must be within [0, {DEGREE_CAP}], got {n_hat}")
 

@@ -75,7 +75,8 @@ def rules_from_model(model, degrees) -> dict:
     (moments M_0..M_{2d + 1}, rec, basis, rule, eps), with eps the rule's
     orthonormality error, or the `GpcquadError` that stopped degree d; an
     error in `moments` stops every degree. An empty `degrees`, or a degree
-    outside [0, DEGREE_CAP], raises `ValueError` before any moment is taken.
+    that is not an integer or lies outside [0, DEGREE_CAP], raises
+    `ValueError` before any moment is taken.
 
     A rule with a node outside the density's support [x_0, x_n] stops its
     degree with `NumericalError`: Gauss nodes of a density lie inside its

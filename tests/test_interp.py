@@ -548,6 +548,19 @@ def test_block_draws_warn_once_for_all_plateaus(variant):
     assert got_warnings[0].startswith("2 target(s) lie on plateaus, e.g. ")
 
 
+@pytest.mark.parametrize("count", [1e4, 8192.0, True, -3, "100"],
+                         ids=["1e4", "float", "bool", "negative", "str"])
+def test_draw_samples_count_must_be_a_non_negative_integer(synthetic_fits, count):
+    with pytest.raises(ValueError, match=rf"^count must be a non-negative integer, got {count!r}$"):
+        draw_samples(synthetic_fits["cubic"], count, seed=1)
+
+
+def test_draw_samples_takes_numpy_integer_counts(synthetic_fits):
+    model = synthetic_fits["cubic"]
+    got = draw_samples(model, np.int64(9000), seed=2)
+    assert got.tobytes() == draw_samples(model, 9000, seed=2).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

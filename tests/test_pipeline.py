@@ -210,3 +210,24 @@ def test_a_moment_failure_stops_every_degree(monkeypatch):
     assert rules_from_model(model, (4, 10)) == {4: failure, 10: failure}
     with pytest.raises(NumericalError, match="moments failed"):
         rule_from_model(model, 4)
+
+
+@pytest.mark.parametrize("degree", [4.5, 4.0, True, "4"], ids=["fraction", "float", "bool", "str"])
+def test_degrees_must_be_integers(monkeypatch, degree):
+    model = fit_density(mixture_values(np.random.default_rng(8)), m=30)
+    calls = _counting_moments(monkeypatch)
+    message = rf"degree must be an integer, got {degree!r}$"
+    with pytest.raises(ValueError, match=message):
+        rule_from_model(model, degree)
+    with pytest.raises(ValueError, match=message):
+        rules_from_model(model, (4, degree))
+    with pytest.raises(ValueError, match=message):
+        compute_recurrence(moments(model, 11), degree)
+    assert calls == []
+
+
+def test_numpy_integer_degrees_are_accepted():
+    model = fit_density(mixture_values(np.random.default_rng(8)), m=30)
+    assert _bits(rule_from_model(model, np.int64(4))) == _bits(rule_from_model(model, 4))
+    rules = rules_from_model(model, (np.int32(2), 4))
+    assert _bits(rules[2]) == _bits(rule_from_model(model, 2))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,7 +24,9 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _plan
+from gpcquad import surrogate
+from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _eval_tree, _plan
+from test_memory import PRODUCTS, SUM_OF_TERMS
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
 
@@ -594,6 +597,182 @@ def test_sample_errors_in_a_later_block():
     model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
     with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
         sample(model, count, seed=2)
+
+
+# `sample` as it stood before it drew on a helper thread: one loop that
+# draws each variable's `_BLOCK`-row blocks in turn and evaluates each block
+# whole. Kept as the reference its bits must match.
+def reference_sample(model, count, seed):
+    jobs = _plan(model.expr)
+    root = max(jobs, default=-1)
+    slots = {}
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for var in range(root + 1):
+            draw = model.distributions[var].draw
+            if var not in jobs:  # unused, drawn only to advance the stream
+                for start in range(0, count, _BLOCK):
+                    draw(rng, min(_BLOCK, count - start))
+                continue
+            tree, done = jobs[var]
+            out = slots[done[0]] if done else np.empty(count)
+            for start in range(0, count, _BLOCK):
+                block = draw(rng, min(_BLOCK, count - start))
+                rows = slice(start, start + _BLOCK)
+                views = {s: a[rows] for s, a in slots.items()}
+                out[rows] = _eval_tree(tree, {var: block}, views)
+            for s in done:
+                del slots[s]
+            slots[var] = out
+        return slots[root] if jobs else np.full(count, _eval_tree(model.expr, ()))
+
+
+@pytest.fixture(params=["thread", "inline"])
+def block_source(request, monkeypatch):
+    """Run `sample` with its blocks drawn on the helper thread, or inline as
+    on a process that may use one CPU; its value names the source."""
+    monkeypatch.setattr(surrogate, "_cpu_count", lambda: 2 if request.param == "thread" else 1)
+    return request.param
+
+
+def draws_on(monkeypatch):
+    """Names of the threads that draw, one per `Distribution.draw` call."""
+    names = []
+    draw = Distribution.draw
+
+    def recorded(self, rng, count):
+        names.append(threading.current_thread().name)
+        return draw(self, rng, count)
+
+    monkeypatch.setattr(Distribution, "draw", recorded)
+    return names
+
+
+def bounded(call, *args, timeout=60):
+    """`call(*args)` on a worker thread joined with a timeout, so that a
+    helper left waiting fails the test instead of hanging it. Returns what
+    the call returns, or raises what it raised."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, name="caller", daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"{call.__name__} did not return within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+SOURCE_MODELS = {
+    "synthetic": SYNTHETIC_MODEL,
+    "unused": "a ~ U(0, 1)\nb ~ N(0, 1)\nc ~ U(-1, 1)\nf = sin(b) + (2 - 3)*b\n",
+    "constant": "x ~ N(0, 1)\nf = 3\n",
+    "sum-of-terms": SUM_OF_TERMS,
+    "products": PRODUCTS,
+}
+
+
+@pytest.mark.parametrize("source", list(SOURCE_MODELS.values()), ids=list(SOURCE_MODELS))
+def test_sample_has_the_reference_bits_from_either_block_source(block_source, monkeypatch, source):
+    model = parse_model(source)
+    threads = draws_on(monkeypatch)
+    for count in COUNTS:
+        for seed in (3, 11):
+            threads.clear()
+            before = threading.active_count()
+            got = bounded(sample, model, count, seed).values
+            assert threading.active_count() == before
+            if source == SOURCE_MODELS["constant"]:
+                assert threads == []  # nothing is drawn, no thread starts
+            elif block_source == "thread":
+                assert set(threads) == {"gpcquad-draws"}
+            else:
+                assert set(threads) == {"caller"}
+            want = reference_sample(model, count, seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
+
+
+def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
+    # draw 16409, in the third of nine blocks: the helper must stop early
+    count = 8 * _BLOCK + 7
+    top, _ = _first_exceeding_first_block(2, count)
+    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
+    before = threading.active_count()
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        bounded(sample, model, count, 2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing_call", [1, 3, 9])
+def test_a_failing_draw_reaches_the_caller(block_source, monkeypatch, failing_call):
+    calls = []
+    draw = Distribution.draw
+
+    def failing(self, rng, count):
+        calls.append(count)
+        if len(calls) == failing_call:
+            raise MemoryError("draw failed")
+        return draw(self, rng, count)
+
+    monkeypatch.setattr(Distribution, "draw", failing)
+    model = parse_model(SYNTHETIC_MODEL)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="draw failed"):
+        bounded(sample, model, 3 * _BLOCK + 7, 4)
+    assert threading.active_count() == before
+    assert len(calls) == failing_call  # no draw after the failing one
+
+
+def test_concurrent_samples_keep_their_bits(monkeypatch):
+    """Several callers at once, each with its own helper, with thread
+    switches forced often: every caller gets its seed's bits."""
+    monkeypatch.setattr(surrogate, "_cpu_count", lambda: 2)
+    model = parse_model(SYNTHETIC_MODEL)
+    count = 3 * _BLOCK + 7
+    want = {seed: reference_sample(model, count, seed).tobytes() for seed in range(4)}
+    got = {}
+
+    def caller(seed):
+        for _ in range(5):
+            got.setdefault(seed, set()).add(sample(model, count, seed).values.tobytes())
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(seed,)) for seed in want]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {seed: {bits} for seed, bits in want.items()}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("count", [1e4, 8192.0, True, "100"], ids=["1e4", "float", "bool", "str"])
+def test_sample_count_must_be_an_integer(monkeypatch, count):
+    def no_thread(blocks):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(surrogate, "_on_helper_thread", no_thread)
+    with pytest.raises(ValueError, match=rf"^count must be an integer, got {count!r}$"):
+        sample(parse_model(SYNTHETIC_MODEL), count, seed=1)
+
+
+def test_sample_takes_numpy_integer_counts():
+    model = parse_model(SYNTHETIC_MODEL)
+    assert sample(model, np.int64(9000), 5).values.tobytes() == sample(model, 9000, 5).values.tobytes()
+    with pytest.raises(DegenerateSamplesError):
+        sample(model, np.int64(1), seed=0)
 
 
 def test_sample_mean_identity_uniform():
