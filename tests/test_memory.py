@@ -106,3 +106,11 @@ def test_load_samples_holds_one_full_length_array(synthetic_sample, tmp_path):
     # the values, and numpy's reader with no string held per row
     peak = peak_of(lambda: load_samples(path))
     assert peak <= 1.5 * UNIT, peak / UNIT
+
+
+def test_save_samples_holds_no_string_per_value(synthetic_sample, tmp_path):
+    path = tmp_path / "samples.txt"
+    save_samples(synthetic_sample[:1000], path)
+    # one block's floats, their tuple and its text; no `str` per value
+    peak = peak_of(lambda: save_samples(synthetic_sample, path))
+    assert peak <= 0.6 * UNIT, peak / UNIT

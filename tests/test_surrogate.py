@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import re
 import sys
 import threading
@@ -122,14 +124,59 @@ def test_long_sums_are_not_limited(terms):
     source = "x ~ N(0, 1)\nf = " + " + ".join(["x"] * terms) + "\n"
     model = parse_model(source)
     assert evaluate(model, [0.5]) == 0.5 * terms
-    # compared as text: `==` on trees this deep recurses in C and overflows
     assert print_model(model) == source.replace("N(0, 1)", "N(0.0, 1.0)")
+    assert parse_model(print_model(model)) == model
     draws = sample(model, _BLOCK + 7, seed=5)
     x = np.random.default_rng(5).normal(0.0, 1.0, _BLOCK + 7)
     acc = x
     for _ in range(terms - 1):
         acc = acc + x
     assert draws.values.tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("terms", [1200, 5000])
+def test_long_sum_models_compare_print_and_pickle(terms):
+    # CPython compares, prints and pickles nested tuples recursively in C;
+    # a sum of 1200 terms used to raise RecursionError in all three
+    source = "x ~ N(0, 1)\nf = " + " + ".join(["x"] * terms) + "\n"
+    model, again = parse_model(source), parse_model(source)
+    assert model == again and hash(model) == hash(again)
+    other = parse_model(source.replace("x\n", "2*x\n"))
+    assert model != other and other != model
+    assert model != parse_model(source.replace("N(0, 1)", "N(0, 2)"))
+    tree = "('add', " * (terms - 1) + "('var', 0)" + ", ('var', 0))" * (terms - 1)
+    assert repr(model) == (
+        "SurrogateModel(names=('x',), distributions=(Distribution(kind='gaussian', "
+        f"p1=0.0, p2=1.0),), expr={tree})"
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(model, protocol))
+        assert copied == model and hash(copied) == hash(model)
+        assert print_model(copied) == print_model(model)
+    assert copy.deepcopy(model) == model
+
+
+def test_models_compare_print_and_pickle_as_dataclasses():
+    model = parse_model(SYNTHETIC_MODEL)
+    # the text the dataclass would print, and its field-wise `==` and hash
+    assert repr(model) == (
+        f"SurrogateModel(names={model.names!r}, "
+        f"distributions={model.distributions!r}, expr={model.expr!r})"
+    )
+    fields = (model.names, model.distributions, model.expr)
+    same = SurrogateModel(*fields)
+    assert same == model and hash(same) == hash(model)
+    # 2 == 2.0 in the tree, as in the tuples it is made of
+    x = ("var", 0)
+    ints = SurrogateModel(("x",), model.distributions[:1], ("mul", ("num", 2), x))
+    floats = SurrogateModel(("x",), model.distributions[:1], ("mul", ("num", 2.0), x))
+    assert ints == floats and hash(ints) == hash(floats)
+    swapped = SurrogateModel(("x",), model.distributions[:1], ("mul", x, ("num", 2.0)))
+    assert swapped != floats
+    assert model != fields and model.__eq__(fields) is NotImplemented
+    copied = pickle.loads(pickle.dumps(model))
+    assert copied == model and copied.expr == model.expr
+    assert {model: 1}[copied] == 1
 
 
 # A 200-term sum of two-variable products, deeper than MAX_DEPTH as a tree
@@ -850,7 +897,7 @@ def reference_load_samples(path) -> np.ndarray:
 def reference_save_samples(values: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for v in np.asarray(values, dtype=float):
-            fh.write(f"{float(v)!r}\n")
+            fh.write(f"{float(v):.17g}\n")
 
 
 @pytest.mark.parametrize(
@@ -996,7 +1043,8 @@ def test_load_samples_agrees_with_the_reference_on_any_file(tmp_path_factory, li
 
 
 def test_save_samples_matches_reference(tmp_path):
-    edge = [-0.0, 0.0, 5e-324, 9.999e-5, 1e-4, 1e16, 1.7976931348623157e308, -1.5, 0.1]
+    edge = [-0.0, 0.0, 5e-324, 2.0**-1022, 9.999e-5, 1e-4, 1e16, 1e17,
+            1.7976931348623157e308, -1.5, 0.1, 3.0]
     bits = np.random.default_rng(7).integers(0, 2**64, 100_000, dtype=np.uint64)
     spread = bits.view(float)  # uniform over bit patterns: every exponent
     spread = spread[np.isfinite(spread)]
@@ -1006,8 +1054,16 @@ def test_save_samples_matches_reference(tmp_path):
         reference_save_samples(values, want)
         assert got.read_bytes() == want.read_bytes()
     assert got.read_text() == ""
-    save_samples(spread, got)
-    assert load_samples(got).tobytes() == spread.tobytes()
+    # 17 significant digits read back to the same bits through every reader:
+    # numpy's text reader, the row-by-row `float()` path, and the benchmark's
+    # round-trip check, which reads with `np.loadtxt`
+    for values in (np.array(edge), spread):
+        save_samples(values, got)
+        assert load_samples(got).tobytes() == values.tobytes()
+        assert surrogate._load_rows(got, got.read_text()).tobytes() == values.tobytes()
+        assert np.loadtxt(got, dtype=float, ndmin=1).tobytes() == values.tobytes()
+    save_samples(np.array([-0.0, 3.0, -0.5000461952136379]), got)
+    assert got.read_text() == "-0\n3\n-0.50004619521363791\n"
 
 
 @pytest.mark.parametrize("shape", [(4, 1), (4, 2), ()], ids=["column", "two-columns", "scalar"])
