@@ -80,9 +80,20 @@ class MonotoneData:
                 raise InvariantViolation(f"a step exceeds 1/m = {1.0 / m}")
 
 
+def _sample_values(samples) -> np.ndarray:
+    """The samples as a float array, or `DegenerateSamplesError` naming the
+    shape of an array that is not 1-D or the count of one under 2 values."""
+    values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples, float)
+    if values.ndim != 1:
+        raise DegenerateSamplesError(f"samples must be a 1-D array, got shape {values.shape}")
+    if len(values) < 2:
+        raise DegenerateSamplesError(f"need at least 2 samples, got {len(values)}")
+    return values
+
+
 def default_delta(values: np.ndarray) -> float:
     """Margin used when none is given: 1e-3 of the sample range."""
-    values = np.asarray(values, dtype=float)
+    values = _sample_values(values)
     return 1e-3 * (float(values.max()) - float(values.min()))
 
 
@@ -94,9 +105,7 @@ def fit_transform(
     a = min - delta, b = max + delta - a; every normalized value then sits
     in [delta/b, 1 - delta/b], strictly inside (0, 1).
     """
-    values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples, float)
-    if len(values) < 2:
-        raise DegenerateSamplesError(f"need at least 2 samples, got {len(values)}")
+    values = _sample_values(samples)
     lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = hi if math.isfinite(lo) else lo

@@ -279,12 +279,24 @@ def _on_rising_pieces(kernel, model: DensityModel, k: np.ndarray, x: np.ndarray,
     return out
 
 
-def cdf_eval(model: DensityModel, x):
-    """CDF in the normalized coordinate: 0 left of the support, 1 right of it."""
+def _eval_points(model: DensityModel, x):
+    """(scalar, x, k, inside): whether `x` is a scalar, `x` as an array of
+    at least one dimension, the piece of each point, and the points clipped
+    to the support, where the piece kernels stay finite (at -inf or -1e300
+    they overflow). A NaN raises `ValueError` naming its (flat) index."""
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = _piece_index(model, x)
-    out = _on_rising_pieces(_piece_cdf, model, idx, x, model.y[idx])
+    nan = np.isnan(x)
+    if nan.any():
+        raise ValueError(f"cannot evaluate at NaN: x is nan at index {int(np.argmax(nan))}")
+    return scalar, x, _piece_index(model, x), np.clip(x, model.x[0], model.x[-1])
+
+
+def cdf_eval(model: DensityModel, x):
+    """CDF in the normalized coordinate: 0 left of the support, 1 right of it.
+    A NaN in `x` raises ValueError."""
+    scalar, x, idx, inside = _eval_points(model, x)
+    out = _on_rising_pieces(_piece_cdf, model, idx, inside, model.y[idx])
     out = np.where(x < model.x[0], 0.0, out)
     out = np.where(x > model.x[-1], 1.0, out)
     out = np.clip(out, 0.0, 1.0)
@@ -293,11 +305,10 @@ def cdf_eval(model: DensityModel, x):
 
 def pdf_eval(model: DensityModel, x):
     """Density in the normalized coordinate: derivative of the CDF, >= 0,
-    0 outside the support. Sub-epsilon negative roundoff is clamped to 0."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = _piece_index(model, x)
-    out = _on_rising_pieces(_piece_pdf, model, idx, x, np.zeros(x.shape))
+    0 outside the support. Sub-epsilon negative roundoff is clamped to 0.
+    A NaN in `x` raises ValueError."""
+    scalar, x, idx, inside = _eval_points(model, x)
+    out = _on_rising_pieces(_piece_pdf, model, idx, inside, np.zeros(x.shape))
     out = np.where((x < model.x[0]) | (x > model.x[-1]), 0.0, out)
     out = np.maximum(out, 0.0)
     return float(out[0]) if scalar else out

@@ -22,14 +22,10 @@ walkers loop along a chain of + - * / instead of recursing once per term.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
-import os
-import queue
 import re
 import reprlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -642,12 +638,8 @@ def evaluate(model: SurrogateModel, point) -> float:
 
 
 # Rows per drawn block in `sample`: each holds 2**13 doubles (64 KB) and
-# stays in cache. When a helper thread draws, two blocks are in flight and
-# the expression is evaluated `_ROWS` rows, half a block, at a time: in
-# tests/test_memory.py the synthetic model then peaks at 2.15 sample lengths,
-# against 2.21 with whole blocks and 2.17 when drawing inline.
+# stays in cache.
 _BLOCK = 1 << 13
-_ROWS = _BLOCK // 2
 
 
 def _plan(expr) -> dict[int, tuple[tuple, list[int]]]:
@@ -735,14 +727,6 @@ def _slot_leaves(node) -> list[int]:
     return slots
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _draws(model: SurrogateModel, count: int, rng: np.random.Generator, used):
     """Each variable in `used` as `_BLOCK`-row blocks, in stream order.
 
@@ -759,45 +743,6 @@ def _draws(model: SurrogateModel, count: int, rng: np.random.Generator, used):
                 yield block
 
 
-def _on_helper_thread(blocks):
-    """Iterate `blocks` on one helper thread, which draws ahead of the caller.
-
-    The helper takes a credit before each block and the caller gives it
-    back when it asks for the next one, so at most two blocks are drawn
-    and not yet done with. An exception in the helper is raised here;
-    closing this generator, when the caller is done or fails, stops and
-    joins the helper.
-    """
-    ready, credits = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        credits.put(None)
-    stop = False
-
-    def run():
-        try:
-            while True:
-                credits.get()
-                block = None if stop else next(blocks, None)
-                ready.put(block)
-                if block is None:
-                    return
-        except BaseException as exc:  # handed to the caller, which raises it
-            ready.put(exc)
-
-    helper = threading.Thread(target=run, name="gpcquad-draws", daemon=True)
-    helper.start()
-    try:
-        while (block := ready.get()) is not None:
-            if isinstance(block, BaseException):
-                raise block
-            yield block
-            credits.put(None)
-    finally:
-        stop = True
-        credits.put(None)
-        helper.join()
-
-
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     """Draw `count` i.i.d. parameter vectors and evaluate the model at each.
 
@@ -809,13 +754,6 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     arrays as long as the sample are alive at once, against the `dim + 1`
     of whole columns and the output: two for `SYNTHETIC_MODEL`, and one,
     the output, for a sum of one-variable terms.
-
-    When the process may run on more than one CPU, one helper thread draws
-    the blocks while this thread evaluates the expression on the ones
-    before them; on a single CPU the same loop draws them inline. Only one
-    thread consumes the stream, in the same order and block sizes, so the
-    values are the same bits either way, and the helper is joined before
-    `sample` returns or raises.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an integer, got {count!r}")
@@ -824,21 +762,15 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     jobs = _plan(model.expr)
     root = max(jobs, default=-1)
     slots = {}
-    # `default_rng` runs on this thread: run on the helper, it left about
-    # 0.8 MB resident in the helper's own glibc malloc arena
-    blocks, rows = _draws(model, count, np.random.default_rng(seed), jobs), _BLOCK
-    if _cpu_count() > 1:  # draw on the helper, evaluate here (see `_ROWS`)
-        blocks, rows = _on_helper_thread(blocks), _ROWS
-    with contextlib.closing(blocks), np.errstate(all="ignore"):
+    blocks = _draws(model, count, np.random.default_rng(seed), jobs)
+    with np.errstate(all="ignore"):
         for var in sorted(jobs):
             tree, done = jobs[var]
             out = slots[done[0]] if done else np.empty(count)
             for start in range(0, count, _BLOCK):
-                block = next(blocks)
-                for at in range(0, len(block), rows):
-                    part = slice(start + at, start + at + rows)
-                    views = {s: a[part] for s, a in slots.items()}
-                    out[part] = _eval_tree(tree, {var: block[at : at + rows]}, views)
+                rows = slice(start, start + _BLOCK)
+                views = {s: a[rows] for s, a in slots.items()}
+                out[rows] = _eval_tree(tree, {var: next(blocks)}, views)
             for s in done:
                 del slots[s]
             slots[var] = out
@@ -907,13 +839,25 @@ def _load_rows(path, text: str) -> np.ndarray:
     return values
 
 
+def _undecodable_line(path) -> int:
+    """The 1-based number of the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return i
+    raise AssertionError(f"{path} decodes as UTF-8")
+
+
 def load_samples(path) -> np.ndarray:
     """Read a sample file written by `save_samples` or by hand.
 
     One value per line, or a single-column CSV (blank fields beside the
     value are ignored); an optional header line; blank lines are skipped.
-    Raises `DegenerateSamplesError` for a file without values and for a
-    row that is not one finite number, naming its line.
+    Raises `DegenerateSamplesError` for a file without values, for a row
+    that is not one finite number and for a line that is not UTF-8 text,
+    naming the line.
 
     The first line that is not blank is a header if its first field is not
     a number. The rest goes through numpy's text reader, which holds no
@@ -921,29 +865,34 @@ def load_samples(path) -> np.ndarray:
     columns is read again row by row with `float()`, which gives the same
     values and names the line of the first bad row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = _first_row(fh)
-        if first is None:
-            raise DegenerateSamplesError(f"no samples in {path}")
-        try:
-            float(first.strip().split(",")[0])
-        except ValueError:  # a header: the values start on the next line
-            start = fh.tell()
-            if _first_row(fh) is None:
-                raise DegenerateSamplesError(f"no samples in {path}") from None
-            fh.seek(start)
-        else:
-            fh.seek(0)
-        try:
-            # the open file, not its name: numpy opens a name through its
-            # `_datasource`, which imports gzip, decompresses by extension
-            # and fetches URLs
-            values = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
-            fh.seek(0)
-            return _load_rows(path, fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = _first_row(fh)
+            if first is None:
+                raise DegenerateSamplesError(f"no samples in {path}")
+            try:
+                float(first.strip().split(",")[0])
+            except ValueError:  # a header: the values start on the next line
+                start = fh.tell()
+                if _first_row(fh) is None:
+                    raise DegenerateSamplesError(f"no samples in {path}") from None
+                fh.seek(start)
+            else:
+                fh.seek(0)
+            try:
+                # the open file, not its name: numpy opens a name through its
+                # `_datasource`, which imports gzip, decompresses by extension
+                # and fetches URLs
+                values = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                values = None
+            if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
+                fh.seek(0)
+                return _load_rows(path, fh.read())
+    except UnicodeDecodeError:
+        raise DegenerateSamplesError(
+            f"{path}, line {_undecodable_line(path)}: not UTF-8 text"
+        ) from None
     return values.reshape(-1)
 
 

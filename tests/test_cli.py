@@ -144,6 +144,14 @@ def test_sample_file_with_a_malformed_row(tmp_path, capsys):
         assert f"{name}.txt, row 4: expected one finite number, got {row!r}" in err
 
 
+def test_sample_file_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "bytes.txt"
+    data.write_bytes(b"1.0\n2.0\n\xff\xfe\n3.0\n")
+    code, report, err = run_cli(capsys, "fit", "--data", str(data), "--out", str(tmp_path))
+    assert code == 1 and report is None
+    assert "bytes.txt, line 3: not UTF-8 text" in err
+
+
 def test_sample_command(tmp_path, capsys):
     points = tmp_path / "diag.csv"
     save_monotone_csv(diagonal_data(6), points)

@@ -19,6 +19,7 @@ from gpcquad import (
     default_delta,
     draw_samples,
     fit_cubic,
+    fit_density,
     fit_rational,
     fit_transform,
     geometric_mean_slopes,
@@ -679,3 +680,23 @@ def test_fit_properties(data, variant):
     assert np.all(np.diff(cdf) >= -1e-15)
     assert np.all(pdf_eval(model, xs) >= 0.0)
     assert cdf_eval(model, 0.0) == 0.0 and cdf_eval(model, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_evaluators_refuse_nan(variant):
+    values = np.random.default_rng(1).normal(size=20_000)
+    model = fit_density(values, m=45, variant=variant)
+    assert model.y[-2] == model.y[-1]  # the last piece is flat
+    evaluators = (cdf_eval, pdf_eval, cdf_original, pdf_original)
+    for f in evaluators:
+        with pytest.raises(ValueError, match=r"^cannot evaluate at NaN: x is nan at index 0$"):
+            f(model, math.nan)
+        with pytest.raises(ValueError, match=r"^cannot evaluate at NaN: x is nan at index 1$"):
+            f(model, np.array([0.5, math.nan, math.nan]))
+    # far outside the support: the values of the support's ends, and no
+    # RuntimeWarning from a piece kernel evaluated out there
+    for x, cdf in ((-math.inf, 0.0), (-1e300, 0.0), (1e300, 1.0), (math.inf, 1.0)):
+        assert cdf_eval(model, x) == cdf_original(model, x) == cdf
+        assert pdf_eval(model, x) == pdf_original(model, x) == 0.0
+    np.testing.assert_array_equal(cdf_eval(model, np.array([-math.inf, math.inf])), [0.0, 1.0])
+    np.testing.assert_array_equal(pdf_eval(model, np.array([-math.inf, math.inf])), [0.0, 0.0])

@@ -11,6 +11,7 @@ import gpcquad.pipeline
 from gpcquad import (
     SYNTHETIC_MODEL,
     VARIANTS,
+    DegenerateSamplesError,
     GpcquadError,
     NumericalError,
     cdf_original,
@@ -231,3 +232,22 @@ def test_numpy_integer_degrees_are_accepted():
     assert _bits(rule_from_model(model, np.int64(4))) == _bits(rule_from_model(model, 4))
     rules = rules_from_model(model, (np.int32(2), 4))
     assert _bits(rules[2]) == _bits(rule_from_model(model, 2))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.array([]), r"need at least 2 samples, got 0$"),
+        (np.array([1.5]), r"need at least 2 samples, got 1$"),
+        (np.zeros((1000, 2)), r"samples must be a 1-D array, got shape \(1000, 2\)$"),
+        (np.ones((3, 2)), r"samples must be a 1-D array, got shape \(3, 2\)$"),
+        (np.array(2.0), r"samples must be a 1-D array, got shape \(\)$"),
+    ],
+    ids=["empty", "one", "two-columns", "ones-3x2", "0-d"],
+)
+@pytest.mark.parametrize("delta", [None, 0.1], ids=["default-delta", "delta"])
+def test_sample_arrays_must_be_1d_with_two_values(values, message, delta):
+    with pytest.raises(DegenerateSamplesError, match=message):
+        fit_density(values, m=10, delta=delta)
+    with pytest.raises(DegenerateSamplesError, match=message):
+        select_from_samples(values, 10, delta)

@@ -646,9 +646,9 @@ def test_sample_errors_in_a_later_block():
         sample(model, count, seed=2)
 
 
-# `sample` as it stood before it drew on a helper thread: one loop that
-# draws each variable's `_BLOCK`-row blocks in turn and evaluates each block
-# whole. Kept as the reference its bits must match.
+# `sample` written as one loop that draws each variable's `_BLOCK`-row
+# blocks in turn and evaluates each block whole. Kept as the reference its
+# bits must match.
 def reference_sample(model, count, seed):
     jobs = _plan(model.expr)
     root = max(jobs, default=-1)
@@ -674,11 +674,10 @@ def reference_sample(model, count, seed):
         return slots[root] if jobs else np.full(count, _eval_tree(model.expr, ()))
 
 
-@pytest.fixture(params=["thread", "inline"])
-def block_source(request, monkeypatch):
-    """Run `sample` with its blocks drawn on the helper thread, or inline as
-    on a process that may use one CPU; its value names the source."""
-    monkeypatch.setattr(surrogate, "_cpu_count", lambda: 2 if request.param == "thread" else 1)
+@pytest.fixture(params=["inline"])
+def block_source(request):
+    """Where `sample` draws its blocks: inline, on the calling thread, the
+    only source; the parameter names it in the test ids."""
     return request.param
 
 
@@ -696,9 +695,9 @@ def draws_on(monkeypatch):
 
 
 def bounded(call, *args, timeout=60):
-    """`call(*args)` on a worker thread joined with a timeout, so that a
-    helper left waiting fails the test instead of hanging it. Returns what
-    the call returns, or raises what it raised."""
+    """`call(*args)` on a worker thread named `caller`, joined with a
+    timeout, so that a call that never returns fails the test instead of
+    hanging it. Returns what the call returns, or raises what it raised."""
     outcome = {}
 
     def run():
@@ -736,17 +735,15 @@ def test_sample_has_the_reference_bits_from_either_block_source(block_source, mo
             got = bounded(sample, model, count, seed).values
             assert threading.active_count() == before
             if source == SOURCE_MODELS["constant"]:
-                assert threads == []  # nothing is drawn, no thread starts
-            elif block_source == "thread":
-                assert set(threads) == {"gpcquad-draws"}
+                assert threads == []  # nothing is drawn
             else:
-                assert set(threads) == {"caller"}
+                assert set(threads) == {"caller"}  # every draw on the calling thread
             want = reference_sample(model, count, seed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
 
 
 def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
-    # draw 16409, in the third of nine blocks: the helper must stop early
+    # draw 16409, in the third of nine blocks
     count = 8 * _BLOCK + 7
     top, _ = _first_exceeding_first_block(2, count)
     model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
@@ -776,10 +773,9 @@ def test_a_failing_draw_reaches_the_caller(block_source, monkeypatch, failing_ca
     assert len(calls) == failing_call  # no draw after the failing one
 
 
-def test_concurrent_samples_keep_their_bits(monkeypatch):
-    """Several callers at once, each with its own helper, with thread
-    switches forced often: every caller gets its seed's bits."""
-    monkeypatch.setattr(surrogate, "_cpu_count", lambda: 2)
+def test_concurrent_samples_keep_their_bits():
+    """Several callers at once, with thread switches forced often: every
+    caller gets its seed's bits."""
     model = parse_model(SYNTHETIC_MODEL)
     count = 3 * _BLOCK + 7
     want = {seed: reference_sample(model, count, seed).tobytes() for seed in range(4)}
@@ -807,12 +803,10 @@ def test_concurrent_samples_keep_their_bits(monkeypatch):
 
 @pytest.mark.parametrize("count", [1e4, 8192.0, True, "100"], ids=["1e4", "float", "bool", "str"])
 def test_sample_count_must_be_an_integer(monkeypatch, count):
-    def no_thread(blocks):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(surrogate, "_on_helper_thread", no_thread)
+    draws = draws_on(monkeypatch)
     with pytest.raises(ValueError, match=rf"^count must be an integer, got {count!r}$"):
         sample(parse_model(SYNTHETIC_MODEL), count, seed=1)
+    assert draws == []  # refused before any draw
 
 
 def test_sample_takes_numpy_integer_counts():
@@ -865,6 +859,29 @@ def test_load_samples_rejects_empty(tmp_path):
         empty.write_text(text)
         with pytest.raises(DegenerateSamplesError, match="no samples in"):
             load_samples(empty)
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"1.0\n2.0\n\xff\xfe\n3.0\n", 3),
+        (b"\xffvalue\n1.0\n2.0\n", 1),  # the header
+        (b"value\n1.0\n2.0\n3.0 \xe9\n", 4),  # Latin-1, in the numpy reader's rows
+        (b"1.0\n" * 20_000 + b"\x80\n", 20_001),  # past the text reader's first chunk
+    ],
+    ids=["row", "header", "latin-1", "late"],
+)
+def test_load_samples_names_a_line_that_is_not_utf8(tmp_path, raw, line):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(raw)
+    with pytest.raises(DegenerateSamplesError, match=rf"^{re.escape(str(path))}, line {line}: not UTF-8 text$"):
+        load_samples(path)
+
+
+def test_load_samples_reads_a_utf8_header(tmp_path):
+    path = tmp_path / "header.txt"
+    path.write_bytes("värde µ\n1.5\n-2.25\n".encode("utf-8"))
+    assert load_samples(path).tobytes() == np.array([1.5, -2.25]).tobytes()
 
 
 # The per-line loader and writer that `load_samples`/`save_samples` replaced,
