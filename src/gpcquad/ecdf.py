@@ -139,9 +139,19 @@ def fit_transform(
     return params, EmpiricalCDF(sorted_values=normalized, count=len(values))
 
 
+def _reject_nan(x) -> np.ndarray:
+    """x as a float array; a NaN raises ValueError naming its (flat) index,
+    where a search would silently place it past every value."""
+    x = np.asarray(x, dtype=float)
+    nan = np.isnan(x)
+    if nan.any():
+        raise ValueError(f"cannot evaluate at NaN: x is nan at index {int(np.argmax(nan))}")
+    return x
+
+
 def ecdf_eval(ecdf: EmpiricalCDF, x) -> float | np.ndarray:
-    """Right-continuous step estimate y(x) = #(values <= x)/N."""
-    idx = np.searchsorted(ecdf.sorted_values, x, side="right")
+    """Right-continuous step estimate y(x) = #(values <= x)/N; a NaN raises ValueError."""
+    idx = np.searchsorted(ecdf.sorted_values, _reject_nan(x), side="right")
     out = idx / ecdf.count
     return float(out) if np.isscalar(x) else out
 

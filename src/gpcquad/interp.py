@@ -10,12 +10,13 @@ Two fitting schemes over the same selected points:
 Both produce a CDF that is 0 left of the first knot, 1 right of the last,
 continuously differentiable in between, with a non-negative density.
 
-A model stores only its knots, knot values and knot slopes. Each variant
-has one CDF kernel and one density kernel per piece (`_piece_cdf`,
-`_piece_pdf`), written in plain arithmetic so that the same code evaluates
-a scalar or an array of (piece, x) pairs; evaluation, validation, inversion
-and the moment oracle all go through them. Rational pieces are evaluated in
-the Bernstein-weighted local form, whose terms are all non-negative; the
+A model stores only its knots, knot values and knot slopes; each call
+builds one table of its pieces' constants (`_pieces`). Each variant has one
+CDF kernel and one density kernel (`_cdf_t`, `_pdf_t`), written in plain
+arithmetic so that the same code evaluates a scalar or an array of (piece k,
+t = (x - x_k)/h) pairs; evaluation, validation, inversion and the moment
+oracle all go through them. Rational pieces are evaluated in the
+Bernstein-weighted local form, whose terms are all non-negative; the
 global monomial form loses roughly (interval length)^-2 worth of precision
 on narrow intervals and cannot meet the knot-interpolation tolerances.
 """
@@ -25,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ecdf import MonotoneData, TransformParams
+from .ecdf import MonotoneData, TransformParams, _reject_nan
 from .errors import InvariantViolation
 
 __all__ = [
@@ -208,13 +210,11 @@ def fit_rational(data: MonotoneData, transform: TransformParams | None = None) -
     return model
 
 
-def _cubic_monomial(model: DensityModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cubic_monomial(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-piece (c2, c3, c4) of the cubic y_k + c2 u + c3 u^2 + c4 u^3 with
     u = x - x_k. Only rising pieces use them: a flat piece is the constant y_k."""
-    dx = np.diff(model.x)
-    s = np.diff(model.y) / dx
-    d0, d1 = model.slopes[:-1], model.slopes[1:]
-    return d0, (3.0 * s - 2.0 * d0 - d1) / dx, (d0 + d1 - 2.0 * s) / dx**2
+    h, s, d0, d1 = pieces.h, pieces.s, pieces.d0, pieces.d1
+    return d0, (3.0 * s - 2.0 * d0 - d1) / h, (d0 + d1 - 2.0 * s) / h**2
 
 
 # ---------------------------------------------------------------------------
@@ -222,81 +222,90 @@ def _cubic_monomial(model: DensityModel) -> tuple[np.ndarray, np.ndarray, np.nda
 # ---------------------------------------------------------------------------
 
 
-def _piece_index(model: DensityModel, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(model.x, x, side="right") - 1
-    return np.clip(idx, 0, model.n - 2)
+_Pieces = namedtuple("_Pieces", "variant x0 x1 h y0 y1 dy d0 d1 s hd0 hd1 w v")
 
 
-def _piece_terms(model: DensityModel, k, x):
-    """(t, y0, y1, d0, d1, h) of piece k at x, with t = (x - x_k)/h."""
-    x0 = model.x[k]
-    h = model.x[k + 1] - x0
-    return (x - x0) / h, model.y[k], model.y[k + 1], model.slopes[k], model.slopes[k + 1], h
+def _pieces(model: DensityModel) -> _Pieces:
+    """Each piece's constants, once per call: piece k spans [x0[k], x1[k]],
+    of width h, from y0 to y1 (a rise of dy), with knot slopes d0, d1 and
+    chord slope s. hd0 = h d0 and hd1 = h d1 weigh the cubic Hermite form;
+    w = (y1 d0 + y0 d1)/s and v = (d0 + d1)/s are the middle Bernstein
+    weights of the rational form, kept for cubic models too, whose moment
+    oracle places breakpoints by v. Flat pieces (s = 0) get no finite w, v."""
+    x, y, d = model.x, model.y, model.slopes
+    x0, x1, y0, y1, d0, d1 = x[:-1], x[1:], y[:-1], y[1:], d[:-1], d[1:]
+    h, dy = x1 - x0, y1 - y0
+    with np.errstate(all="ignore"):
+        s = dy / h
+        w = (y1 * d0 + y0 * d1) / s
+        v = (d0 + d1) / s
+    return _Pieces(model.variant, x0, x1, h, y0, y1, dy, d0, d1, s, h * d0, h * d1, w, v)
 
 
-def _piece_cdf(model: DensityModel, k, x):
-    """CDF of the rising piece k at x, whichever piece x lies in.
+def _to_t(pieces: _Pieces, k, x):
+    return (x - pieces.x0[k]) / pieces.h[k]
 
-    k and x are scalars or equal-shape arrays. Cubic pieces use the
+
+def _cdf_t(pieces: _Pieces, k, t):
+    """CDF of the rising piece k at the piece coordinate t.
+
+    k and t are scalars or equal-shape arrays. Cubic pieces use the
     Hermite-basis form, which is exact at the knots (the monomial form loses
     ~eps*(chord slope) there, which matters on steep ramps). Rational pieces
-    use the Bernstein-weighted form, whose terms are all non-negative. Flat
-    pieces are the caller's to mask: the rational form divides by their
-    zero chord slope.
+    use the Bernstein-weighted form, whose terms are all non-negative. Each
+    constant is gathered where it is used, so that few arrays as long as t
+    are alive at once.
     """
-    t, y0, y1, d0, d1, h = _piece_terms(model, k, x)
     om = 1.0 - t
-    if model.variant == "cubic":
+    if pieces.variant == "cubic":
         return (
-            y0 * (1.0 + 2.0 * t) * om * om
-            + h * d0 * t * om * om
-            + y1 * t * t * (3.0 - 2.0 * t)
-            + h * d1 * t * t * (t - 1.0)
+            pieces.y0[k] * (1.0 + 2.0 * t) * om * om
+            + pieces.hd0[k] * t * om * om
+            + pieces.y1[k] * t * t * (3.0 - 2.0 * t)
+            + pieces.hd1[k] * t * t * (t - 1.0)
         )
-    s = (y1 - y0) / h
-    w = (y1 * d0 + y0 * d1) / s
-    v = (d0 + d1) / s
-    return (y0 * om**2 + w * t * om + y1 * t * t) / (om**2 + v * t * om + t * t)
+    num = pieces.y0[k] * om**2 + pieces.w[k] * t * om + pieces.y1[k] * t * t
+    return num / (om**2 + pieces.v[k] * t * om + t * t)
 
 
-def _piece_pdf(model: DensityModel, k, x):
-    """Density of the rising piece k at x: the derivative of `_piece_cdf`."""
-    t, y0, y1, d0, d1, h = _piece_terms(model, k, x)
+def _pdf_t(pieces: _Pieces, k, t):
+    """Density of the rising piece k at t: the derivative of `_cdf_t` in x."""
     om = 1.0 - t
-    s = (y1 - y0) / h
-    if model.variant == "cubic":
-        return d0 * om * (1.0 - 3.0 * t) + 6.0 * s * t * om + d1 * t * (3.0 * t - 2.0)
-    v = (d0 + d1) / s
-    den = om**2 + v * t * om + t * t
-    return (d0 * om**2 + 2.0 * s * t * om + d1 * t * t) / den**2
+    if pieces.variant == "cubic":
+        return (
+            pieces.d0[k] * om * (1.0 - 3.0 * t)
+            + 6.0 * pieces.s[k] * t * om
+            + pieces.d1[k] * t * (3.0 * t - 2.0)
+        )
+    num = pieces.d0[k] * om**2 + 2.0 * pieces.s[k] * t * om + pieces.d1[k] * t * t
+    return num / (om**2 + pieces.v[k] * t * om + t * t) ** 2
 
 
-def _on_rising_pieces(kernel, model: DensityModel, k: np.ndarray, x: np.ndarray, fill):
-    """kernel(model, k, x) where piece k rises, `fill` where it is flat."""
+def _on_rising_pieces(kernel, pieces: _Pieces, k: np.ndarray, t: np.ndarray, fill):
+    """kernel(pieces, k, t) where piece k rises, `fill` where it is flat."""
     out = np.array(fill, dtype=float)
-    rising = model.y[k + 1] != model.y[k]
-    out[rising] = kernel(model, k[rising], x[rising])
+    rising = (pieces.y1 != pieces.y0)[k]
+    out[rising] = kernel(pieces, k[rising], t[rising])
     return out
 
 
 def _eval_points(model: DensityModel, x):
-    """(scalar, x, k, inside): whether `x` is a scalar, `x` as an array of
-    at least one dimension, the piece of each point, and the points clipped
-    to the support, where the piece kernels stay finite (at -inf or -1e300
-    they overflow). A NaN raises `ValueError` naming its (flat) index."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nan = np.isnan(x)
-    if nan.any():
-        raise ValueError(f"cannot evaluate at NaN: x is nan at index {int(np.argmax(nan))}")
-    return scalar, x, _piece_index(model, x), np.clip(x, model.x[0], model.x[-1])
+    """(scalar, x, pieces, k, t): whether `x` is 0-d, `x` as an array of at
+    least one dimension, the piece table, each point's piece k and its t there
+    after clipping to the support, where the kernels stay finite (at -inf or
+    -1e300 they overflow). A NaN raises `ValueError` naming its (flat) index."""
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(_reject_nan(x))
+    pieces = _pieces(model)
+    k = np.clip(np.searchsorted(model.x, x, side="right") - 1, 0, model.n - 2)
+    return scalar, x, pieces, k, _to_t(pieces, k, np.clip(x, model.x[0], model.x[-1]))
 
 
 def cdf_eval(model: DensityModel, x):
     """CDF in the normalized coordinate: 0 left of the support, 1 right of it.
     A NaN in `x` raises ValueError."""
-    scalar, x, idx, inside = _eval_points(model, x)
-    out = _on_rising_pieces(_piece_cdf, model, idx, inside, model.y[idx])
+    scalar, x, pieces, k, t = _eval_points(model, x)
+    out = _on_rising_pieces(_cdf_t, pieces, k, t, pieces.y0[k])
     out = np.where(x < model.x[0], 0.0, out)
     out = np.where(x > model.x[-1], 1.0, out)
     out = np.clip(out, 0.0, 1.0)
@@ -307,8 +316,8 @@ def pdf_eval(model: DensityModel, x):
     """Density in the normalized coordinate: derivative of the CDF, >= 0,
     0 outside the support. Sub-epsilon negative roundoff is clamped to 0.
     A NaN in `x` raises ValueError."""
-    scalar, x, idx, inside = _eval_points(model, x)
-    out = _on_rising_pieces(_piece_pdf, model, idx, inside, np.zeros(x.shape))
+    scalar, x, pieces, k, t = _eval_points(model, x)
+    out = _on_rising_pieces(_pdf_t, pieces, k, t, np.zeros(x.shape))
     out = np.where((x < model.x[0]) | (x > model.x[-1]), 0.0, out)
     out = np.maximum(out, 0.0)
     return float(out[0]) if scalar else out
@@ -351,20 +360,19 @@ def _newton_step(t: np.ndarray, g, dg) -> np.ndarray:
     return np.clip(t, 0.0, 1.0, out=t)
 
 
-def _cubic_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _cubic_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Newton on rising cubic pieces k, in t = (x - x_k)/h, from the chord
     root, on g(t) = a t + (3 - 2a - b) t^2 + (a + b - 2) t^3 =
     (F - y_k)/(y_{k+1} - y_k), with a, b the knot slopes over the chord
     slope: three steps for every target, then more for the few whose CDF
     residual is still above 1e-14, so that `_polish` only confirms the start
     in one pass."""
-    h = model.x[k + 1] - model.x[k]
-    y0 = model.y[k]
-    dy = model.y[k + 1] - y0
-    a, b = h * model.slopes[k] / dy, h * model.slopes[k + 1] / dy
-    t = (target - y0) / dy  # the chord root, Newton's start
+    dy = pieces.dy[k]
+    a, b = pieces.hd0[k] / dy, pieces.hd1[k] / dy
+    t = (target - pieces.y0[k]) / dy  # the chord root, Newton's start
     g = (-t, a, 3.0 - 2.0 * a - b, a + b - 2.0)  # g(t) - z
     dg = (a, 2.0 * g[2], 3.0 * g[3])
+    del b
     for _ in range(3):
         _newton_step(t, g, dg)
     # the few that started far from their root (three steps leave some
@@ -379,24 +387,15 @@ def _cubic_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.nd
     return t
 
 
-def _rational_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _rational_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The closed-form root in theta = (x - x_k)/h of N(x) - target*D(x) = 0
     on rising rational pieces k, clipped to [0, 1]; 0.5 where none is found
-    (the polish recovers). Each knot array is dropped once it is used, so
-    that no more than about a dozen arrays as long as k are alive at once."""
-    x0 = model.x[k]
-    h = model.x[k + 1] - x0
-    y0, y1 = model.y[k], model.y[k + 1]
-    d0, d1 = model.slopes[k], model.slopes[k + 1]
-    s = (y1 - y0) / h
-    w = (y1 * d0 + y0 * d1) / s
-    v = (d0 + d1) / s
-    del x0, h, d0, d1, s
+    (the polish recovers). Each array is dropped once it is used, so that
+    few arrays as long as k are alive at once."""
     # Bernstein -> power basis in theta for (N - z*D)(theta) = 0
-    r0 = y0 - target
-    rm = w - target * v
-    r1 = y1 - target
-    del y0, y1, w, v
+    r0 = pieces.y0[k] - target
+    rm = pieces.w[k] - target * pieces.v[k]
+    r1 = pieces.y1[k] - target
     a = r0 - rm + r1
     b = rm - 2.0 * r0
     c = r0
@@ -418,37 +417,32 @@ def _rational_root(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np
     return np.minimum(np.maximum(theta, 0.0), 1.0)
 
 
-def _newton_start(model: DensityModel, k: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Starting points on rising pieces k: the converged root of each cubic
-    piece's own polynomial, or the closed-form root of each rational piece."""
-    root = (_cubic_root if model.variant == "cubic" else _rational_root)(model, k, target)
-    x0 = model.x[k]
-    return x0 + root * (model.x[k + 1] - x0)
-
-
-def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bracketed Newton on the piece CDFs, converging in the y-residual.
+def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Bracketed Newton on the piece CDFs from the start t on pieces k,
+    converging in the y-residual; returns x, in t's buffer.
 
     Stopping on the residual (not the x-interval) keeps the round trip
     cdf(inverse_cdf(y)) = y tight even where the density is steep; an
     element stops early when its bracket shrinks to the float lattice
-    because its residual cannot improve.
+    because its residual cannot improve. The brackets are the knots
+    themselves, not x_k + h, which can differ from x_{k+1} in the last bit.
     """
-    lo, hi = model.x[k], model.x[k + 1]
-    x = np.minimum(np.maximum(x, lo), hi)
+    lo, hi = pieces.x0[k], pieces.x1[k]
+    x = np.add(np.multiply(t, pieces.h[k], out=t), lo, out=t)  # the bits of x_k + t h
+    np.clip(x, lo, hi, out=x)
     todo = slice(None)  # the first pass takes every element, without copies
     for _ in range(100):
-        xa = x[todo]
-        val = _piece_cdf(model, k[todo], xa) - target[todo]
+        xa, kt = x[todo], k[todo]
+        val = _cdf_t(pieces, kt, _to_t(pieces, kt, xa)) - target[todo]
         open_ = np.abs(val) > 1e-13
         todo = np.flatnonzero(open_) if isinstance(todo, slice) else todo[open_]
-        xa, val = xa[open_], val[open_]
+        xa, kt, val = xa[open_], kt[open_], val[open_]
         if not todo.size:
             break
         above = val > 0.0
         hi[todo[above]] = xa[above]
         lo[todo[~above]] = xa[~above]
-        der = _piece_pdf(model, k[todo], xa)
+        der = _pdf_t(pieces, kt, _to_t(pieces, kt, xa))
         lo_t, hi_t = lo[todo], hi[todo]
         nxt = 0.5 * (lo_t + hi_t)
         slope = np.flatnonzero(der > 0.0)
@@ -460,9 +454,9 @@ def _polish(model: DensityModel, k: np.ndarray, target: np.ndarray, x: np.ndarra
     return x
 
 
-def _inverse(model: DensityModel, u: np.ndarray, out: np.ndarray):
+def _inverse(model: DensityModel, pieces: _Pieces, u: np.ndarray, out: np.ndarray):
     """`inverse_cdf` of the 1-D targets u in [0, 1] into `out`, without the
-    warning.
+    warning; `pieces` is the model's piece table.
 
     Returns `(plateaus, example)`: the number of targets on plateaus and,
     if there are any, `(target, lo, hi)` for the first. Each preimage
@@ -491,7 +485,8 @@ def _inverse(model: DensityModel, u: np.ndarray, out: np.ndarray):
     if inner.size == u.size:
         inner = slice(None)  # all of them, as with uniform draws: no copies
     k, target = j[inner], u[inner]
-    out[inner] = _polish(model, k, target, _newton_start(model, k, target))
+    root = _cubic_root if model.variant == "cubic" else _rational_root
+    out[inner] = _polish(pieces, k, target, root(pieces, k, target))
     return plateau.size, example
 
 
@@ -525,17 +520,17 @@ def inverse_cdf(model: DensityModel, y):
     if bad.any():
         raise ValueError(f"target CDF value must be in [0,1], got {u[bad][0]}")
     out = np.empty(u.shape)
-    plateaus, example = _inverse(model, u, out)
+    plateaus, example = _inverse(model, _pieces(model), u, out)
     if plateaus:
         _warn_plateaus(plateaus, example)
     return float(out[0]) if not shape else out.reshape(shape)
 
 
-# Draws per block in `draw_samples`. The inversion holds up to about 18
-# arrays as long as a block (the piece CDF kernel alone up to 14), so 2**12
-# doubles (32 KB) keep them under 0.6 MB, and under half an output array
-# from 2e5 draws on; 2**13 would hold twice that, and 2**11 costs more in
-# per-block overhead than it saves.
+# Draws per block in `draw_samples`. A block's draws and their inversion
+# hold up to about 14 arrays as long as the block (each piece kernel 5 of
+# its own), so 2**12 doubles (32 KB) keep them under 0.5 MB, under a third
+# of an output array from 2e5 draws on; 2**13 would hold over half of one,
+# and 2**11 costs more in per-block overhead than it saves.
 _BLOCK = 1 << 12
 
 
@@ -557,10 +552,11 @@ def draw_samples(model: DensityModel, count: int, seed: int):
     rng = np.random.default_rng(seed)
     a, b = model.transform.a, model.transform.b
     out = np.empty(count)
+    pieces = _pieces(model)
     plateaus, example = 0, None
     for start in range(0, count, _BLOCK):
         x = out[start : start + _BLOCK]
-        hits, first = _inverse(model, rng.uniform(0.0, 1.0, len(x)), x)
+        hits, first = _inverse(model, pieces, rng.uniform(0.0, 1.0, len(x)), x)
         if hits:
             plateaus += hits
             example = example or first
@@ -576,11 +572,11 @@ def draw_samples(model: DensityModel, count: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _cubic_derivative_min(model: DensityModel, rising: np.ndarray) -> np.ndarray:
+def _cubic_derivative_min(pieces: _Pieces, rising: np.ndarray) -> np.ndarray:
     """Exact minimum of each rising piece's derivative, a quadratic in u,
     over [0, h]: at both ends and at its stationary point if that is inside."""
-    h = np.diff(model.x)[rising]
-    c2, c3, c4 = (c[rising] for c in _cubic_monomial(model))
+    h = pieces.h[rising]
+    c2, c3, c4 = (c[rising] for c in _cubic_monomial(pieces))
     lo = np.minimum(c2, c2 + h * (2.0 * c3 + 3.0 * c4 * h))
     curved = np.flatnonzero(c4 != 0.0)
     u_star = -c3[curved] / (3.0 * c4[curved])
@@ -614,11 +610,12 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     elif non_finite:
         failures.append(f"non-finite values in {', '.join(non_finite)}")
     else:
+        pieces = _pieces(model)
         if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
             failures.append("endpoints not pinned to (0,0), (1,1)")
-        if not np.all(np.diff(x) > 0):
+        if not np.all(pieces.h > 0):
             failures.append("knots not strictly increasing")
-        if not np.all(np.diff(y) >= 0):
+        if not np.all(pieces.dy >= 0):
             failures.append("knot values not non-decreasing")
         if np.any(d < 0):
             failures.append("negative knot slope")
@@ -628,17 +625,17 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     if not failures:
         # Hermite conditions checked per piece at both of its ends (the
         # public evaluator would hand a shared knot to the next piece); a
-        # flat piece is the constant y_k with density 0
-        n = model.n
-        k = np.arange(n - 1)
-        rising = np.diff(y) != 0
+        # flat piece is the constant y_k with density 0; t is 0 and 1 there
+        k = np.arange(model.n - 1)
+        zero, one = np.zeros(k.size), np.ones(k.size)
+        rising = pieces.dy != 0
         d_lo = np.where(rising, d[:-1], 0.0)
         d_hi = np.where(rising, d[1:], 0.0)
-        pdf_lo = _on_rising_pieces(_piece_pdf, model, k, x[:-1], np.zeros(n - 1))
-        pdf_hi = _on_rising_pieces(_piece_pdf, model, k, x[1:], np.zeros(n - 1))
+        pdf_lo = _on_rising_pieces(_pdf_t, pieces, k, zero, zero)
+        pdf_hi = _on_rising_pieces(_pdf_t, pieces, k, one, zero)
         val_res = np.abs(np.concatenate((
-            _on_rising_pieces(_piece_cdf, model, k, x[:-1], y[:-1]) - y[:-1],
-            _on_rising_pieces(_piece_cdf, model, k, x[1:], y[:-1]) - y[1:],
+            _on_rising_pieces(_cdf_t, pieces, k, zero, y[:-1]) - y[:-1],
+            _on_rising_pieces(_cdf_t, pieces, k, one, y[:-1]) - y[1:],
         )))
         slope_res = np.concatenate((
             np.abs(pdf_lo - d_lo) / np.maximum(1.0, np.abs(d_lo)),
@@ -658,8 +655,8 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
         # exact per-piece monotonicity, roundoff measured against the
         # piece's own chord slope
         if model.variant == "cubic":
-            dmin = _cubic_derivative_min(model, rising)
-            chord = np.diff(y)[rising] / np.diff(x)[rising]
+            dmin = _cubic_derivative_min(pieces, rising)
+            chord = pieces.s[rising]
             worst_rel = np.min(dmin / np.maximum(1.0, chord), initial=0.0)
             report["derivative_min"] = float(np.min(dmin, initial=0.0))
             if worst_rel < -1e-13:

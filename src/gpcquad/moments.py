@@ -47,7 +47,7 @@ import operator
 import numpy as np
 
 from .errors import NumericalError
-from .interp import DensityModel, _cubic_monomial, _piece_pdf
+from .interp import DensityModel, _cubic_monomial, _pdf_t, _pieces, _to_t
 
 __all__ = [
     "MOMENT_CAP",
@@ -154,12 +154,13 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
     if model.variant != "cubic":
         raise ValueError(f"expected a cubic model, got {model.variant!r}")
     kmax = _check_kmax(kmax)
-    rising = np.diff(model.y) != 0
-    c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(model))
-    h = np.diff(model.x)[rising][:, None]
+    p = _pieces(model)
+    rising = p.dy != 0
+    c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(p))
+    h = p.h[rising][:, None]
     i = np.arange(kmax + 1)
     raw = h ** (i + 1) * (c2 / (i + 1) + 2.0 * c3 * h / (i + 2) + 3.0 * c4 * h * h / (i + 3))
-    return _binomial_sum(raw, model.x[:-1][rising], kmax)
+    return _binomial_sum(raw, p.x0[rising], kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +209,10 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     if model.variant != "rational":
         raise ValueError(f"expected a rational model, got {model.variant!r}")
     kmax = _check_kmax(kmax)
-    x, y, d = model.x, model.y, model.slopes
-    rising = np.diff(y) != 0
-    x0, x1, y0, y1 = x[:-1][rising], x[1:][rising], y[:-1][rising], y[1:][rising]
-    d0, d1 = d[:-1][rising], d[1:][rising]
-    h = x1 - x0
-    dy = y1 - y0
-    s = dy / h
-    w = (y1 * d0 + y0 * d1) / s
-    v = (d0 + d1) / s
+    p = _pieces(model)
+    rising = p.dy != 0
+    x0, x1, y0, y1 = p.x0[rising], p.x1[rising], p.y0[rising], p.y1[rising]
+    h, dy, w, v = p.h[rising], p.dy[rising], p.w[rising], p.v[rising]
     # centered numerator/denominator: N = A + B w + C w^2, D = D0 + D2 w^2
     A = h * h * (y0 + y1 + w) / 4.0
     B = h * dy
@@ -300,23 +296,19 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
     from scipy.integrate import quad
 
     k = _check_order(k)
-    x, y, d = model.x, model.y, model.slopes
-    pieces = []
+    p = _pieces(model)
+    integrals = []
     worst = (0.0, None)
-    for j in range(model.n - 1):
-        if y[j + 1] == y[j]:
-            continue
-        x0 = x[j]
-        h = x[j + 1] - x0
+    for j in np.flatnonzero(p.y1 != p.y0).tolist():
+        x0, h = p.x0[j], p.h[j]
         # integrate in piece-local coordinates so narrow steep pieces do not
         # starve the adaptive subdivision; rational pieces with large slope
         # sums concentrate their mass in boundary layers of width ~1/v, so
-        # force breakpoints at that scale
-        s = (y[j + 1] - y[j]) / h
-        v = (d[j] + d[j + 1]) / s
-        layer = min(0.25, 10.0 / max(v, 40.0))
+        # force breakpoints at that scale. The density is taken at the
+        # rounded x = x_j + t h, through its own t, as a caller's would be.
+        layer = min(0.25, 10.0 / max(p.v[j], 40.0))
         val, err = quad(
-            lambda t, j=j: h * (x0 + t * h) ** k * _piece_pdf(model, j, x0 + t * h),
+            lambda t, j=j: h * (x0 + t * h) ** k * _pdf_t(p, j, _to_t(p, j, x0 + t * h)),
             0.0,
             1.0,
             epsabs=1e-13,
@@ -324,7 +316,7 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
             limit=400,
             points=sorted({layer, 0.5, 1.0 - layer}),
         )
-        pieces.append(val)
+        integrals.append(val)
         if err > worst[0]:
             worst = (err, j)
     if worst[0] > 1e-9:
@@ -332,4 +324,4 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
             f"adaptive quadrature failed to converge on piece {worst[1]} "
             f"(error estimate {worst[0]:.2e})"
         )
-    return math.fsum(pieces)
+    return math.fsum(integrals)

@@ -86,6 +86,17 @@ def test_ecdf_eval_counting():
     assert ecdf_eval(cdf, 0.0999) == 0.0
 
 
+def test_ecdf_eval_refuses_nan():
+    from gpcquad import EmpiricalCDF
+
+    cdf = EmpiricalCDF(sorted_values=np.array([0.1, 0.5, 0.9]), count=3)
+    # a search sorts NaN past every value: this used to read 1.0
+    with pytest.raises(ValueError, match=r"^cannot evaluate at NaN: x is nan at index 0$"):
+        ecdf_eval(cdf, np.nan)
+    with pytest.raises(ValueError, match=r"^cannot evaluate at NaN: x is nan at index 1$"):
+        ecdf_eval(cdf, [0.5, np.nan])
+
+
 def test_ecdf_eval_distinct_value_levels(rng):
     values = rng.normal(size=50)
     _, cdf = fit_transform(values, 0.01)

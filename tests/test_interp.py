@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -36,9 +37,16 @@ from gpcquad import (
     validate_model,
 )
 from gpcquad import interp
-from gpcquad.interp import MODEL_FORMAT_VERSION, _cubic_monomial, model_from_dict, model_to_dict
+from gpcquad.interp import (
+    MODEL_FORMAT_VERSION,
+    _cubic_monomial,
+    _pieces,
+    model_from_dict,
+    model_to_dict,
+)
 from conftest import diagonal_data, random_selected_data
 
+moments_module = importlib.import_module("gpcquad.moments")
 FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
 
 
@@ -182,10 +190,14 @@ def test_linear_reproduction(variant):
     np.testing.assert_allclose(cdf_eval(model, xs), xs, atol=1e-14)
     np.testing.assert_allclose(pdf_eval(model, xs[1:-1]), 1.0, atol=1e-13)
     assert cdf_eval(model, 0.3) == pytest.approx(0.3, abs=1e-14)
+    # a 0-d array gives a float, as a Python float does (and as in inverse_cdf)
+    for f in (cdf_eval, pdf_eval):
+        got = f(model, np.array(0.3))
+        assert type(got) is float and got == f(model, 0.3)
 
 
 def test_fit_cubic_linear_coefficients():
-    c2, c3, c4 = _cubic_monomial(fit_cubic(diagonal_data(5)))
+    c2, c3, c4 = _cubic_monomial(_pieces(fit_cubic(diagonal_data(5))))
     np.testing.assert_allclose(c2, 1.0, rtol=0)
     np.testing.assert_allclose(c3, 0.0, atol=0)
     np.testing.assert_allclose(c4, 0.0, atol=0)
@@ -194,7 +206,7 @@ def test_fit_cubic_linear_coefficients():
 def test_fit_cubic_flat_first_interval():
     data = MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.0, 1.0]))
     model = fit_cubic(data)
-    np.testing.assert_array_equal([c[0] for c in _cubic_monomial(model)], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal([c[0] for c in _cubic_monomial(_pieces(model))], [0.0, 0.0, 0.0])
     xs = np.linspace(0.0, 0.49, 50)
     np.testing.assert_array_equal(pdf_eval(model, xs), np.zeros(50))
     assert cdf_eval(model, 0.25) == 0.0
@@ -359,6 +371,42 @@ def test_draw_samples_deterministic_and_in_range(rng):
     assert a.min() >= transform.a and a.max() <= transform.a + transform.b
 
 
+# The piece kernels as they stood when they took (piece, x) pairs and
+# gathered each point's knot data, kept as the reference that the kernels on
+# the piece table, in (piece, t), must match bit for bit.
+def reference_piece_terms(model, k, x):
+    x0 = model.x[k]
+    h = model.x[k + 1] - x0
+    return (x - x0) / h, model.y[k], model.y[k + 1], model.slopes[k], model.slopes[k + 1], h
+
+
+def reference_piece_cdf(model, k, x):
+    t, y0, y1, d0, d1, h = reference_piece_terms(model, k, x)
+    om = 1.0 - t
+    if model.variant == "cubic":
+        return (
+            y0 * (1.0 + 2.0 * t) * om * om
+            + h * d0 * t * om * om
+            + y1 * t * t * (3.0 - 2.0 * t)
+            + h * d1 * t * t * (t - 1.0)
+        )
+    s = (y1 - y0) / h
+    w = (y1 * d0 + y0 * d1) / s
+    v = (d0 + d1) / s
+    return (y0 * om**2 + w * t * om + y1 * t * t) / (om**2 + v * t * om + t * t)
+
+
+def reference_piece_pdf(model, k, x):
+    t, y0, y1, d0, d1, h = reference_piece_terms(model, k, x)
+    om = 1.0 - t
+    s = (y1 - y0) / h
+    if model.variant == "cubic":
+        return d0 * om * (1.0 - 3.0 * t) + 6.0 * s * t * om + d1 * t * (3.0 * t - 2.0)
+    v = (d0 + d1) / s
+    den = om**2 + v * t * om + t * t
+    return (d0 * om**2 + 2.0 * s * t * om + d1 * t * t) / den**2
+
+
 # The inversion as it stood before cubic pieces started from the converged
 # root of their own polynomial, kept as the reference for rational draws,
 # which must match it bit for bit.
@@ -401,7 +449,7 @@ def reference_polish(model, k, target, x):
     todo = np.arange(len(x))
     for _ in range(100):
         xa = x[todo]
-        val = interp._piece_cdf(model, k[todo], xa) - target[todo]
+        val = reference_piece_cdf(model, k[todo], xa) - target[todo]
         open_ = np.abs(val) > 1e-13
         todo, xa, val = todo[open_], xa[open_], val[open_]
         if not todo.size:
@@ -409,7 +457,7 @@ def reference_polish(model, k, target, x):
         above = val > 0.0
         hi[todo[above]] = xa[above]
         lo[todo[~above]] = xa[~above]
-        der = interp._piece_pdf(model, k[todo], xa)
+        der = reference_piece_pdf(model, k[todo], xa)
         lo_t, hi_t = lo[todo], hi[todo]
         nxt = 0.5 * (lo_t + hi_t)
         slope = np.flatnonzero(der > 0.0)
@@ -495,16 +543,104 @@ def test_cubic_draws_meet_the_residual_tolerance(rng, synthetic_fits):
             assert np.max(residual) <= 1e-13
 
 
+def reference_pieces(model):
+    """The piece table from the reference kernels' per-point arithmetic."""
+    k = np.arange(model.n - 1)
+    _, y0, y1, d0, d1, h = reference_piece_terms(model, k, model.x[k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (y1 - y0) / h
+        w = (y1 * d0 + y0 * d1) / s
+        v = (d0 + d1) / s
+    x0, x1 = model.x[k], model.x[k + 1]
+    return interp._Pieces(model.variant, x0, x1, h, y0, y1, y1 - y0, d0, d1, s,
+                          h * d0, h * d1, w, v)
+
+
+def reference_eval(model, x):
+    """(cdf_eval, pdf_eval) at the 1-D points x through the reference kernels."""
+    k = np.clip(np.searchsorted(model.x, x, side="right") - 1, 0, model.n - 2)
+    inside = np.clip(x, model.x[0], model.x[-1])
+    rising = model.y[k + 1] != model.y[k]
+    cdf, pdf = model.y[k], np.zeros(x.shape)
+    cdf[rising] = reference_piece_cdf(model, k[rising], inside[rising])
+    pdf[rising] = reference_piece_pdf(model, k[rising], inside[rising])
+    outside = (x < model.x[0]) | (x > model.x[-1])
+    cdf = np.clip(np.where(x > model.x[-1], 1.0, np.where(x < model.x[0], 0.0, cdf)), 0.0, 1.0)
+    return cdf, np.maximum(np.where(outside, 0.0, pdf), 0.0)
+
+
+def reference_residuals(model):
+    """validate_model's three residuals through the reference kernels, each
+    piece evaluated at its own two knots."""
+    x, y, d = model.x, model.y, model.slopes
+    k = np.arange(model.n - 1)
+    rising = np.diff(y) != 0
+
+    def at(kernel, xs, fill):
+        out = np.array(fill, dtype=float)
+        out[rising] = kernel(model, k[rising], xs[rising])
+        return out
+
+    d_lo, d_hi = np.where(rising, d[:-1], 0.0), np.where(rising, d[1:], 0.0)
+    pdf_lo = at(reference_piece_pdf, x[:-1], np.zeros(k.size))
+    pdf_hi = at(reference_piece_pdf, x[1:], np.zeros(k.size))
+    val_res = np.abs(np.concatenate((
+        at(reference_piece_cdf, x[:-1], y[:-1]) - y[:-1],
+        at(reference_piece_cdf, x[1:], y[:-1]) - y[1:],
+    )))
+    slope_res = np.concatenate((
+        np.abs(pdf_lo - d_lo) / np.maximum(1.0, np.abs(d_lo)),
+        np.abs(pdf_hi - d_hi) / np.maximum(1.0, np.abs(d_hi)),
+    ))
+    jumps = np.abs(pdf_hi[:-1] - pdf_lo[1:]) / np.maximum(1.0, np.abs(d[1:-1]))
+    return {
+        "hermite_value_max": float(np.max(val_res, initial=0.0)),
+        "hermite_slope_max": float(np.max(slope_res, initial=0.0)),
+        "c1_jump_max": float(np.max(jumps, initial=0.0)),
+    }
+
+
+def test_piece_table_keeps_the_bits_of_the_x_form_kernels(rng, synthetic_fits, monkeypatch):
+    models = list(synthetic_fits.values())
+    for _ in range(10):
+        data, transform, _ = random_selected_data(rng)
+        models += [fit(data, transform=transform) for fit in FITTERS.values()]
+    for number, model in enumerate(models):
+        table, want = _pieces(model), reference_pieces(model)
+        for name, got in zip(table._fields[1:], table[1:]):
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+        # knots, piece midpoints, points outside the support and at random
+        mid = 0.5 * (model.x[1:] + model.x[:-1])
+        xs = np.concatenate((model.x, mid, [-np.inf, -1e300, -0.5, 1.5, 1e300, np.inf],
+                             rng.uniform(0.0, 1.0, 2000)))
+        want_cdf, want_pdf = reference_eval(model, xs)
+        assert cdf_eval(model, xs).tobytes() == want_cdf.tobytes()
+        assert pdf_eval(model, xs).tobytes() == want_pdf.tobytes()
+        report = validate_model(model)
+        for name, value in reference_residuals(model).items():
+            assert report[name] == value, name
+        got_moments = moments_module.moments(model, 21)
+        got_oracle = [moments_module.numeric_moment_oracle(model, k) for k in (1, 7)] if number < 6 else []
+        with monkeypatch.context() as patch:
+            # the oracle's integrand as it stood: the x-form density at x_j + t h
+            patch.setattr(moments_module, "_pieces", reference_pieces)
+            patch.setattr(moments_module, "_to_t", lambda pieces, j, x: x)
+            patch.setattr(moments_module, "_pdf_t", lambda pieces, j, x: reference_piece_pdf(model, j, x))
+            assert got_moments.tobytes() == moments_module.moments(model, 21).tobytes()
+            if got_oracle:
+                assert got_oracle == [moments_module.numeric_moment_oracle(model, k) for k in (1, 7)]
+
+
 def test_cubic_inverse_evaluates_the_cdf_at_most_twice(synthetic_fits, monkeypatch):
     model = synthetic_fits["cubic"]
     sizes = []
-    kernel = interp._piece_cdf
+    kernel = interp._cdf_t
 
-    def counted(model, k, x):
-        sizes.append(np.size(x))
-        return kernel(model, k, x)
+    def counted(pieces, k, t):
+        sizes.append(np.size(t))
+        return kernel(pieces, k, t)
 
-    monkeypatch.setattr(interp, "_piece_cdf", counted)
+    monkeypatch.setattr(interp, "_cdf_t", counted)
     for seed in range(5):
         sizes.clear()
         inverse_cdf(model, np.random.default_rng(seed).uniform(0.0, 1.0, 20_000))
