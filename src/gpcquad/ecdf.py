@@ -153,7 +153,7 @@ def ecdf_eval(ecdf: EmpiricalCDF, x) -> float | np.ndarray:
     """Right-continuous step estimate y(x) = #(values <= x)/N; a NaN raises ValueError."""
     idx = np.searchsorted(ecdf.sorted_values, _reject_nan(x), side="right")
     out = idx / ecdf.count
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _walk(ecdf: EmpiricalCDF, m: int) -> tuple[list, list]:

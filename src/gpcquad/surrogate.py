@@ -26,6 +26,7 @@ import math
 import operator
 import re
 import reprlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -814,29 +815,29 @@ def _first_row(fh):
     return None
 
 
-def _load_rows(path, text: str) -> np.ndarray:
-    """`load_samples` on the file's text, one `float()` per row."""
-    lines = text.split("\n")
-    rows = list(filter(None, map(str.strip, lines)))
-    skip = 0
-    if rows:
-        try:
-            float(rows[0].split(",")[0])
-        except ValueError:
-            skip = 1  # header line
-    rows = rows[skip:]
-    if not rows:
-        raise DegenerateSamplesError(f"no samples in {path}")
+def _load_rows(path, fh) -> np.ndarray:
+    """`load_samples` row by row in one pass from the top of the open file
+    `fh`: one `float()` per row into a growing buffer, no string kept."""
+    fh.seek(0)
+    values = array("d")
+    header = True  # the first row that is not blank may be a header
     try:
-        values = np.fromiter(map(float, rows), float, len(rows))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        # row by row: reads CSV rows such as `1.5,`, and names the line of
-        # the first row that is not one finite number
-        numbered = [(i, ln) for i, ln in enumerate(map(str.strip, lines), 1) if ln]
-        values = np.array([_sample_row(path, i, ln) for i, ln in numbered[skip:]])
-    return values
+        for i, line in enumerate(fh, 1):
+            row = line.strip()
+            if not row:
+                continue
+            if header:
+                header = False
+                try:
+                    float(row.split(",")[0])
+                except ValueError:
+                    continue
+            values.append(_sample_row(path, i, row))
+    except DegenerateSamplesError:
+        for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
+            pass
+        raise
+    return np.frombuffer(values)
 
 
 def _undecodable_line(path) -> int:
@@ -860,10 +861,11 @@ def load_samples(path) -> np.ndarray:
     naming the line.
 
     The first line that is not blank is a header if its first field is not
-    a number. The rest goes through numpy's text reader, which holds no
-    string per row; a file it refuses or reads as non-finite or as several
-    columns is read again row by row with `float()`, which gives the same
-    values and names the line of the first bad row.
+    a number. The rest goes through numpy's text reader; a file it refuses
+    or reads as non-finite or as several columns is read again in one pass
+    row by row with `float()`, which gives the same values and names the
+    line of the first bad row. Neither path holds the file's text or a
+    string per row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -887,8 +889,7 @@ def load_samples(path) -> np.ndarray:
             except ValueError:
                 values = None
             if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
-                fh.seek(0)
-                return _load_rows(path, fh.read())
+                return _load_rows(path, fh)
     except UnicodeDecodeError:
         raise DegenerateSamplesError(
             f"{path}, line {_undecodable_line(path)}: not UTF-8 text"

@@ -84,6 +84,9 @@ def test_ecdf_eval_counting():
     assert ecdf_eval(cdf, 2.0) == 1.0
     assert ecdf_eval(cdf, 0.9) == 1.0  # right continuity: count <= x
     assert ecdf_eval(cdf, 0.0999) == 0.0
+    # a 0-d array gives a float, as a Python float does (and as in cdf_eval)
+    got = ecdf_eval(cdf, np.array(0.5))
+    assert type(got) is float and got == ecdf_eval(cdf, 0.5)
 
 
 def test_ecdf_eval_refuses_nan():

@@ -3,6 +3,7 @@ and for draw_samples and load_samples: no stage may build temporaries as
 long as the sample beyond what it returns. Peaks are read with tracemalloc,
 which numpy reports its array buffers to."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -99,11 +100,17 @@ def test_draw_samples_holds_one_full_length_array(synthetic_sample, fit):
     assert peak <= 1.5 * UNIT, peak / UNIT
 
 
-def test_load_samples_holds_one_full_length_array(synthetic_sample, tmp_path):
+@pytest.mark.parametrize("form", ["plain", "csv-header", "underscores"])
+def test_load_samples_holds_one_full_length_array(synthetic_sample, tmp_path, form):
     path = tmp_path / "samples.txt"
     save_samples(synthetic_sample, path)
-    load_samples(path)
-    # the values, and numpy's reader with no string held per row
+    if form == "csv-header":  # numpy refuses the empty second field
+        path.write_text("value,\n" + path.read_text().replace("\n", ",\n"))
+    if form == "underscores":  # numpy's reader refuses `_`, `float()` reads it
+        path.write_text(re.sub(r"(\d)(\d)", r"\1_\2", path.read_text()))
+    assert load_samples(path).tobytes() == synthetic_sample.tobytes()
+    # the values, and numpy's reader or the row-by-row pass, neither of
+    # which holds the file's text or a string per row
     peak = peak_of(lambda: load_samples(path))
     assert peak <= 1.5 * UNIT, peak / UNIT
 

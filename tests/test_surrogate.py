@@ -868,8 +868,10 @@ def test_load_samples_rejects_empty(tmp_path):
         (b"\xffvalue\n1.0\n2.0\n", 1),  # the header
         (b"value\n1.0\n2.0\n3.0 \xe9\n", 4),  # Latin-1, in the numpy reader's rows
         (b"1.0\n" * 20_000 + b"\x80\n", 20_001),  # past the text reader's first chunk
+        (b"1.0,\n" * 20_000 + b"\x80\n", 20_001),  # midway through the row-by-row pass
+        (b"1.0,\nabc\n" + b"1.0,\n" * 20_000 + b"\x80\n", 20_003),  # after a bad row
     ],
-    ids=["row", "header", "latin-1", "late"],
+    ids=["row", "header", "latin-1", "late", "late-csv", "late-after-bad-row"],
 )
 def test_load_samples_names_a_line_that_is_not_utf8(tmp_path, raw, line):
     path = tmp_path / "bytes.txt"
@@ -1077,7 +1079,8 @@ def test_save_samples_matches_reference(tmp_path):
     for values in (np.array(edge), spread):
         save_samples(values, got)
         assert load_samples(got).tobytes() == values.tobytes()
-        assert surrogate._load_rows(got, got.read_text()).tobytes() == values.tobytes()
+        with open(got, encoding="utf-8") as fh:
+            assert surrogate._load_rows(got, fh).tobytes() == values.tobytes()
         assert np.loadtxt(got, dtype=float, ndmin=1).tobytes() == values.tobytes()
     save_samples(np.array([-0.0, 3.0, -0.5000461952136379]), got)
     assert got.read_text() == "-0\n3\n-0.50004619521363791\n"
