@@ -815,12 +815,11 @@ def _first_row(fh):
     return None
 
 
-def _load_rows(path, fh) -> np.ndarray:
+def _load_rows(path, fh, header: bool) -> np.ndarray:
     """`load_samples` row by row in one pass from the top of the open file
-    `fh`: one `float()` per row into a growing buffer, no string kept."""
+    `fh`, skipping its first row that is not blank if `header`."""
     fh.seek(0)
     values = array("d")
-    header = True  # the first row that is not blank may be a header
     try:
         for i, line in enumerate(fh, 1):
             row = line.strip()
@@ -828,10 +827,7 @@ def _load_rows(path, fh) -> np.ndarray:
                 continue
             if header:
                 header = False
-                try:
-                    float(row.split(",")[0])
-                except ValueError:
-                    continue
+                continue
             values.append(_sample_row(path, i, row))
     except DegenerateSamplesError:
         for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
@@ -863,9 +859,8 @@ def load_samples(path) -> np.ndarray:
     The first line that is not blank is a header if its first field is not
     a number. The rest goes through numpy's text reader; a file it refuses
     or reads as non-finite or as several columns is read again in one pass
-    row by row with `float()`, which gives the same values and names the
-    line of the first bad row. Neither path holds the file's text or a
-    string per row.
+    of `float()` per row, which gives the same values and names the line of
+    the first bad row. Neither path holds the text or a string per row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -875,11 +870,13 @@ def load_samples(path) -> np.ndarray:
             try:
                 float(first.strip().split(",")[0])
             except ValueError:  # a header: the values start on the next line
+                header = True
                 start = fh.tell()
                 if _first_row(fh) is None:
                     raise DegenerateSamplesError(f"no samples in {path}") from None
                 fh.seek(start)
             else:
+                header = False
                 fh.seek(0)
             try:
                 # the open file, not its name: numpy opens a name through its
@@ -889,7 +886,7 @@ def load_samples(path) -> np.ndarray:
             except ValueError:
                 values = None
             if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
-                return _load_rows(path, fh)
+                return _load_rows(path, fh, header)
     except UnicodeDecodeError:
         raise DegenerateSamplesError(
             f"{path}, line {_undecodable_line(path)}: not UTF-8 text"

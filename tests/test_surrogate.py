@@ -1080,7 +1080,7 @@ def test_save_samples_matches_reference(tmp_path):
         save_samples(values, got)
         assert load_samples(got).tobytes() == values.tobytes()
         with open(got, encoding="utf-8") as fh:
-            assert surrogate._load_rows(got, fh).tobytes() == values.tobytes()
+            assert surrogate._load_rows(got, fh, False).tobytes() == values.tobytes()
         assert np.loadtxt(got, dtype=float, ndmin=1).tobytes() == values.tobytes()
     save_samples(np.array([-0.0, 3.0, -0.5000461952136379]), got)
     assert got.read_text() == "-0\n3\n-0.50004619521363791\n"
