@@ -218,7 +218,12 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
     (1,1), then splits any remaining oversized step along its straight
     segment (an atom in the data becomes a steep ramp: a continuous CDF
     cannot carry a jump).
+
+    `m` is an integer, numpy integers included; a bool or any other number
+    raises `SelectionError`.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise SelectionError(f"m must be an integer, got {m!r}")
     if m < 2:
         raise SelectionError(f"m must be at least 2, got {m}")
     sv = ecdf.sorted_values

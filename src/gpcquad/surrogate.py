@@ -12,12 +12,19 @@ Statements are separated by newlines or semicolons; `#` starts a comment.
 Supported operators: + - * / ^ (right-associative power); functions:
 exp, sin, cos, sqrt, abs.
 
-An expression may nest at most `MAX_DEPTH` (100) levels deep: at most that
-many parentheses, function calls, signs and exponents may be open at once.
-The parser recurses at every such level, so deeper input is refused with a
+A parsed expression is a postfix program, a flat tuple of instructions with
+each operand placed before the instruction that reads it (see
+`SurrogateModel`): `x0 + 2*x1` is
+`(("var", 0), ("num", 2.0), ("var", 1), ("mul",), ("add",))`. Every walker
+is one loop over that tuple with a stack of values, so programs of any
+length and depth evaluate, print, compare and pickle.
+
+Only the parser recurses. Source text may nest at most `MAX_DEPTH` (100)
+levels deep: at most that many parentheses, function calls, signs and
+exponents may be open at once. Deeper text is refused with a
 `ModelSyntaxError` rather than left to exhaust Python's recursion limit.
-Sums and products may have any number of terms: the parser and the tree
-walkers loop along a chain of + - * / instead of recursing once per term.
+Sums and products may have any number of terms: the parser loops along a
+chain of + - * /.
 """
 
 from __future__ import annotations
@@ -54,26 +61,19 @@ __all__ = [
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs")
 
-# Deepest nesting `parse_model` accepts (see the module docstring). At this
-# depth the parser uses about 600 stack frames and the tree walkers at most
-# about 400 (4 tree levels a nesting level, as in `x + x*sin(...)^x`), under
+# Deepest nesting `parse_model` accepts in source text (see the module
+# docstring). At this depth the parser uses about 600 stack frames, under
 # Python's default limit of 1000.
 MAX_DEPTH = 100
 
-# Deepest tree `parse_model` can build at MAX_DEPTH, counted as the walkers
-# recurse (a chain of + - * / is one level): each nesting level adds at most
-# four, as in `x + x*sin(...)^x`, and the innermost `x + x*x` three.
-# `SurrogateModel` refuses deeper trees, which only direct construction makes.
-_MAX_TREE_DEPTH = 4 * MAX_DEPTH + 3
+# Binary instructions: each replaces its two operands, left below right on
+# the stack, with its result.
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv, "pow": operator.pow}
 
-# Left-associative binary operators: the walkers loop down the left operands
-# of a chain of these (see `_spine`) and recurse only into the right ones.
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-# Fields after the operator in each expression node: `num` holds a value,
-# `var` a variable index, `fun` a name from FUNCTIONS and an operand node,
-# and the others their operand nodes.
-_FIELDS = {"num": 1, "var": 1, "neg": 1, "fun": 2, "pow": 2, **dict.fromkeys(_ARITH, 2)}
+# Each instruction's fields after the operator (`num` holds a value, `var` a
+# variable index and `fun` a name from FUNCTIONS) and the operands it reads.
+_SHAPES = {"num": (1, 0), "var": (1, 0), "neg": (0, 1), "fun": (1, 1), **dict.fromkeys(_BINARY, (0, 2))}
 
 # Built-in demonstration model: strongly nonlinear in all four parameters
 # and non-smooth at xi4 = 0.
@@ -126,9 +126,17 @@ class Distribution:
 
 @dataclass(frozen=True)
 class SurrogateModel:
-    """Parsed scalar model: an expression tree over declared variables.
+    """Parsed scalar model: a postfix program over declared variables.
 
-    Immutable after parsing; safe for concurrent evaluation.
+    `expr` is a flat tuple of instructions, each operand placed before the
+    instruction that reads it. `("num", v)` pushes the constant `v` and
+    `("var", i)` variable `i`; `("neg",)` and `("fun", name)` replace the
+    top value; `("add",)`, `("sub",)`, `("mul",)`, `("div",)` and `("pow",)`
+    replace the top two, left operand below right. A program built directly
+    may have any length and depth: no walker recurses over it.
+
+    Immutable after parsing; safe for concurrent evaluation. `==`, `hash`,
+    `repr` and pickling are the dataclass defaults.
     """
 
     names: tuple[str, ...]
@@ -138,124 +146,57 @@ class SurrogateModel:
     def __post_init__(self):
         """Raise `InvariantViolation` for a model the evaluators cannot run
         or `print_model` cannot print: names and distributions of different
-        lengths, an expression node of unknown operator or shape, a function
-        outside FUNCTIONS, a variable index that is not an integer in
-        [0, dim), a constant that is not a real number or is nan, or a tree
-        deeper than `parse_model` builds."""
+        lengths, an expression that is not a tuple, an instruction of
+        unknown operator or shape, a function outside FUNCTIONS, a variable
+        index that is not an integer in [0, dim), a constant that is not a
+        real number or is nan, an instruction whose operands are missing,
+        or a program that does not leave exactly one value."""
         if len(self.names) != len(self.distributions):
             raise InvariantViolation(
                 f"{len(self.names)} names for {len(self.distributions)} distributions"
             )
-        stack = [(self.expr, 0, False)]
-        while stack:
-            node, depth, left = stack.pop()
-            operands = _operands(node, self.dim)
-            # the left operand of + - * / continues the same chain
-            if not (left and node[0] in _ARITH):
-                depth += 1
-            if depth > _MAX_TREE_DEPTH:
-                raise InvariantViolation(
-                    f"expression tree is deeper than {_MAX_TREE_DEPTH} levels"
-                )
-            stack.extend((child, depth, k == 0 and node[0] in _ARITH)
-                         for k, child in enumerate(operands))
+        if not isinstance(self.expr, tuple):
+            raise InvariantViolation(f"expression {reprlib.repr(self.expr)} is not a tuple of instructions")
+        values = 0  # on the stack after each instruction
+        for k, ins in enumerate(self.expr):
+            reads = _operands(ins, self.dim)
+            if reads > values:
+                raise InvariantViolation(f"operand missing for instruction {k}, {reprlib.repr(ins)}")
+            values += 1 - reads
+        if values != 1:
+            raise InvariantViolation(f"expression program leaves {values} values, not 1")
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    # CPython compares, prints and pickles nested tuples recursively in C and
-    # stops at about 1000 levels, which a sum of 1000 terms reaches; these go
-    # through the tree's preorder instead, which no walk recurses over.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.names, self.distributions, _preorder(self.expr)) == (
-            other.names, other.distributions, _preorder(other.expr))
 
-    def __hash__(self):
-        return hash((self.names, self.distributions, _preorder(self.expr)))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(names={self.names!r}, "
-                f"distributions={self.distributions!r}, expr={_tree_repr(self.expr)})")
-
-    def __reduce__(self):
-        return _rebuild_model, (self.names, self.distributions, _preorder(self.expr))
-
-
-# Operand nodes of each expression node kind: the last fields of its node.
-_OPERANDS = {op: n - (op in ("num", "var", "fun")) for op, n in _FIELDS.items()}
-
-
-def _preorder(expr) -> tuple:
-    """The nodes of `expr` in preorder, each cut to its operator and the
-    fields that are not operand nodes. Two trees are equal exactly when
-    their preorders are, and `_rebuild_model` rebuilds a tree from one."""
-    heads, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        cut = len(node) - _OPERANDS[node[0]]
-        heads.append(node[:cut])
-        stack.extend(reversed(node[cut:]))
-    return tuple(heads)
-
-
-def _rebuild_model(names, distributions, heads) -> SurrogateModel:
-    """The model `SurrogateModel.__reduce__` pickled: its tree rebuilt from
-    its preorder, last node first, so every node's operands are built
-    before it."""
-    built = []
-    for head in reversed(heads):
-        operands = [built.pop() for _ in range(_OPERANDS[head[0]])]
-        built.append(head + tuple(operands))
-    (expr,) = built
-    return SurrogateModel(names, distributions, expr)
-
-
-def _tree_repr(expr) -> str:
-    """`repr(expr)`, written from the tree's preorder."""
-    parts, unopened = [], []  # operands not yet started, per open node
-    for head in _preorder(expr):
-        if unopened:
-            parts.append(", ")
-            unopened[-1] -= 1
-        parts.append("(" + ", ".join(map(repr, head)))
-        unopened.append(_OPERANDS[head[0]])
-        while unopened and unopened[-1] == 0:
-            parts.append(")")
-            unopened.pop()
-    return "".join(parts)
-
-
-def _operands(node, dim: int) -> tuple:
-    """The operand nodes of one expression node, after checking that the
+def _operands(ins, dim: int) -> int:
+    """The number of operands one instruction reads, after checking that the
     walkers and the printer handle it; `InvariantViolation` names it if not."""
-    op = node[0] if isinstance(node, tuple) and node else None
-    if op not in _FIELDS or len(node) != 1 + _FIELDS[op]:
-        raise InvariantViolation(f"unknown expression node {reprlib.repr(node)}")
+    op = ins[0] if isinstance(ins, tuple) and ins and isinstance(ins[0], str) else None
+    if op not in _SHAPES or len(ins) != 1 + _SHAPES[op][0]:
+        raise InvariantViolation(f"unknown instruction {reprlib.repr(ins)}")
     if op == "var":
-        index = node[1]
+        index = ins[1]
         if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
             raise InvariantViolation(
-                f"variable index {index!r} is not an integer in {reprlib.repr(node)}"
+                f"variable index {index!r} is not an integer in {reprlib.repr(ins)}"
             )
         if not 0 <= index < dim:
             raise InvariantViolation(f"variable index {index} is outside [0, {dim})")
-        return ()
-    if op == "num":
-        value = node[1]
+    elif op == "num":
+        value = ins[1]
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise InvariantViolation(f"constant {value!r} is not a real number in {reprlib.repr(node)}")
+            raise InvariantViolation(f"constant {value!r} is not a real number in {reprlib.repr(ins)}")
         if math.isnan(value):  # no model text yields one, and none prints
-            raise InvariantViolation(f"constant nan in {reprlib.repr(node)}")
-        return ()
-    if op == "fun" and node[1] not in FUNCTIONS:
+            raise InvariantViolation(f"constant nan in {reprlib.repr(ins)}")
+    elif op == "fun" and ins[1] not in FUNCTIONS:
         raise InvariantViolation(
-            f"unknown function {node[1]!r} in {reprlib.repr(node)}; "
+            f"unknown function {ins[1]!r} in {reprlib.repr(ins)}; "
             f"expected one of {', '.join(FUNCTIONS)}"
         )
-    return node[2:] if op == "fun" else node[1:]
+    return _SHAPES[op][1]
 
 
 @dataclass(frozen=True)
@@ -311,10 +252,14 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent over one statement's tokens; the expression methods
+    append its postfix program to `code`."""
+
     def __init__(self, tokens, var_index):
         self.tokens = tokens
         self.i = 0
         self.var_index = var_index
+        self.code = []
         self.open = 0  # parentheses, function calls, signs and exponents open
 
     def peek(self):
@@ -340,72 +285,74 @@ class _Parser:
         if self.open == MAX_DEPTH:
             self.error(f"expression nests deeper than {MAX_DEPTH} levels")
         self.open += 1
-        node = parse()
+        parse()
         self.open -= 1
-        return node
 
     def expr(self):
-        node = self.term()
+        self.term()
         while True:
             kind, text, _, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
-                rhs = self.term()
-                node = ("add" if text == "+" else "sub", node, rhs)
+                self.term()
+                self.code.append(("add",) if text == "+" else ("sub",))
             else:
-                return node
+                return
 
     def term(self):
-        node = self.unary()
+        self.unary()
         while True:
             kind, text, _, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
-                rhs = self.unary()
-                node = ("mul" if text == "*" else "div", node, rhs)
+                self.unary()
+                self.code.append(("mul",) if text == "*" else ("div",))
             else:
-                return node
+                return
 
     def unary(self):
         kind, text, _, _ = self.peek()
         if kind == "op" and text in "+-":
             self.next()
-            child = self.nested(self.unary)
-            return child if text == "+" else ("neg", child)
-        return self.power()
+            self.nested(self.unary)
+            if text == "-":
+                self.code.append(("neg",))
+        else:
+            self.power()
 
     def power(self):
-        base = self.atom()
+        self.atom()
         kind, text, _, _ = self.peek()
         if kind == "op" and text == "^":
             self.next()
-            return ("pow", base, self.nested(self.unary))
-        return base
+            self.nested(self.unary)
+            self.code.append(("pow",))
 
     def atom(self):
         kind, text, line, col = self.peek()
         if kind == "num":
             self.next()
-            return ("num", float(text))
-        if kind == "name":
+            self.code.append(("num", float(text)))
+        elif kind == "name":
             self.next()
             nkind, ntext, _, _ = self.peek()
             if nkind == "op" and ntext == "(":
                 if text not in FUNCTIONS:
                     raise ModelSyntaxError(f"unknown function {text!r}", line, col)
                 self.next()
-                arg = self.nested(self.expr)
+                self.nested(self.expr)
                 self.expect_op(")")
-                return ("fun", text, arg)
-            if text not in self.var_index:
+                self.code.append(("fun", text))
+            elif text in self.var_index:
+                self.code.append(("var", self.var_index[text]))
+            else:
                 raise ModelSyntaxError(f"undeclared variable {text!r}", line, col)
-            return ("var", self.var_index[text])
-        if kind == "op" and text == "(":
+        elif kind == "op" and text == "(":
             self.next()
-            node = self.nested(self.expr)
+            self.nested(self.expr)
             self.expect_op(")")
-            return node
-        self.error("expected a number, variable, function call or '('")
+        else:
+            self.error("expected a number, variable, function call or '('")
 
 
 def _parse_signed_number(p: _Parser) -> float:
@@ -485,11 +432,12 @@ def parse_model(source: str) -> SurrogateModel:
             if nkind != "op" or ntext != "=":
                 raise ModelSyntaxError("expected '=' after 'f'", nline, ncol)
             try:
-                expr = p.expr()
+                p.expr()
             except RecursionError:  # only when called from an already deep stack
                 raise ModelSyntaxError("expression nests too deeply to parse", line, col) from None
             if p.peek()[0] != "eof":
                 p.error("unexpected trailing input after expression")
+            expr = tuple(p.code)
         else:
             raise ModelSyntaxError(
                 "expected a declaration 'name ~ N(...)' or 'f = <expr>'", line, col
@@ -499,27 +447,21 @@ def parse_model(source: str) -> SurrogateModel:
     return SurrogateModel(tuple(names), tuple(dists), expr)
 
 
-def _spine(node) -> tuple[tuple, list[tuple]]:
-    """Split `node` into its chain of + - * / nodes and the first operand.
-
-    Returns `(first, links)`: `links` are the chain's nodes, innermost
-    first, each with the one before it (or `first`) as its left operand.
-    A node that is not + - * / is its own `first`, with no links.
-    """
-    links = []
-    while node[0] in _ARITH:
-        links.append(node)
-        node = node[1]
-    links.reverse()
-    return node, links
-
-
 # ---------------------------------------------------------------------------
 # canonical printer (parse . print . parse == parse)
 # ---------------------------------------------------------------------------
 
 _ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
-_SIGNS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
+
+# Each binary instruction as text: its sign, the precedence of its result,
+# and the least precedence its left and its right operand keep unbracketed.
+_INFIX = {
+    "add": (" + ", _ADDSUB, _ADDSUB, _MULDIV),
+    "sub": (" - ", _ADDSUB, _ADDSUB, _MULDIV),
+    "mul": ("*", _MULDIV, _MULDIV, _NEG),
+    "div": ("/", _MULDIV, _MULDIV, _NEG),
+    "pow": ("^", _POW, _ATOM, _NEG),
+}
 
 
 def _number(value) -> str:
@@ -531,43 +473,8 @@ def _number(value) -> str:
     )
 
 
-def _fmt(node) -> tuple[str, int]:
-    op = node[0]
-    if op == "num":
-        text = _number(node[1])
-        # a negative constant prints as a negation, and binds like one
-        return text, _NEG if text.startswith("-") else _ATOM
-    if op == "var":
-        return f"@{node[1]}", _ATOM  # placeholder, replaced by caller
-    if op == "fun":
-        arg, _ = _fmt(node[2])
-        return f"{node[1]}({arg})", _ATOM
-    if op == "neg":
-        body, prec = _fmt(node[1])
-        if prec <= _MULDIV:
-            body = f"({body})"
-        return f"-{body}", _NEG
-    if op in _ARITH:
-        first, links = _spine(node)
-        lt, lp = _fmt(first)
-        for link in links:
-            rt, rp = _fmt(link[2])
-            level = _ADDSUB if link[0] in ("add", "sub") else _MULDIV
-            if lp < level:
-                lt = f"({lt})"
-            if rp <= level:
-                rt = f"({rt})"
-            lt, lp = f"{lt}{_SIGNS[link[0]]}{rt}", level
-        return lt, lp
-    if op == "pow":
-        lt, lp = _fmt(node[1])
-        rt, rp = _fmt(node[2])
-        if lp <= _POW:
-            lt = f"({lt})"
-        if rp < _NEG:
-            rt = f"({rt})"
-        return f"{lt}^{rt}", _POW
-    raise AssertionError(f"unreachable node {op!r}")
+def _bracket(text: str, prec: int, least: int) -> str:
+    return f"({text})" if prec < least else text
 
 
 def print_model(model: SurrogateModel) -> str:
@@ -576,8 +483,24 @@ def print_model(model: SurrogateModel) -> str:
     for name, dist in zip(model.names, model.distributions):
         letter = "N" if dist.kind == "gaussian" else "U"
         lines.append(f"{name} ~ {letter}({_number(dist.p1)}, {_number(dist.p2)})")
-    body, _ = _fmt(model.expr)
-    body = re.sub(r"@(\d+)", lambda m: model.names[int(m.group(1))], body)
+    stack = []  # (text, precedence) of each value
+    for ins in model.expr:
+        op = ins[0]
+        if op == "num":
+            text = _number(ins[1])
+            # a negative constant prints as a negation, and binds like one
+            stack.append((text, _NEG if text.startswith("-") else _ATOM))
+        elif op == "var":
+            stack.append((model.names[ins[1]], _ATOM))
+        elif op == "fun":
+            stack[-1] = (f"{ins[1]}({stack[-1][0]})", _ATOM)
+        elif op == "neg":
+            stack[-1] = ("-" + _bracket(*stack[-1], _NEG), _NEG)
+        else:
+            sign, prec, left, right = _INFIX[op]
+            (lt, lp), (rt, rp) = stack[-2:]
+            stack[-2:] = [(_bracket(lt, lp, left) + sign + _bracket(rt, rp, right), prec)]
+    ((body, _),) = stack
     lines.append(f"f = {body}")
     return "\n".join(lines) + "\n"
 
@@ -587,40 +510,39 @@ def print_model(model: SurrogateModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval_tree(node, columns, slots=()):
-    """Value of `node`: a `var` leaf reads `columns`, a `slot` leaf `slots`.
+def _eval_program(program, columns, slots=()):
+    """Value of `program`: a `var` instruction reads `columns`, a `slot`
+    instruction `slots`.
 
     Constants are `np.float64`, so a constant subexpression such as `1/0`,
     `10^400` or `(0-2)^0.5` yields inf or nan for the non-finite checks
-    instead of a Python exception or a complex number.
+    instead of a Python exception or a complex number. Each instruction
+    replaces its operands on the stack in place: no local name holds an
+    operand, which would keep its block alive past the instruction.
     """
-    op = node[0]
-    if op == "num":
-        return np.float64(node[1])
-    if op == "var":
-        return columns[node[1]]
-    if op == "slot":
-        return slots[node[1]]
-    if op in _ARITH:
-        first, links = _spine(node)
-        acc = _eval_tree(first, columns, slots)
-        for link in links:
-            acc = _ARITH[link[0]](acc, _eval_tree(link[2], columns, slots))
-        return acc
-    if op == "neg":
-        return -_eval_tree(node[1], columns, slots)
-    if op == "fun":
-        arg = _eval_tree(node[2], columns, slots)
-        if node[1] == "sqrt":
-            if np.any(np.asarray(arg) < 0):
-                raise EvaluationError("sqrt of a negative argument")
-            return np.sqrt(arg)
-        if node[1] == "abs":
-            return np.abs(arg)
-        return getattr(np, node[1])(arg)
-    if op == "pow":
-        return _eval_tree(node[1], columns, slots) ** _eval_tree(node[2], columns, slots)
-    raise AssertionError(f"unreachable node {op!r}")
+    stack = []
+    for ins in program:
+        op = ins[0]
+        if op in _BINARY:
+            stack[-2:] = [_BINARY[op](stack[-2], stack[-1])]
+        elif op == "num":
+            stack.append(np.float64(ins[1]))
+        elif op == "var":
+            stack.append(columns[ins[1]])
+        elif op == "slot":
+            stack.append(slots[ins[1]])
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        else:
+            stack[-1] = _function(ins[1], stack[-1])
+    (value,) = stack
+    return value
+
+
+def _function(name: str, arg):
+    if name == "sqrt" and np.any(np.asarray(arg) < 0):
+        raise EvaluationError("sqrt of a negative argument")
+    return getattr(np, name)(arg)
 
 
 def evaluate(model: SurrogateModel, point) -> float:
@@ -631,7 +553,7 @@ def evaluate(model: SurrogateModel, point) -> float:
             f"point has shape {point.shape}, model expects ({model.dim},)"
         )
     with np.errstate(all="ignore"):
-        value = _eval_tree(model.expr, list(point))
+        value = _eval_program(model.expr, list(point))
     value = float(value)
     if not np.isfinite(value):
         raise EvaluationError(f"model evaluated to a non-finite value at {point.tolist()}")
@@ -643,89 +565,62 @@ def evaluate(model: SurrogateModel, point) -> float:
 _BLOCK = 1 << 13
 
 
-def _plan(expr) -> dict[int, tuple[tuple, list[int]]]:
-    """Split `expr` into the jobs `{var: (tree, done)}` that `sample` runs.
+def _lasts(program):
+    """Each instruction of `program`, with the last variables of the operands
+    it reads and of the value it leaves (-1 for a constant)."""
+    stack = []
+    for ins in program:
+        cut = len(stack) - _SHAPES[ins[0]][1]
+        kids = stack[cut:]
+        del stack[cut:]
+        stack.append(max(kids) if kids else ins[1] if ins[0] == "var" else -1)
+        yield ins, kids, stack[-1]
+
+
+def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
+    """Split `program` into the jobs `{var: (program, done)}` that `sample` runs.
 
     Job `var` is evaluated block by block while variable `var` is drawn,
-    into the sample-long slot `var`, which a parent reads through the leaf
-    `("slot", var)`; `done` lists the slots it is the last to read.
-    A subtree whose last-drawn variable comes before its parent's is cut
-    out as the job of that variable, unless that variable would have more
-    than one such subtree: then its job is its drawn column, and those
-    subtrees stay in their parents, reading it. So each variable has at most
-    one slot, and constant subtrees stay in place. The root is the job of
-    its last variable; a constant expression has no job.
+    into the sample-long slot `var`, which a later job reads through the
+    instruction `("slot", var)`; `done` lists the slots it is the last to
+    read. An operand whose last-drawn variable comes before that of the
+    instruction reading it is cut out as the job of that variable, unless
+    that variable would have more than one such operand: then its job is
+    its drawn column, and those operands stay in place, reading it. So each
+    variable has at most one slot, and constant operands stay in place. The
+    whole program is the job of its last variable; a constant expression has
+    no job.
     """
-    last = {}  # id(node) -> last variable in node, -1 for a constant
-    cuts = {}  # variable -> number of subtrees cut out for it
-
-    def note(node, kids):  # record `node`, whose operands' last variables are `kids`
-        v = max(kids)
+    cuts = {}  # variable -> number of operands cut out for it
+    for _, kids, v in _lasts(program):
         for k in kids:
             if 0 <= k < v:
                 cuts[k] = cuts.get(k, 0) + 1
-        last[id(node)] = v
-        return v
-
-    def scan(node):  # loops along a chain of + - * / (see `_spine`)
-        first, links = _spine(node)
-        op = first[0]
-        if op in ("num", "var"):
-            v = last[id(first)] = first[1] if op == "var" else -1
-        else:
-            kids = []
-            for c in first[1:]:
-                if isinstance(c, tuple):
-                    kids.append(scan(c))
-            v = note(first, kids)
-        for link in links:
-            v = note(link, [v, scan(link[2])])
-        return v
-
-    root = scan(expr)
     columns = {v for v, n in cuts.items() if n > 1}
-    jobs = {v: ("var", v) for v in columns}
-
-    def hold(node, tree, parent):  # `tree`, the cut `node`, as `parent` reads it
-        v = last[id(node)]
-        if 0 <= v < last[id(parent)] and v not in columns:
-            jobs[v] = tree
-            return ("slot", v)
-        return tree
-
-    def cut(node):  # node with its cut subtrees and column variables as slot leaves
-        first, links = _spine(node)
-        op = first[0]
-        if op in ("num", "var"):
-            tree = ("slot", first[1]) if op == "var" and first[1] in columns else first
-        else:
-            kids = []
-            for c in first[1:]:
-                kids.append(hold(c, cut(c), first) if isinstance(c, tuple) else c)
-            tree = (op, *kids)
-        for below, link in zip([first, *links], links):
-            tree = (link[0], hold(below, tree, link), hold(link[2], cut(link[2]), link))
-        return tree
-
-    tree = cut(expr)
-    if root >= 0:
-        jobs[root] = tree
+    jobs = {v: (("var", v),) for v in columns}
+    parts = []  # the instructions left in place for each value on the stack
+    for ins, kids, v in _lasts(program):
+        operands = parts[len(parts) - len(kids):]
+        del parts[len(parts) - len(kids):]
+        for i, k in enumerate(kids):
+            if 0 <= k < v and k not in columns:
+                jobs[k] = tuple(operands[i])
+                operands[i] = [("slot", k)]
+        if ins[0] == "var" and v in columns:
+            ins = ("slot", v)
+        part = operands[0] if operands else []
+        for operand in operands[1:]:
+            part += operand  # in place: a long sum's left operand is not copied
+        part.append(ins)
+        parts.append(part)
+    if v >= 0:
+        jobs[v] = tuple(part)
     reader = {}  # slot -> last job that reads it
     for v in sorted(jobs):
-        for s in _slot_leaves(jobs[v]):
-            reader[s] = v
-    return {v: (t, [s for s in sorted(reader) if reader[s] == v]) for v, t in jobs.items()}
-
-
-def _slot_leaves(node) -> list[int]:
-    slots, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        if node[0] == "slot":
-            slots.append(node[1])
-        else:
-            stack.extend(c for c in node[1:] if isinstance(c, tuple))
-    return slots
+        for ins in jobs[v]:
+            if ins[0] == "slot":
+                reader[ins[1]] = v
+    return {v: (p, [s for s in sorted(reader) if reader[s] == v]) for v, p in jobs.items()}
 
 
 def _draws(model: SurrogateModel, count: int, rng: np.random.Generator, used):
@@ -748,7 +643,7 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     """Draw `count` i.i.d. parameter vectors and evaluate the model at each.
 
     Deterministic for a fixed seed: one PCG64 stream, each variable's
-    `count` draws in declaration order (see `_draws`). Every subtree of the
+    `count` draws in declaration order (see `_draws`). Every operand of the
     expression is evaluated while its last variable is drawn, into a
     `count`-long slot that reuses the buffer of a slot it is the last to
     read (see `_plan`). Each variable has at most one slot, so at most `dim`
@@ -766,20 +661,21 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     blocks = _draws(model, count, np.random.default_rng(seed), jobs)
     with np.errstate(all="ignore"):
         for var in sorted(jobs):
-            tree, done = jobs[var]
+            program, done = jobs[var]
             out = slots[done[0]] if done else np.empty(count)
             for start in range(0, count, _BLOCK):
                 rows = slice(start, start + _BLOCK)
                 views = {s: a[rows] for s, a in slots.items()}
-                out[rows] = _eval_tree(tree, {var: next(blocks)}, views)
+                out[rows] = _eval_program(program, {var: next(blocks)}, views)
             for s in done:
                 del slots[s]
             slots[var] = out
-        values = slots[root] if jobs else np.full(count, _eval_tree(model.expr, ()))
+        values = slots[root] if jobs else np.full(count, _eval_program(model.expr, ()))
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"model evaluated to a non-finite value at draw {bad}")
     return SampleSet(values=values, count=count, seed=seed)
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,13 @@ def test_select_points_m_guard(rng):
     _, cdf = fit_transform(rng.normal(size=100), 0.01)
     with pytest.raises(SelectionError):
         select_points(cdf, 1)
+    # formerly an untyped TypeError from inside the chord walk
+    for m in (45.5, 2.0, np.float64(10), True, "10"):
+        with pytest.raises(SelectionError, match=rf"^m must be an integer, got {re.escape(repr(m))}$"):
+            select_points(cdf, m)
+    got = select_points(cdf, np.int64(10))
+    want = select_points(cdf, 10)
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 def test_select_points_resolution_error():

@@ -27,17 +27,57 @@ from gpcquad import (
     save_samples,
 )
 from gpcquad import surrogate
-from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _eval_tree, _plan
+from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _eval_program, _plan
 from test_memory import PRODUCTS, SUM_OF_TERMS
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
+
+
+# Expression trees as nested tuples, for the strategies and references here:
+# `(op, *fields, *operands)`, where `num` holds a value, `var` a variable
+# index and `fun` a function name before its operand.
+def program(tree):
+    """The postfix program `SurrogateModel.expr` holds for `tree`: each
+    node's operands, left to right, then the node without them."""
+    out, stack = [], [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        head = node[:2] if node[0] in ("num", "var", "fun") else node[:1]
+        operands = node[len(head):]
+        if expanded or not operands:
+            out.append(head)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(operands))
+    return tuple(out)
+
+
+def tree_of(code):
+    """The expression tree of a postfix program: the inverse of `program`."""
+    stack = []
+    for ins in code:
+        reads = {"num": 0, "var": 0, "neg": 1, "fun": 1}.get(ins[0], 2)
+        operands = tuple(stack[len(stack) - reads:])
+        del stack[len(stack) - reads:]
+        stack.append(ins + operands)
+    (tree,) = stack
+    return tree
+
+
+def test_parse_builds_the_postfix_program():
+    model = parse_model("a ~ N(0, 1)\nb ~ U(0, 1)\nf = -a^2 - exp(b/a)\n")
+    tree = ("sub", ("neg", ("pow", ("var", 0), ("num", 2.0))),
+            ("fun", "exp", ("div", ("var", 1), ("var", 0))))
+    code = (("var", 0), ("num", 2.0), ("pow",), ("neg",), ("var", 1), ("var", 0),
+            ("div",), ("fun", "exp"), ("sub",))
+    assert model.expr == code == program(tree) and tree_of(code) == tree
 
 
 def test_parse_identity_gaussian():
     model = parse_model("xi1 ~ N(0,1); f = xi1")
     assert model.names == ("xi1",)
     assert model.distributions[0].kind == "gaussian"
-    assert model.expr == ("var", 0)
+    assert model.expr == (("var", 0),)
 
 
 def test_parse_synthetic_model():
@@ -112,15 +152,15 @@ def test_parse_accepts_the_depth_limit():
     draws = sample(model, 3 * _BLOCK, seed=5)
     x = np.random.default_rng(5).normal(0.0, 1.0, 3 * _BLOCK)
     acc = x
-    for _ in range(MAX_DEPTH - 1):  # the tree's own order of additions
+    for _ in range(MAX_DEPTH - 1):  # the parsed order of additions
         acc = acc + x
     assert draws.values.tobytes() == acc.tobytes()
 
 
 @pytest.mark.parametrize("terms", [900, 1200, 20000])
 def test_long_sums_are_not_limited(terms):
-    # the walkers loop along a sum; 900 and 1200 terms used to end in a
-    # bare RecursionError
+    # the walkers loop over a program; 900 and 1200 terms used to end in a
+    # bare RecursionError when they recursed over a tree
     source = "x ~ N(0, 1)\nf = " + " + ".join(["x"] * terms) + "\n"
     model = parse_model(source)
     assert evaluate(model, [0.5]) == 0.5 * terms
@@ -136,18 +176,19 @@ def test_long_sums_are_not_limited(terms):
 
 @pytest.mark.parametrize("terms", [1200, 5000])
 def test_long_sum_models_compare_print_and_pickle(terms):
-    # CPython compares, prints and pickles nested tuples recursively in C;
-    # a sum of 1200 terms used to raise RecursionError in all three
+    # a sum of 1200 terms used to raise RecursionError in all three as a
+    # tree of nested tuples, which CPython walks recursively in C
     source = "x ~ N(0, 1)\nf = " + " + ".join(["x"] * terms) + "\n"
     model, again = parse_model(source), parse_model(source)
     assert model == again and hash(model) == hash(again)
     other = parse_model(source.replace("x\n", "2*x\n"))
     assert model != other and other != model
     assert model != parse_model(source.replace("N(0, 1)", "N(0, 2)"))
-    tree = "('add', " * (terms - 1) + "('var', 0)" + ", ('var', 0))" * (terms - 1)
+    code = (("var", 0),) + (("var", 0), ("add",)) * (terms - 1)
+    assert model.expr == code
     assert repr(model) == (
         "SurrogateModel(names=('x',), distributions=(Distribution(kind='gaussian', "
-        f"p1=0.0, p2=1.0),), expr={tree})"
+        f"p1=0.0, p2=1.0),), expr={code!r})"
     )
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copied = pickle.loads(pickle.dumps(model, protocol))
@@ -166,12 +207,12 @@ def test_models_compare_print_and_pickle_as_dataclasses():
     fields = (model.names, model.distributions, model.expr)
     same = SurrogateModel(*fields)
     assert same == model and hash(same) == hash(model)
-    # 2 == 2.0 in the tree, as in the tuples it is made of
+    # 2 == 2.0 in the program, as in the tuples it is made of
     x = ("var", 0)
-    ints = SurrogateModel(("x",), model.distributions[:1], ("mul", ("num", 2), x))
-    floats = SurrogateModel(("x",), model.distributions[:1], ("mul", ("num", 2.0), x))
+    ints = SurrogateModel(("x",), model.distributions[:1], program(("mul", ("num", 2), x)))
+    floats = SurrogateModel(("x",), model.distributions[:1], program(("mul", ("num", 2.0), x)))
     assert ints == floats and hash(ints) == hash(floats)
-    swapped = SurrogateModel(("x",), model.distributions[:1], ("mul", x, ("num", 2.0)))
+    swapped = SurrogateModel(("x",), model.distributions[:1], program(("mul", x, ("num", 2.0))))
     assert swapped != floats
     assert model != fields and model.__eq__(fields) is NotImplemented
     copied = pickle.loads(pickle.dumps(model))
@@ -180,6 +221,7 @@ def test_models_compare_print_and_pickle_as_dataclasses():
 
 
 # A 200-term sum of two-variable products, deeper than MAX_DEPTH as a tree
+# of nested tuples
 SUM_OF_PRODUCTS = (
     "x0 ~ U(-1, 1)\nx1 ~ N(0, 1)\nf = "
     + " + ".join(["x0*x1"] + [f"x0^{k}*x1" for k in range(2, 201)])
@@ -198,8 +240,8 @@ def test_sum_of_200_products_keeps_its_bits():
     )
 
 
-# The deepest tree the parser builds at MAX_DEPTH: each call to sin opens one
-# level and adds four tree levels (sum, product, power, call).
+# Source text at MAX_DEPTH: each call to cos opens one level, inside a sum,
+# a product and a power.
 DEEPEST_SOURCE = "x + x*x"
 for _ in range(MAX_DEPTH):
     DEEPEST_SOURCE = f"x + x*cos({DEEPEST_SOURCE})^2"
@@ -212,25 +254,32 @@ def test_the_deepest_parsed_model_constructs():
     assert np.isfinite(sample(model, 100, seed=3).values).all()
 
 
-def _neg_chain(levels):
-    node = ("var", 0)
-    for _ in range(levels):
-        node = ("neg", node)
-    return node
+def test_a_1200_deep_program_constructs_evaluates_pickles_and_samples():
+    # 1200 nested negations: formerly refused as a tree deeper than the
+    # parser builds, since the walkers recursed over trees
+    model = SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),), (("var", 0),) + (("neg",),) * 1200)
+    assert evaluate(model, [0.3]) == 0.3
+    assert print_model(model).endswith("\nf = " + "-" * 1200 + "x\n")
+    copied = pickle.loads(pickle.dumps(model))
+    assert copied == model and hash(copied) == hash(model)
+    x = np.random.default_rng(5).normal(0.0, 1.0, _BLOCK + 7)
+    assert sample(copied, _BLOCK + 7, seed=5).values.tobytes() == x.tobytes()
 
 
 BAD_MODELS = {
-    "names-and-distributions": (("x", "y"), ("var", 0), "2 names for 1 distributions"),
-    "variable-index": (("x",), ("add", ("var", 0), ("var", 1)), r"variable index 1 is outside \[0, 1\)"),
-    "one-level-too-deep": (("x",), ("neg", parse_model(DEEPEST_SOURCE).expr), "deeper than 403 levels"),
-    "1200-neg": (("x",), _neg_chain(1200), "deeper than 403 levels"),
+    "names-and-distributions": (("x", "y"), (("var", 0),), "2 names for 1 distributions"),
+    "variable-index": (("x",), program(("add", ("var", 0), ("var", 1))), r"variable index 1 is outside \[0, 1\)"),
     # formerly a bare AssertionError from `evaluate`
-    "unknown-operator": (("x",), ("foo", ("var", 0)), r"unknown expression node \('foo', \('var', 0\)\)"),
+    "unknown-operator": (("x",), (("var", 0), ("foo",)), r"unknown instruction \('foo',\)"),
     # formerly evaluated through numpy, then printed as text `parse_model` rejects
-    "unknown-function": (("x",), ("fun", "tan", ("var", 0)), r"unknown function 'tan' in \('fun', 'tan', "),
+    "unknown-function": (("x",), (("var", 0), ("fun", "tan")), r"unknown function 'tan' in \('fun', 'tan'\)"),
     # formerly a bare TypeError from the constructor itself
-    "non-integer-index": (("x",), ("var", "x"), r"variable index 'x' is not an integer in \('var', 'x'\)"),
-    "missing-operand": (("x",), ("add", ("var", 0)), r"unknown expression node \('add', \('var', 0\)\)"),
+    "non-integer-index": (("x",), (("var", "x"),), r"variable index 'x' is not an integer in \('var', 'x'\)"),
+    "missing-operand": (("x",), (("var", 0), ("add",)), r"operand missing for instruction 1, \('add',\)"),
+    "two-values-left": (("x",), (("var", 0), ("var", 0)), "program leaves 2 values, not 1"),
+    "empty-program": (("x",), (), "program leaves 0 values, not 1"),
+    "nested-tree": (("x",), ("add", ("var", 0), ("var", 0)), "unknown instruction 'add'"),
+    "not-a-tuple": (("x",), [("var", 0)], r"expression \[\('var', 0\)\] is not a tuple of instructions"),
 }
 
 
@@ -342,7 +391,7 @@ def test_printer_round_trips_random_trees(tree):
     model = SurrogateModel(
         names=("a", "b"),
         distributions=(Distribution("gaussian", 0, 1), Distribution("uniform", 0, 1)),
-        expr=tree,
+        expr=program(tree),
     )
     assert parse_model(print_model(model)) == model
 
@@ -352,11 +401,11 @@ def test_printer_round_trips_random_trees(tree):
 # different value (`-2.0^x` is -(2.0^x)).
 PRINTED_CONSTANTS = {
     "inf-from-text": parse_model("x ~ N(0, 1)\nf = x + 1/1e999").expr,
-    "inf": ("div", ("var", 0), ("num", math.inf)),
-    "minus-inf": ("add", ("var", 0), ("fun", "exp", ("num", -math.inf))),
-    "numpy-scalar": ("mul", ("var", 0), ("num", np.float64(1.5))),
-    "negative-base": ("add", ("var", 0), ("pow", ("num", -2.0), ("num", 2.0))),
-    "negative-zero": ("add", ("var", 0), ("mul", ("num", -0.0), ("var", 0))),
+    "inf": program(("div", ("var", 0), ("num", math.inf))),
+    "minus-inf": program(("add", ("var", 0), ("fun", "exp", ("num", -math.inf)))),
+    "numpy-scalar": program(("mul", ("var", 0), ("num", np.float64(1.5)))),
+    "negative-base": program(("add", ("var", 0), ("pow", ("num", -2.0), ("num", 2.0)))),
+    "negative-zero": program(("add", ("var", 0), ("mul", ("num", -0.0), ("var", 0)))),
 }
 
 
@@ -378,7 +427,7 @@ def test_printed_constants_parse_to_the_same_values(expr):
 )
 def test_model_refuses_constants_it_cannot_print(value, message):
     with pytest.raises(InvariantViolation, match=message):
-        SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),), ("add", ("var", 0), ("num", value)))
+        SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),), program(("add", ("var", 0), ("num", value))))
 
 
 
@@ -463,7 +512,7 @@ def reference_sample_values(model, count, seed):
     rng = np.random.default_rng(seed)
     columns = [dist.draw(rng, count) for dist in model.distributions]
     with np.errstate(all="ignore"):
-        values = reference_eval_tree(model.expr, columns)
+        values = reference_eval_tree(tree_of(model.expr), columns)
     return np.broadcast_to(values, (count,)).copy()
 
 
@@ -548,7 +597,7 @@ def sampled_models(draw):
     return SurrogateModel(
         names=tuple(f"x{i}" for i in range(dim)),
         distributions=tuple(draw(st.lists(DISTRIBUTIONS, min_size=dim, max_size=dim))),
-        expr=tree,
+        expr=program(tree),
     )
 
 
@@ -575,15 +624,14 @@ def python_float_constants_fail(node):
 @given(sampled_models(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_blocked_sample_matches_whole_columns_on_random_models(model, seed):
-    assume(not python_float_constants_fail(model.expr))
+    assume(not python_float_constants_fail(tree_of(model.expr)))
     for count in COUNTS:
         assert_sample_matches(model, count, seed, reference_outcome(model, count, seed))
 
 
-def leaves(node, op):
-    if node[0] == op:
-        return [node[1]]
-    return [x for c in node[1:] if isinstance(c, tuple) for x in leaves(c, op)]
+def reads(code, op):
+    """What the `op` instructions of a program read: variables or slots."""
+    return {ins[1] for ins in code if ins[0] == op}
 
 
 @given(sampled_models())
@@ -594,9 +642,9 @@ def test_plan_reads_each_slot_while_it_is_alive(model):
     jobs = _plan(model.expr)
     live = set()
     for var in sorted(jobs):
-        tree, done = jobs[var]
-        assert set(leaves(tree, "var")) <= {var}
-        assert set(done) <= set(leaves(tree, "slot")) <= live
+        code, done = jobs[var]
+        assert reads(code, "var") <= {var}
+        assert set(done) <= reads(code, "slot") <= live
         live -= set(done)
         live.add(var)
     assert live == ({max(jobs)} if jobs else set())
@@ -641,6 +689,12 @@ def test_sample_errors_in_a_later_block():
     model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
     with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
         sample(model, count, seed=2)
+    # nine blocks, on a worker thread: the error reaches the caller, and no
+    # thread is left behind
+    before = threading.active_count()
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        bounded(sample, model, 8 * _BLOCK + 7, 2)
+    assert threading.active_count() == before
     model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
     with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
         sample(model, count, seed=2)
@@ -661,24 +715,17 @@ def reference_sample(model, count, seed):
                 for start in range(0, count, _BLOCK):
                     draw(rng, min(_BLOCK, count - start))
                 continue
-            tree, done = jobs[var]
+            code, done = jobs[var]
             out = slots[done[0]] if done else np.empty(count)
             for start in range(0, count, _BLOCK):
                 block = draw(rng, min(_BLOCK, count - start))
                 rows = slice(start, start + _BLOCK)
                 views = {s: a[rows] for s, a in slots.items()}
-                out[rows] = _eval_tree(tree, {var: block}, views)
+                out[rows] = _eval_program(code, {var: block}, views)
             for s in done:
                 del slots[s]
             slots[var] = out
-        return slots[root] if jobs else np.full(count, _eval_tree(model.expr, ()))
-
-
-@pytest.fixture(params=["inline"])
-def block_source(request):
-    """Where `sample` draws its blocks: inline, on the calling thread, the
-    only source; the parameter names it in the test ids."""
-    return request.param
+        return slots[root] if jobs else np.full(count, _eval_program(model.expr, ()))
 
 
 def draws_on(monkeypatch):
@@ -725,7 +772,7 @@ SOURCE_MODELS = {
 
 
 @pytest.mark.parametrize("source", list(SOURCE_MODELS.values()), ids=list(SOURCE_MODELS))
-def test_sample_has_the_reference_bits_from_either_block_source(block_source, monkeypatch, source):
+def test_sample_has_the_reference_bits(monkeypatch, source):
     model = parse_model(source)
     threads = draws_on(monkeypatch)
     for count in COUNTS:
@@ -742,19 +789,8 @@ def test_sample_has_the_reference_bits_from_either_block_source(block_source, mo
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
 
 
-def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
-    # draw 16409, in the third of nine blocks
-    count = 8 * _BLOCK + 7
-    top, _ = _first_exceeding_first_block(2, count)
-    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
-    before = threading.active_count()
-    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
-        bounded(sample, model, count, 2)
-    assert threading.active_count() == before
-
-
 @pytest.mark.parametrize("failing_call", [1, 3, 9])
-def test_a_failing_draw_reaches_the_caller(block_source, monkeypatch, failing_call):
+def test_a_failing_draw_reaches_the_caller(monkeypatch, failing_call):
     calls = []
     draw = Distribution.draw
 
