@@ -34,6 +34,7 @@ import operator
 import re
 import reprlib
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -605,12 +606,18 @@ def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
         for i, k in enumerate(kids):
             if 0 <= k < v and k not in columns:
                 jobs[k] = tuple(operands[i])
-                operands[i] = [("slot", k)]
+                operands[i] = deque([("slot", k)])
         if ins[0] == "var" and v in columns:
             ins = ("slot", v)
-        part = operands[0] if operands else []
+        part = operands[0] if operands else deque()
         for operand in operands[1:]:
-            part += operand  # in place: a long sum's left operand is not copied
+            # the shorter operand is copied into the longer, so a program
+            # of n instructions costs O(n log n) whichever way it leans
+            if len(operand) > len(part):
+                operand.extendleft(reversed(part))
+                part = operand
+            else:
+                part.extend(operand)
         part.append(ins)
         parts.append(part)
     if v >= 0:

@@ -266,6 +266,19 @@ def test_a_1200_deep_program_constructs_evaluates_pickles_and_samples():
     assert sample(copied, _BLOCK + 7, seed=5).values.tobytes() == x.tobytes()
 
 
+def test_a_right_leaning_20000_term_sum_samples():
+    # x + (x + (... + x)): each sum's right operand is the longer one
+    terms = 20000
+    model = SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),),
+                           (("var", 0),) * terms + (("add",),) * (terms - 1))
+    assert evaluate(model, [0.5]) == 0.5 * terms
+    x = np.random.default_rng(5).normal(0.0, 1.0, _BLOCK + 7)
+    acc = x
+    for _ in range(terms - 1):  # x + acc, as acc + x: addition commutes
+        acc = acc + x
+    assert sample(model, _BLOCK + 7, seed=5).values.tobytes() == acc.tobytes()
+
+
 BAD_MODELS = {
     "names-and-distributions": (("x", "y"), (("var", 0),), "2 names for 1 distributions"),
     "variable-index": (("x",), program(("add", ("var", 0), ("var", 1))), r"variable index 1 is outside \[0, 1\)"),
