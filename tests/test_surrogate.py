@@ -702,12 +702,6 @@ def test_sample_errors_in_a_later_block():
     model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
     with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
         sample(model, count, seed=2)
-    # nine blocks, on a worker thread: the error reaches the caller, and no
-    # thread is left behind
-    before = threading.active_count()
-    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
-        bounded(sample, model, 8 * _BLOCK + 7, 2)
-    assert threading.active_count() == before
     model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
     with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
         sample(model, count, seed=2)
@@ -739,6 +733,13 @@ def reference_sample(model, count, seed):
                 del slots[s]
             slots[var] = out
         return slots[root] if jobs else np.full(count, _eval_program(model.expr, ()))
+
+
+@pytest.fixture(params=["inline"])
+def block_source(request):
+    """Where `sample` draws its blocks: inline, on the calling thread, the
+    only source; the parameter names it in the test ids."""
+    return request.param
 
 
 def draws_on(monkeypatch):
@@ -785,7 +786,7 @@ SOURCE_MODELS = {
 
 
 @pytest.mark.parametrize("source", list(SOURCE_MODELS.values()), ids=list(SOURCE_MODELS))
-def test_sample_has_the_reference_bits(monkeypatch, source):
+def test_sample_has_the_reference_bits_from_either_block_source(block_source, monkeypatch, source):
     model = parse_model(source)
     threads = draws_on(monkeypatch)
     for count in COUNTS:
@@ -802,8 +803,19 @@ def test_sample_has_the_reference_bits(monkeypatch, source):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
 
 
+def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
+    # draw 16409, in the third of nine blocks
+    count = 8 * _BLOCK + 7
+    top, _ = _first_exceeding_first_block(2, count)
+    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
+    before = threading.active_count()
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        bounded(sample, model, count, 2)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("failing_call", [1, 3, 9])
-def test_a_failing_draw_reaches_the_caller(monkeypatch, failing_call):
+def test_a_failing_draw_reaches_the_caller(block_source, monkeypatch, failing_call):
     calls = []
     draw = Distribution.draw
 
