@@ -91,10 +91,20 @@ def _sample_values(samples) -> np.ndarray:
     return values
 
 
+def _finite_range(values: np.ndarray) -> tuple[float, float]:
+    """The least and greatest of `values`, or `DegenerateSamplesError`
+    naming a value that is not finite."""
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = hi if math.isfinite(lo) else lo
+        raise DegenerateSamplesError(f"samples must be finite, found the value {bad}")
+    return lo, hi
+
+
 def default_delta(values: np.ndarray) -> float:
     """Margin used when none is given: 1e-3 of the sample range."""
-    values = _sample_values(values)
-    return 1e-3 * (float(values.max()) - float(values.min()))
+    lo, hi = _finite_range(_sample_values(values))
+    return 1e-3 * (hi - lo)
 
 
 def fit_transform(
@@ -106,10 +116,7 @@ def fit_transform(
     in [delta/b, 1 - delta/b], strictly inside (0, 1).
     """
     values = _sample_values(samples)
-    lo, hi = float(values.min()), float(values.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = hi if math.isfinite(lo) else lo
-        raise DegenerateSamplesError(f"samples must be finite, found the value {bad}")
+    lo, hi = _finite_range(values)
     if hi == lo:
         raise DegenerateSamplesError(f"degenerate sample set: all values equal {lo}")
     if not delta > 0:

@@ -167,7 +167,7 @@ def eval_basis(basis: OrthonormalBasis, i: int, x):
     if not 0 <= i <= basis.degree:
         raise IndexError(f"basis index {i} out of range [0, {basis.degree}]")
     out = basis_values(basis, x)[..., i]
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,21 @@ def _number(value) -> str:
     )
 
 
-def _bracket(text: str, prec: int, least: int) -> str:
-    return f"({text})" if prec < least else text
+def _joined(front: deque, back: deque) -> deque:
+    """`front` then `back`, made by copying the shorter into the longer, so
+    that n joins building one sequence cost O(n log n) whichever way they lean."""
+    if len(back) > len(front):
+        back.extendleft(reversed(front))
+        return back
+    front.extend(back)
+    return front
+
+
+def _bracketed(parts: deque, prec: int, least: int) -> deque:
+    if prec < least:
+        parts.appendleft("(")
+        parts.append(")")
+    return parts
 
 
 def print_model(model: SurrogateModel) -> str:
@@ -484,25 +497,32 @@ def print_model(model: SurrogateModel) -> str:
     for name, dist in zip(model.names, model.distributions):
         letter = "N" if dist.kind == "gaussian" else "U"
         lines.append(f"{name} ~ {letter}({_number(dist.p1)}, {_number(dist.p2)})")
-    stack = []  # (text, precedence) of each value
+    stack = []  # (pieces of text, precedence) of each value
     for ins in model.expr:
         op = ins[0]
         if op == "num":
             text = _number(ins[1])
             # a negative constant prints as a negation, and binds like one
-            stack.append((text, _NEG if text.startswith("-") else _ATOM))
+            stack.append((deque([text]), _NEG if text.startswith("-") else _ATOM))
         elif op == "var":
-            stack.append((model.names[ins[1]], _ATOM))
+            stack.append((deque([model.names[ins[1]]]), _ATOM))
         elif op == "fun":
-            stack[-1] = (f"{ins[1]}({stack[-1][0]})", _ATOM)
+            parts = stack[-1][0]
+            parts.appendleft(ins[1] + "(")
+            parts.append(")")
+            stack[-1] = (parts, _ATOM)
         elif op == "neg":
-            stack[-1] = ("-" + _bracket(*stack[-1], _NEG), _NEG)
+            parts = _bracketed(*stack[-1], _NEG)
+            parts.appendleft("-")
+            stack[-1] = (parts, _NEG)
         else:
             sign, prec, left, right = _INFIX[op]
             (lt, lp), (rt, rp) = stack[-2:]
-            stack[-2:] = [(_bracket(lt, lp, left) + sign + _bracket(rt, rp, right), prec)]
+            parts = _bracketed(lt, lp, left)
+            parts.append(sign)
+            stack[-2:] = [(_joined(parts, _bracketed(rt, rp, right)), prec)]
     ((body, _),) = stack
-    lines.append(f"f = {body}")
+    lines.append("f = " + "".join(body))
     return "\n".join(lines) + "\n"
 
 
@@ -611,13 +631,7 @@ def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
             ins = ("slot", v)
         part = operands[0] if operands else deque()
         for operand in operands[1:]:
-            # the shorter operand is copied into the longer, so a program
-            # of n instructions costs O(n log n) whichever way it leans
-            if len(operand) > len(part):
-                operand.extendleft(reversed(part))
-                part = operand
-            else:
-                part.extend(operand)
+            part = _joined(part, operand)
         part.append(ins)
         parts.append(part)
     if v >= 0:
@@ -696,6 +710,9 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
 _SAVE_CHUNK = 1 << 13
 _SAVE_LINE = "%.17g\n"
 _SAVE_FORMAT = _SAVE_LINE * _SAVE_CHUNK
+# Characters per batch of lines in `load_samples` (`readlines`' size hint):
+# a few thousand rows, whose strings stay small beside the values.
+_LOAD_BATCH = 1 << 16
 
 
 def _sample_row(path, i: int, row: str) -> float:
@@ -708,35 +725,6 @@ def _sample_row(path, i: int, row: str) -> float:
     if not math.isfinite(value):
         raise DegenerateSamplesError(f"{path}, row {i}: expected one finite number, got {row!r}")
     return value
-
-
-def _first_row(fh):
-    """The next line of `fh` that is not blank, or None at the end."""
-    for line in iter(fh.readline, ""):
-        if line.strip():
-            return line
-    return None
-
-
-def _load_rows(path, fh, header: bool) -> np.ndarray:
-    """`load_samples` row by row in one pass from the top of the open file
-    `fh`, skipping its first row that is not blank if `header`."""
-    fh.seek(0)
-    values = array("d")
-    try:
-        for i, line in enumerate(fh, 1):
-            row = line.strip()
-            if not row:
-                continue
-            if header:
-                header = False
-                continue
-            values.append(_sample_row(path, i, row))
-    except DegenerateSamplesError:
-        for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
-            pass
-        raise
-    return np.frombuffer(values)
 
 
 def _undecodable_line(path) -> int:
@@ -760,41 +748,52 @@ def load_samples(path) -> np.ndarray:
     naming the line.
 
     The first line that is not blank is a header if its first field is not
-    a number. The rest goes through numpy's text reader; a file it refuses
-    or reads as non-finite or as several columns is read again in one pass
-    of `float()` per row, which gives the same values and names the line of
-    the first bad row. Neither path holds the text or a string per row.
+    a number. Every row is read by `float()`, in batches of lines: a batch
+    of plain numbers is converted by one `np.array` call, which calls
+    `float()` on each line, and a batch holding a blank line, a CSV field or
+    a row that is bad or not finite is read row by row, naming the line of
+    the first bad row. Only the values are held whole, never the file's text.
     """
+    values = array("d")
+    head = True  # no line that is not blank read yet
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            first = _first_row(fh)
-            if first is None:
-                raise DegenerateSamplesError(f"no samples in {path}")
             try:
-                float(first.strip().split(",")[0])
-            except ValueError:  # a header: the values start on the next line
-                header = True
-                start = fh.tell()
-                if _first_row(fh) is None:
-                    raise DegenerateSamplesError(f"no samples in {path}") from None
-                fh.seek(start)
-            else:
-                header = False
-                fh.seek(0)
-            try:
-                # the open file, not its name: numpy opens a name through its
-                # `_datasource`, which imports gzip, decompresses by extension
-                # and fetches URLs
-                values = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                values = None
-            if values is None or values.shape[1] != 1 or not np.isfinite(values).all():
-                return _load_rows(path, fh, header)
+                end = 0  # lines read so far
+                for lines in iter(lambda: fh.readlines(_LOAD_BATCH), []):
+                    start, end = end + 1, end + len(lines)  # `start`: the first line's number
+                    if head:  # drop the blank lines before the first row, and a header
+                        skip = next((j for j, line in enumerate(lines) if line.strip()), len(lines))
+                        if skip < len(lines):
+                            head = False
+                            try:
+                                float(lines[skip].strip().split(",")[0])
+                            except ValueError:  # a header: the values start on the next line
+                                skip += 1
+                        start += skip
+                        del lines[:skip]
+                    try:
+                        batch = np.array(lines, dtype=float)
+                    except ValueError:  # a blank line, a CSV field or a bad row
+                        batch = None
+                    if batch is not None and np.isfinite(batch).all():
+                        values.frombytes(batch.tobytes())
+                        continue
+                    for i, line in enumerate(lines, start):
+                        row = line.strip()
+                        if row:
+                            values.append(_sample_row(path, i, row))
+            except DegenerateSamplesError:
+                for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
+                    pass
+                raise
     except UnicodeDecodeError:
         raise DegenerateSamplesError(
             f"{path}, line {_undecodable_line(path)}: not UTF-8 text"
         ) from None
-    return values.reshape(-1)
+    if not values:
+        raise DegenerateSamplesError(f"no samples in {path}")
+    return np.frombuffer(values)
 
 
 def save_samples(values: np.ndarray, path) -> None:

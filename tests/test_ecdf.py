@@ -47,6 +47,17 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         fit_transform(np.array([-1e308, 0.0, 1e308]), delta=0.1)
 
 
+@pytest.mark.parametrize(
+    "values, bad",
+    [([1.0, np.nan, 2.0], "nan"), ([1.0, np.inf], "inf"), ([-np.inf, np.inf], "-inf")],
+    ids=["nan", "inf", "both-infinities"],
+)
+def test_default_delta_rejects_what_fit_transform_rejects(values, bad):
+    for call in (default_delta, lambda v: fit_transform(v, delta=0.1)):
+        with pytest.raises(DegenerateSamplesError, match=rf"must be finite, found the value {bad}$"):
+            call(np.array(values))
+
+
 def test_fit_transform_names_a_delta_below_float_spacing():
     values = 1.0 + 1e-15 * np.arange(50)  # range 4.9e-14, default delta 4.9e-17
     with pytest.raises(DegenerateSamplesError) as err:

@@ -104,13 +104,13 @@ def test_draw_samples_holds_one_full_length_array(synthetic_sample, fit):
 def test_load_samples_holds_one_full_length_array(synthetic_sample, tmp_path, form):
     path = tmp_path / "samples.txt"
     save_samples(synthetic_sample, path)
-    if form == "csv-header":  # numpy refuses the empty second field
+    if form == "csv-header":  # the empty second field sends every row through the row pass
         path.write_text("value,\n" + path.read_text().replace("\n", ",\n"))
-    if form == "underscores":  # numpy's reader refuses `_`, `float()` reads it
+    if form == "underscores":  # `float()` reads `_` between digits, in batches
         path.write_text(re.sub(r"(\d)(\d)", r"\1_\2", path.read_text()))
     assert load_samples(path).tobytes() == synthetic_sample.tobytes()
-    # the values, and numpy's reader or the row-by-row pass, neither of
-    # which holds the file's text or a string per row
+    # the values and the strings of one batch of lines: no path holds the
+    # file's text or a string for every row
     peak = peak_of(lambda: load_samples(path))
     assert peak <= 1.5 * UNIT, peak / UNIT
 

@@ -38,6 +38,15 @@ def test_uniform_degree_one_closed_forms():
     assert eval_basis(basis, 1, 0.5) == pytest.approx(0.0, abs=1e-13)
 
 
+def test_eval_basis_returns_a_float_for_a_0d_array():
+    _, basis = compute_recurrence(UNIFORM_MOMENTS, 2)
+    # a 0-d array gives a float, as a Python float does (and as in ecdf_eval)
+    for x in (np.array(0.3), np.float64(0.3), 0.3):
+        got = eval_basis(basis, 2, x)
+        assert type(got) is float and got == eval_basis(basis, 2, np.array([0.3]))[0]
+    assert eval_basis(basis, 2, np.array([0.3])).shape == (1,)
+
+
 def test_uniform_norm_against_integral_oracle():
     rec, basis = compute_recurrence(UNIFORM_MOMENTS, 1)
     pi1 = np.polynomial.Polynomial(basis.phi_coeffs[1]) * math.sqrt(rec.kappa[1])

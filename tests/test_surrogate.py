@@ -927,8 +927,8 @@ def test_load_samples_rejects_empty(tmp_path):
     [
         (b"1.0\n2.0\n\xff\xfe\n3.0\n", 3),
         (b"\xffvalue\n1.0\n2.0\n", 1),  # the header
-        (b"value\n1.0\n2.0\n3.0 \xe9\n", 4),  # Latin-1, in the numpy reader's rows
-        (b"1.0\n" * 20_000 + b"\x80\n", 20_001),  # past the text reader's first chunk
+        (b"value\n1.0\n2.0\n3.0 \xe9\n", 4),  # Latin-1, in a row after the header
+        (b"1.0\n" * 20_000 + b"\x80\n", 20_001),  # past the first batch of lines
         (b"1.0,\n" * 20_000 + b"\x80\n", 20_001),  # midway through the row-by-row pass
         (b"1.0,\nabc\n" + b"1.0,\n" * 20_000 + b"\x80\n", 20_003),  # after a bad row
     ],
@@ -945,6 +945,52 @@ def test_load_samples_reads_a_utf8_header(tmp_path):
     path = tmp_path / "header.txt"
     path.write_bytes("värde µ\n1.5\n-2.25\n".encode("utf-8"))
     assert load_samples(path).tobytes() == np.array([1.5, -2.25]).tobytes()
+
+
+def batch_starts(path):
+    """The 1-based line at which each batch of lines `load_samples` reads starts."""
+    starts, end = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for lines in iter(lambda: fh.readlines(surrogate._LOAD_BATCH), []):
+            starts.append(end + 1)
+            end += len(lines)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "row, batch, offset",
+    [("abcd", 2, 0), ("    ", 1, -1), ("    ", 1, 0), ("-inf", 1, -1), ("-inf", 1, 0)],
+    ids=["bad-starts-third", "blank-ends-first", "blank-starts-second",
+         "non-finite-ends-first", "non-finite-starts-second"],
+)
+def test_load_samples_at_a_batch_boundary(tmp_path, row, batch, offset):
+    """A row beside the first line of batch `batch` (0-based) is read, or
+    named, as anywhere else; every row is 4 characters wide, so the
+    batches start where they start without it."""
+    path = tmp_path / "samples.txt"
+    lines = ["0.25"] * (4 * surrogate._LOAD_BATCH // 5)
+    path.write_text("\n".join(lines) + "\n")
+    starts = batch_starts(path)
+    assert len(starts) == 4
+    line = starts[batch] + offset
+    lines[line - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    assert batch_starts(path) == starts
+    if row.strip():
+        with pytest.raises(DegenerateSamplesError, match=rf"samples\.txt, row {line}: .*{row!r}$"):
+            load_samples(path)
+    else:
+        assert load_samples(path).tobytes() == np.full(len(lines) - 1, 0.25).tobytes()
+
+
+@pytest.mark.parametrize("blank_lines", [0, 1 << 17], ids=["at-the-top", "after-a-batch-of-blank-lines"])
+def test_load_samples_reads_a_header_before_several_batches(tmp_path, blank_lines):
+    values = np.random.default_rng(3).standard_normal(3 * surrogate._LOAD_BATCH // 10)
+    path = tmp_path / "samples.txt"
+    save_samples(values, path)
+    path.write_text("\n" * blank_lines + "value\n" + path.read_text())
+    assert len(batch_starts(path)) > 4
+    assert load_samples(path).tobytes() == values.tobytes()
 
 
 # The per-line loader and writer that `load_samples`/`save_samples` replaced,
@@ -1135,13 +1181,15 @@ def test_save_samples_matches_reference(tmp_path):
         assert got.read_bytes() == want.read_bytes()
     assert got.read_text() == ""
     # 17 significant digits read back to the same bits through every reader:
-    # numpy's text reader, the row-by-row `float()` path, and the benchmark's
-    # round-trip check, which reads with `np.loadtxt`
+    # `load_samples`, batched or row by row (after a header, and as CSV
+    # rows), and the benchmark's round-trip check, which reads with `np.loadtxt`
     for values in (np.array(edge), spread):
         save_samples(values, got)
         assert load_samples(got).tobytes() == values.tobytes()
-        with open(got, encoding="utf-8") as fh:
-            assert surrogate._load_rows(got, fh, False).tobytes() == values.tobytes()
+        text, headed = got.read_text(), tmp_path / "headed.txt"
+        for form in ("value\n" + text, "value,\n" + text.replace("\n", ",\n")):
+            headed.write_text(form)
+            assert load_samples(headed).tobytes() == values.tobytes()
         assert np.loadtxt(got, dtype=float, ndmin=1).tobytes() == values.tobytes()
     save_samples(np.array([-0.0, 3.0, -0.5000461952136379]), got)
     assert got.read_text() == "-0\n3\n-0.50004619521363791\n"
