@@ -93,17 +93,25 @@ def _sample_values(samples) -> np.ndarray:
 
 def _finite_range(values: np.ndarray) -> tuple[float, float]:
     """The least and greatest of `values`, or `DegenerateSamplesError`
-    naming a value that is not finite."""
+    naming a value that is not finite or the one value they all equal."""
     lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         bad = hi if math.isfinite(lo) else lo
         raise DegenerateSamplesError(f"samples must be finite, found the value {bad}")
+    if hi == lo:
+        raise DegenerateSamplesError(f"degenerate sample set: all values equal {lo}")
     return lo, hi
 
 
 def default_delta(values: np.ndarray) -> float:
-    """Margin used when none is given: 1e-3 of the sample range."""
+    """Margin used when none is given: 1e-3 of the sample range.
+
+    Raises `DegenerateSamplesError` where `fit_transform` would: for samples
+    that are not finite or all equal, and for a range too wide for float64.
+    """
     lo, hi = _finite_range(_sample_values(values))
+    if not math.isfinite(hi - lo):
+        raise DegenerateSamplesError(f"the width of the sample range [{lo}, {hi}] overflows float64")
     return 1e-3 * (hi - lo)
 
 
@@ -117,8 +125,6 @@ def fit_transform(
     """
     values = _sample_values(samples)
     lo, hi = _finite_range(values)
-    if hi == lo:
-        raise DegenerateSamplesError(f"degenerate sample set: all values equal {lo}")
     if not delta > 0:
         raise DegenerateSamplesError(f"delta must be positive, got {delta}")
     a = lo - delta

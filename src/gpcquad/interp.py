@@ -511,8 +511,7 @@ def inverse_cdf(model: DensityModel, y):
     Each x inside a rising piece meets |cdf(x) - y| <= 1e-13, inside
     criterion 7's 1e-12, unless its bracket shrinks to the float lattice
     first (on a point-mass ramp). Results are deterministic within one
-    version; cubic results differ in their last bits from versions that
-    started Newton from the chord root.
+    version.
     """
     shape = np.shape(y)
     u = np.asarray(y, dtype=float).ravel()
@@ -539,7 +538,7 @@ def draw_samples(model: DensityModel, count: int, seed: int):
 
     The same seed gives the same draws within one version; each draw
     stops at a 1e-13 CDF residual (see `inverse_cdf`), inside criterion
-    7's 1e-12. Cubic draws differ in their last bits from earlier versions.
+    7's 1e-12.
 
     The uniform targets are drawn, inverted and mapped back `_BLOCK` at a
     time, which consumes the stream as one `count`-long draw does and gives

@@ -611,6 +611,10 @@ def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
     variable has at most one slot, and constant operands stay in place. The
     whole program is the job of its last variable; a constant expression has
     no job.
+
+    A sum or product runs first the operand whose evaluation needs the
+    deeper stack, so the block-long values held at once grow with the log
+    of a program's length, however its sums lean, and every bit is kept.
     """
     cuts = {}  # variable -> number of operands cut out for it
     for _, kids, v in _lasts(program):
@@ -620,20 +624,27 @@ def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
     columns = {v for v, n in cuts.items() if n > 1}
     jobs = {v: (("var", v),) for v in columns}
     parts = []  # the instructions left in place for each value on the stack
+    needs = []  # the stack depth each of them takes to run
     for ins, kids, v in _lasts(program):
-        operands = parts[len(parts) - len(kids):]
-        del parts[len(parts) - len(kids):]
+        cut = len(parts) - len(kids)
+        operands, depths = parts[cut:], needs[cut:]
+        del parts[cut:], needs[cut:]
         for i, k in enumerate(kids):
             if 0 <= k < v and k not in columns:
                 jobs[k] = tuple(operands[i])
                 operands[i] = deque([("slot", k)])
+                depths[i] = 1
         if ins[0] == "var" and v in columns:
             ins = ("slot", v)
+        if ins[0] in ("add", "mul") and depths[1] > depths[0]:
+            operands.reverse()  # IEEE + and * commute exactly
+            depths.reverse()
         part = operands[0] if operands else deque()
         for operand in operands[1:]:
             part = _joined(part, operand)
         part.append(ins)
         parts.append(part)
+        needs.append(max([1] + [d + i for i, d in enumerate(depths)]))
     if v >= 0:
         jobs[v] = tuple(part)
     reader = {}  # slot -> last job that reads it

@@ -23,6 +23,7 @@ from gpcquad import (
     fit_density,
     fit_rational,
     save_model,
+    validate_model,
 )
 from gpcquad.cli import main
 from gpcquad.interp import MODEL_FORMAT_VERSION
@@ -48,10 +49,12 @@ def test_fit_builtin_synthetic(tmp_path, capsys):
     assert set(report["variants"]) == {"cubic", "rational"}
     for info in report["variants"].values():
         assert info["checks"]["ok"] is True
-        assert info["checks"]["mass"] == 1.0
         assert info["checks"]["hermite_value_max"] <= 1e-12
         model = load_model(info["file"])
         assert model.n == report["n"]
+        # the library's certificate of the saved model, as JSON gives it back
+        want = json.loads(json.dumps(validate_model(model, raise_on_failure=False)))
+        assert info["checks"] == want
     assert "checks pass" in err
 
 

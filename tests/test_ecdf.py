@@ -48,13 +48,20 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
 
 
 @pytest.mark.parametrize(
-    "values, bad",
-    [([1.0, np.nan, 2.0], "nan"), ([1.0, np.inf], "inf"), ([-np.inf, np.inf], "-inf")],
-    ids=["nan", "inf", "both-infinities"],
+    "values, message",
+    [
+        ([1.0, np.nan, 2.0], "must be finite, found the value nan"),
+        ([1.0, np.inf], "must be finite, found the value inf"),
+        ([-np.inf, np.inf], "must be finite, found the value -inf"),
+        # formerly a margin of 0.0 and of inf from `default_delta`
+        ([1.0, 1.0], r"^degenerate sample set: all values equal 1\.0"),
+        ([-1e308, 1e308], r"sample range \[-1e\+308, 1e\+308\] .*overflows float64"),
+    ],
+    ids=["nan", "inf", "both-infinities", "all-equal", "overflowing-width"],
 )
-def test_default_delta_rejects_what_fit_transform_rejects(values, bad):
+def test_default_delta_rejects_what_fit_transform_rejects(values, message):
     for call in (default_delta, lambda v: fit_transform(v, delta=0.1)):
-        with pytest.raises(DegenerateSamplesError, match=rf"must be finite, found the value {bad}$"):
+        with pytest.raises(DegenerateSamplesError, match=message + "$"):
             call(np.array(values))
 
 

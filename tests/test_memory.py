@@ -6,10 +6,12 @@ which numpy reports its array buffers to."""
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gpcquad import (
     SYNTHETIC_MODEL,
+    Distribution,
     default_delta,
     draw_samples,
     fit_cubic,
@@ -21,6 +23,7 @@ from gpcquad import (
     save_samples,
     select_points,
 )
+from gpcquad.surrogate import SurrogateModel
 
 N = 200_000
 UNIT = 8 * N  # bytes in one float64 array as long as the sample
@@ -74,6 +77,24 @@ def test_sample_holds_one_full_length_array(source, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * UNIT, peak / UNIT
+
+
+def test_a_right_leaning_sum_holds_a_few_blocks():
+    # sin(x) + (sin(x) + (... + sin(x))), built directly: run in written
+    # order, each of the 2000 pending terms held a block, 131.6 MB in all
+    terms, count = 2000, 8192
+    model = SurrogateModel(("x",), (Distribution("gaussian", 0.0, 1.0),),
+                           (("var", 0), ("fun", "sin")) * terms + (("add",),) * (terms - 1))
+    sample(model, 100, seed=0)
+    got = []
+    peak = peak_of(lambda: got.append(sample(model, count, seed=5).values))
+    term = np.sin(np.random.default_rng(5).normal(0.0, 1.0, count))
+    want = term
+    for _ in range(terms - 1):  # term + want, as want + term: addition commutes
+        want = want + term
+    assert got[0].tobytes() == want.tobytes()
+    # the planner's lists for 6000 instructions (about 1.6 MB) and a few blocks
+    assert peak <= 4e6, peak
 
 
 def peak_of(call):

@@ -27,7 +27,7 @@ from gpcquad import (
     save_samples,
 )
 from gpcquad import surrogate
-from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _eval_program, _plan
+from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _plan
 from test_memory import PRODUCTS, SUM_OF_TERMS
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
@@ -707,41 +707,6 @@ def test_sample_errors_in_a_later_block():
         sample(model, count, seed=2)
 
 
-# `sample` written as one loop that draws each variable's `_BLOCK`-row
-# blocks in turn and evaluates each block whole. Kept as the reference its
-# bits must match.
-def reference_sample(model, count, seed):
-    jobs = _plan(model.expr)
-    root = max(jobs, default=-1)
-    slots = {}
-    rng = np.random.default_rng(seed)
-    with np.errstate(all="ignore"):
-        for var in range(root + 1):
-            draw = model.distributions[var].draw
-            if var not in jobs:  # unused, drawn only to advance the stream
-                for start in range(0, count, _BLOCK):
-                    draw(rng, min(_BLOCK, count - start))
-                continue
-            code, done = jobs[var]
-            out = slots[done[0]] if done else np.empty(count)
-            for start in range(0, count, _BLOCK):
-                block = draw(rng, min(_BLOCK, count - start))
-                rows = slice(start, start + _BLOCK)
-                views = {s: a[rows] for s, a in slots.items()}
-                out[rows] = _eval_program(code, {var: block}, views)
-            for s in done:
-                del slots[s]
-            slots[var] = out
-        return slots[root] if jobs else np.full(count, _eval_program(model.expr, ()))
-
-
-@pytest.fixture(params=["inline"])
-def block_source(request):
-    """Where `sample` draws its blocks: inline, on the calling thread, the
-    only source; the parameter names it in the test ids."""
-    return request.param
-
-
 def draws_on(monkeypatch):
     """Names of the threads that draw, one per `Distribution.draw` call."""
     names = []
@@ -786,7 +751,7 @@ SOURCE_MODELS = {
 
 
 @pytest.mark.parametrize("source", list(SOURCE_MODELS.values()), ids=list(SOURCE_MODELS))
-def test_sample_has_the_reference_bits_from_either_block_source(block_source, monkeypatch, source):
+def test_sample_has_the_reference_bits_on_the_calling_thread(monkeypatch, source):
     model = parse_model(source)
     threads = draws_on(monkeypatch)
     for count in COUNTS:
@@ -799,11 +764,11 @@ def test_sample_has_the_reference_bits_from_either_block_source(block_source, mo
                 assert threads == []  # nothing is drawn
             else:
                 assert set(threads) == {"caller"}  # every draw on the calling thread
-            want = reference_sample(model, count, seed)
+            want = reference_sample_values(model, count, seed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
 
 
-def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
+def test_sample_errors_in_a_later_block_without_a_thread():
     # draw 16409, in the third of nine blocks
     count = 8 * _BLOCK + 7
     top, _ = _first_exceeding_first_block(2, count)
@@ -815,7 +780,7 @@ def test_sample_errors_in_a_later_block_from_either_block_source(block_source):
 
 
 @pytest.mark.parametrize("failing_call", [1, 3, 9])
-def test_a_failing_draw_reaches_the_caller(block_source, monkeypatch, failing_call):
+def test_a_failing_draw_reaches_the_caller(monkeypatch, failing_call):
     calls = []
     draw = Distribution.draw
 
@@ -839,7 +804,7 @@ def test_concurrent_samples_keep_their_bits():
     caller gets its seed's bits."""
     model = parse_model(SYNTHETIC_MODEL)
     count = 3 * _BLOCK + 7
-    want = {seed: reference_sample(model, count, seed).tobytes() for seed in range(4)}
+    want = {seed: reference_sample_values(model, count, seed).tobytes() for seed in range(4)}
     got = {}
 
     def caller(seed):
