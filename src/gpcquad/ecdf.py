@@ -107,12 +107,19 @@ def default_delta(values: np.ndarray) -> float:
     """Margin used when none is given: 1e-3 of the sample range.
 
     Raises `DegenerateSamplesError` where `fit_transform` would: for samples
-    that are not finite or all equal, and for a range too wide for float64.
+    that are not finite or all equal, and for a range too wide for float64;
+    and for a range so narrow (under about 5e-321) that the margin underflows.
     """
     lo, hi = _finite_range(_sample_values(values))
     if not math.isfinite(hi - lo):
         raise DegenerateSamplesError(f"the width of the sample range [{lo}, {hi}] overflows float64")
-    return 1e-3 * (hi - lo)
+    delta = 1e-3 * (hi - lo)
+    if delta == 0.0:
+        raise DegenerateSamplesError(
+            f"the sample range [{lo}, {hi}] is too narrow for a margin of 1e-3 of its width, "
+            f"which underflows to 0.0"
+        )
+    return delta
 
 
 def fit_transform(

@@ -585,11 +585,13 @@ def _cubic_derivative_min(pieces: _Pieces, rising: np.ndarray) -> np.ndarray:
     return lo
 
 
+@np.errstate(all="ignore")
 def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     """Recheck the construction invariants; returns the residual report.
 
     Slope-type residuals are scaled by max(1, |slope|) so the tolerance is
-    meaningful for steep near-atom ramps as well as O(1) densities.
+    meaningful for steep near-atom ramps as well as O(1) densities. A check
+    that reads NaN fails, and no numpy warning leaves the function.
     """
     x, y, d = model.x, model.y, model.slopes
     tr = model.transform
@@ -620,6 +622,23 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
             failures.append("negative knot slope")
         if not (tr.b > 0 and tr.delta > 0):
             failures.append("invalid transform parameters")
+        # the constants the kernels read on a rising piece must be finite: a
+        # chord slope dy / h overflows on a piece narrower than about
+        # 1e-308 dy, and a cubic's monomial coefficients (the moments' and
+        # the derivative check's) on one narrower than about 1e-154
+        rising = pieces.dy != 0
+        constants = {"chord slope": pieces.s, "h d0": pieces.hd0, "h d1": pieces.hd1,
+                     "weight w": pieces.w, "weight v": pieces.v}
+        if model.variant == "cubic":
+            _, constants["c3"], constants["c4"] = _cubic_monomial(pieces)
+        unbounded = {name: rising & ~np.isfinite(c) for name, c in constants.items()}
+        bad = np.flatnonzero(np.any(list(unbounded.values()), axis=0))
+        if not failures and bad.size:
+            j = bad[0]
+            names = [name for name, mask in unbounded.items() if mask[j]]
+            failures.append(
+                f"piece {j} on [{float(x[j])}, {float(x[j + 1])}] has a non-finite {', '.join(names)}"
+            )
 
     if not failures:
         # Hermite conditions checked per piece at both of its ends (the
@@ -627,7 +646,6 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
         # flat piece is the constant y_k with density 0; t is 0 and 1 there
         k = np.arange(model.n - 1)
         zero, one = np.zeros(k.size), np.ones(k.size)
-        rising = pieces.dy != 0
         d_lo = np.where(rising, d[:-1], 0.0)
         d_hi = np.where(rising, d[1:], 0.0)
         pdf_lo = _on_rising_pieces(_pdf_t, pieces, k, zero, zero)
@@ -645,11 +663,12 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
         report["hermite_value_max"] = float(np.max(val_res, initial=0.0))
         report["hermite_slope_max"] = float(np.max(slope_res, initial=0.0))
         report["c1_jump_max"] = float(np.max(jumps, initial=0.0))
-        if report["hermite_value_max"] > 1e-12:
+        # written so that a NaN residual fails
+        if not report["hermite_value_max"] <= 1e-12:
             failures.append(f"knot interpolation residual {report['hermite_value_max']:.2e}")
-        if report["hermite_slope_max"] > 1e-12:
+        if not report["hermite_slope_max"] <= 1e-12:
             failures.append(f"knot slope residual {report['hermite_slope_max']:.2e}")
-        if report["c1_jump_max"] > 1e-12:
+        if not report["c1_jump_max"] <= 1e-12:
             failures.append(f"density jump at a knot {report['c1_jump_max']:.2e}")
         # exact per-piece monotonicity, roundoff measured against the
         # piece's own chord slope
@@ -658,7 +677,7 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
             chord = pieces.s[rising]
             worst_rel = np.min(dmin / np.maximum(1.0, chord), initial=0.0)
             report["derivative_min"] = float(np.min(dmin, initial=0.0))
-            if worst_rel < -1e-13:
+            if not worst_rel >= -1e-13:
                 failures.append(
                     f"cubic piece has negative derivative (relative {worst_rel:.2e})"
                 )

@@ -15,16 +15,12 @@ exp, sin, cos, sqrt, abs.
 A parsed expression is a postfix program, a flat tuple of instructions with
 each operand placed before the instruction that reads it (see
 `SurrogateModel`): `x0 + 2*x1` is
-`(("var", 0), ("num", 2.0), ("var", 1), ("mul",), ("add",))`. Every walker
-is one loop over that tuple with a stack of values, so programs of any
-length and depth evaluate, print, compare and pickle.
-
-Only the parser recurses. Source text may nest at most `MAX_DEPTH` (100)
-levels deep: at most that many parentheses, function calls, signs and
-exponents may be open at once. Deeper text is refused with a
-`ModelSyntaxError` rather than left to exhaust Python's recursion limit.
-Sums and products may have any number of terms: the parser loops along a
-chain of + - * /.
+`(("var", 0), ("num", 2.0), ("var", 1), ("mul",), ("add",))`. No walker
+recurses: the parser is one operator-precedence loop that appends the
+program, and every other walker is one loop over it with a stack of values.
+So source text may nest parentheses, calls, signs and exponents to any
+depth, and programs of any length and depth evaluate, print, compare and
+pickle.
 """
 
 from __future__ import annotations
@@ -57,15 +53,9 @@ __all__ = [
     "load_samples",
     "save_samples",
     "SYNTHETIC_MODEL",
-    "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs")
-
-# Deepest nesting `parse_model` accepts in source text (see the module
-# docstring). At this depth the parser uses about 600 stack frames, under
-# Python's default limit of 1000.
-MAX_DEPTH = 100
 
 # Binary instructions: each replaces its two operands, left below right on
 # the stack, with its result.
@@ -252,16 +242,31 @@ def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+_ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
+
+# Each binary instruction as text: its sign, the precedence of its result,
+# and the least precedence its left and its right operand keep unbracketed.
+_INFIX = {
+    "add": (" + ", _ADDSUB, _ADDSUB, _MULDIV),
+    "sub": (" - ", _ADDSUB, _ADDSUB, _MULDIV),
+    "mul": ("*", _MULDIV, _MULDIV, _NEG),
+    "div": ("/", _MULDIV, _MULDIV, _NEG),
+    "pow": ("^", _POW, _ATOM, _NEG),
+}
+
+# The binary instruction of each operator token.
+_OPERATORS = {sign.strip(): op for op, (sign, *_) in _INFIX.items()}
+
+
 class _Parser:
-    """Recursive descent over one statement's tokens; the expression methods
-    append its postfix program to `code`."""
+    """One statement's tokens, read from `i` on; `expr` appends the postfix
+    program of an expression to `code`."""
 
     def __init__(self, tokens, var_index):
         self.tokens = tokens
         self.i = 0
         self.var_index = var_index
         self.code = []
-        self.open = 0  # parentheses, function calls, signs and exponents open
 
     def peek(self):
         return self.tokens[self.i]
@@ -281,79 +286,56 @@ class _Parser:
             return self.next()
         self.error(f"expected {op!r}")
 
-    def nested(self, parse):
-        """Run `parse` one nesting level deeper, refusing level MAX_DEPTH + 1."""
-        if self.open == MAX_DEPTH:
-            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
-        self.open += 1
-        parse()
-        self.open -= 1
-
     def expr(self):
-        self.term()
+        """Operator precedence in one loop, up to the first token that cannot
+        continue the expression.
+
+        `pending` holds the negations, binary instructions, parentheses and
+        calls still open, each with the precedence of its result; a bracket's
+        is 0, and `None` or the call's instruction stands for it. A binary
+        operator first appends the pending instructions its left operand
+        keeps unbracketed (`_INFIX`), so a sign binds between `* /` and `^`,
+        and `^` groups to the right.
+        """
+        pending = []
+        operand = True  # an operand comes next, not an operator
         while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                self.term()
-                self.code.append(("add",) if text == "+" else ("sub",))
-            else:
-                return
-
-    def term(self):
-        self.unary()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                self.unary()
-                self.code.append(("mul",) if text == "*" else ("div",))
-            else:
-                return
-
-    def unary(self):
-        kind, text, _, _ = self.peek()
-        if kind == "op" and text in "+-":
-            self.next()
-            self.nested(self.unary)
-            if text == "-":
-                self.code.append(("neg",))
-        else:
-            self.power()
-
-    def power(self):
-        self.atom()
-        kind, text, _, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            self.nested(self.unary)
-            self.code.append(("pow",))
-
-    def atom(self):
-        kind, text, line, col = self.peek()
-        if kind == "num":
-            self.next()
-            self.code.append(("num", float(text)))
-        elif kind == "name":
-            self.next()
-            nkind, ntext, _, _ = self.peek()
-            if nkind == "op" and ntext == "(":
+            kind, text, line, col = self.peek()
+            if not operand:
+                op = _OPERATORS.get(text) if kind == "op" else None
+                least = _INFIX[op][2] if op else _ADDSUB
+                while pending and pending[-1][0] >= least:
+                    self.code.append(pending.pop()[1])
+                if op:
+                    pending.append((_INFIX[op][1], (op,)))
+                    operand = True
+                elif pending and kind == "op" and text == ")":
+                    _, call = pending.pop()
+                    if call:
+                        self.code.append(call)
+                elif pending:
+                    self.error("expected ')'")
+                else:
+                    return
+            elif kind == "op" and text in ("+", "-", "("):
+                if text != "+":
+                    pending.append((_NEG, ("neg",)) if text == "-" else (0, None))
+            elif kind == "num":
+                self.code.append(("num", float(text)))
+                operand = False
+            elif kind == "name" and self.tokens[self.i + 1][:2] == ("op", "("):
                 if text not in FUNCTIONS:
                     raise ModelSyntaxError(f"unknown function {text!r}", line, col)
                 self.next()
-                self.nested(self.expr)
-                self.expect_op(")")
-                self.code.append(("fun", text))
-            elif text in self.var_index:
+                pending.append((0, ("fun", text)))
+            elif kind == "name":
+                if text not in self.var_index:
+                    raise ModelSyntaxError(f"undeclared variable {text!r}", line, col)
                 self.code.append(("var", self.var_index[text]))
+                operand = False
             else:
-                raise ModelSyntaxError(f"undeclared variable {text!r}", line, col)
-        elif kind == "op" and text == "(":
+                self.error("expected a number, variable, function call or '('")
             self.next()
-            self.nested(self.expr)
-            self.expect_op(")")
-        else:
-            self.error("expected a number, variable, function call or '('")
 
 
 def _parse_signed_number(p: _Parser) -> float:
@@ -374,8 +356,7 @@ def parse_model(source: str) -> SurrogateModel:
     """Parse model source text; see the module docstring for the grammar.
 
     Raises ModelSyntaxError (with line/column) on malformed input,
-    undeclared or duplicated variables, unknown functions, and an expression
-    nested deeper than `MAX_DEPTH` levels.
+    undeclared or duplicated variables and unknown functions.
     """
     tokens = _tokenize(source)
     # split into statements on break tokens
@@ -432,10 +413,7 @@ def parse_model(source: str) -> SurrogateModel:
             nkind, ntext, nline, ncol = p.next()
             if nkind != "op" or ntext != "=":
                 raise ModelSyntaxError("expected '=' after 'f'", nline, ncol)
-            try:
-                p.expr()
-            except RecursionError:  # only when called from an already deep stack
-                raise ModelSyntaxError("expression nests too deeply to parse", line, col) from None
+            p.expr()
             if p.peek()[0] != "eof":
                 p.error("unexpected trailing input after expression")
             expr = tuple(p.code)
@@ -451,19 +429,6 @@ def parse_model(source: str) -> SurrogateModel:
 # ---------------------------------------------------------------------------
 # canonical printer (parse . print . parse == parse)
 # ---------------------------------------------------------------------------
-
-_ATOM, _POW, _NEG, _MULDIV, _ADDSUB = 5, 4, 3, 2, 1
-
-# Each binary instruction as text: its sign, the precedence of its result,
-# and the least precedence its left and its right operand keep unbracketed.
-_INFIX = {
-    "add": (" + ", _ADDSUB, _ADDSUB, _MULDIV),
-    "sub": (" - ", _ADDSUB, _ADDSUB, _MULDIV),
-    "mul": ("*", _MULDIV, _MULDIV, _NEG),
-    "div": ("/", _MULDIV, _MULDIV, _NEG),
-    "pow": ("^", _POW, _ATOM, _NEG),
-}
-
 
 def _number(value) -> str:
     """`value` as text `parse_model` reads back to the same double: the

@@ -27,7 +27,6 @@ from gpcquad import (
 )
 from gpcquad.cli import main
 from gpcquad.interp import MODEL_FORMAT_VERSION
-from gpcquad.surrogate import MAX_DEPTH
 from conftest import diagonal_data, mixture_values
 
 
@@ -293,14 +292,46 @@ def test_fit_rejects_a_uniform_too_wide_to_draw(tmp_path, capsys):
     assert code == 1 and report is None
     assert err.startswith("error: uniform width hi - lo overflows") and "Traceback" not in err
 
-def test_fit_rejects_deep_nesting(tmp_path, capsys):
+def test_fit_deep_nesting(tmp_path, capsys):
+    # refused past 100 levels, and a bare RecursionError before that
     source = tmp_path / "deep.txt"
     source.write_text("x ~ N(0, 1)\nf = " + "(" * 400 + "x" + ")" * 400 + "\n")
-    code, report, err = run_cli(
+    code, report, _ = run_cli(
         capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path)
     )
+    assert code == 0 and report["ok"] is True
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_commands_refuse_a_model_whose_piece_constants_overflow(tmp_path, capsys, variant):
+    # formerly `sample` and `plotdata` exited 0, writing NaN densities, and
+    # `quad` failed on kappa_0 = nan, each with leaked RuntimeWarnings
+    path = tmp_path / f"overflow-{variant}.json"
+    path.write_text(json.dumps({
+        "format_version": MODEL_FORMAT_VERSION, "variant": variant,
+        "transform": {"a": 0.0, "b": 1.0, "delta": 0.001},
+        "knots_x": [0.0, 1e-310, 1.0], "knots_y": [0.0, 0.5, 1.0], "slopes": [0.0, 0.0, 0.0],
+    }))
+    for argv in (("quad", "--degree", "4"), ("sample", "--count", "10"), ("plotdata",)):
+        out = tmp_path / argv[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--out", str(out))
+        assert code == 1 and report is None, argv
+        assert err.startswith("error: piece 0 on [0.0, 1e-310] has a non-finite chord slope"), err
+        assert not out.exists()
+
+
+def test_fit_data_too_narrow_for_the_default_margin(tmp_path, capsys):
+    # formerly "delta must be positive, got 0.0", a delta never given
+    path = tmp_path / "narrow.txt"
+    path.write_text("0.0\n5e-324\n")
+    code, report, err = run_cli(capsys, "fit", "--data", str(path), "--out", str(tmp_path))
     assert code == 1 and report is None
-    assert err.startswith("error: ") and f"nests deeper than {MAX_DEPTH} levels" in err
+    assert err == (
+        "error: the sample range [0.0, 5e-324] is too narrow for a margin of 1e-3 "
+        "of its width, which underflows to 0.0\n"
+    )
 
 
 def test_fit_long_sum(tmp_path, capsys):
@@ -338,8 +369,8 @@ def test_fit_sum_of_200_products_keeps_its_bits(tmp_path, capsys):
 def test_fit_at_the_depth_limit_keeps_its_bits(tmp_path, capsys):
     source = tmp_path / "deep.txt"
     source.write_text(
-        "x ~ N(0, 1)\nf = " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
-        + " + x" * (MAX_DEPTH - 1) + "\n"
+        "x ~ N(0, 1)\nf = " + "(" * 100 + "x" + ")" * 100
+        + " + x" * (100 - 1) + "\n"
     )
     code, report, _ = run_cli(
         capsys, "fit", "--model", str(source), "--samples", "20000", "--seed", "5",

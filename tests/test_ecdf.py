@@ -56,13 +56,21 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         # formerly a margin of 0.0 and of inf from `default_delta`
         ([1.0, 1.0], r"^degenerate sample set: all values equal 1\.0"),
         ([-1e308, 1e308], r"sample range \[-1e\+308, 1e\+308\] .*overflows float64"),
+        # formerly a margin of 0.0, which `fit_transform` then refused as a
+        # delta the caller never gave; a margin the caller gives fits it
+        ([0.0, 5e-324], r"^the sample range \[0\.0, 5e-324\] is too narrow for a margin "
+                        r"of 1e-3 of its width, which underflows to 0\.0"),
     ],
-    ids=["nan", "inf", "both-infinities", "all-equal", "overflowing-width"],
+    ids=["nan", "inf", "both-infinities", "all-equal", "overflowing-width", "underflowing-margin"],
 )
 def test_default_delta_rejects_what_fit_transform_rejects(values, message):
-    for call in (default_delta, lambda v: fit_transform(v, delta=0.1)):
-        with pytest.raises(DegenerateSamplesError, match=message + "$"):
-            call(np.array(values))
+    with pytest.raises(DegenerateSamplesError, match=message + "$"):
+        default_delta(np.array(values))
+    if "too narrow" in message:  # a margin the caller gives fits the range
+        fit_transform(np.array(values), delta=0.1)
+        return
+    with pytest.raises(DegenerateSamplesError, match=message + "$"):
+        fit_transform(np.array(values), delta=0.1)
 
 
 def test_fit_transform_names_a_delta_below_float_spacing():

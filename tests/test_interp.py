@@ -38,6 +38,7 @@ from gpcquad import (
 )
 from gpcquad import interp
 from gpcquad.interp import (
+    IDENTITY_TRANSFORM,
     MODEL_FORMAT_VERSION,
     _cubic_monomial,
     _pieces,
@@ -770,6 +771,30 @@ def test_load_rejects_mismatched_lengths(rng):
         raise_on_failure=False,
     )
     assert not report["ok"] and "1-D" in report["failures"][0]
+
+
+# knots 1e-310 apart: the first piece's chord slope 0.5 / 1e-310 overflows
+OVERFLOWING_KNOTS = {"knots_x": [0.0, 1e-310, 1.0], "knots_y": [0.0, 0.5, 1.0], "slopes": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_validate_refuses_piece_constants_that_overflow(variant):
+    # formerly `ok` with NaN slope and C1 residuals and leaked RuntimeWarnings
+    model = DensityModel(variant, *(np.array(v) for v in OVERFLOWING_KNOTS.values()), IDENTITY_TRANSFORM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_model(model, raise_on_failure=False)
+        with pytest.raises(InvariantViolation, match=r"^piece 0 on \[0\.0, 1e-310\] has a non-finite chord slope"):
+            validate_model(model)
+    assert report["ok"] is False and len(report["failures"]) == 1
+    # a cubic piece 1e-200 wide has a finite chord slope, but its monomial
+    # coefficients, which the moments read, overflow
+    model = DensityModel(variant, np.array([0.0, 1e-200, 1.0]), np.array([0.0, 0.5, 1.0]),
+                         np.zeros(3), IDENTITY_TRANSFORM)
+    report = validate_model(model, raise_on_failure=False)
+    assert report["ok"] is (variant == "rational")
+    if variant == "cubic":
+        assert report["failures"] == ["piece 0 on [0.0, 1e-200] has a non-finite c3, c4"]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from gpcquad import (
     save_samples,
 )
 from gpcquad import surrogate
-from gpcquad.surrogate import _BLOCK, MAX_DEPTH, SurrogateModel, _plan
+from gpcquad.surrogate import _BLOCK, SurrogateModel, _plan
 from test_memory import PRODUCTS, SUM_OF_TERMS
 
 IDENTITY_UNIFORM = "u ~ U(0, 1)\nf = u\n"
@@ -121,38 +121,45 @@ def test_syntax_error_carries_position():
     assert err.value.column == 9
 
 
-# Nesting: each kind opens one level; MAX_DEPTH levels parse, one more is
-# refused. 400 nested parentheses used to end in a bare RecursionError.
+# Nesting: each kind opens one level, and text may nest to any depth. Past
+# 100 levels the recursive parser this loop replaced refused text, and 400
+# nested parentheses once ended in a bare RecursionError.
+DEEP = 100000
+# Each kind: its text n levels deep, and the value of one level at x around
+# the value v inside it.
 NESTINGS = {
-    "parentheses": lambda n: "(" * n + "x" + ")" * n,
-    "function calls": lambda n: "sin(" * n + "x" + ")" * n,
-    "signs": lambda n: "-" * n + "x",
-    "exponents": lambda n: "x^" * n + "x",
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, lambda x, v: v),
+    "function calls": (lambda n: "sin(" * n + "x" + ")" * n, lambda x, v: np.sin(v)),
+    "signs": (lambda n: "-" * n + "x", lambda x, v: -v),
+    "exponents": (lambda n: "x^" * n + "x", lambda x, v: x**v),  # x^(x^(...))
 }
 
 
-@pytest.mark.parametrize("nest", list(NESTINGS.values()), ids=list(NESTINGS))
-def test_parse_nests_at_most_max_depth_levels(nest):
-    parse_model(f"x ~ N(0, 1)\nf = {nest(MAX_DEPTH)}\n")
-    for levels in (MAX_DEPTH + 1, 400):
-        with pytest.raises(ModelSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels"):
-            parse_model(f"x ~ N(0, 1)\nf = {nest(levels)}\n")
+@pytest.mark.parametrize("nest, level", list(NESTINGS.values()), ids=list(NESTINGS))
+def test_parse_nests_to_any_depth(nest, level):
+    model = parse_model(f"x ~ N(0, 1)\nf = {nest(DEEP)}\n")
+    x = value = np.float64(0.5)
+    for _ in range(DEEP):
+        value = level(x, value)
+    assert evaluate(model, [0.5]) == value
+    assert parse_model(print_model(model)) == model
 
 
-# Exactly at the limit: MAX_DEPTH parentheses open at once, inside a sum.
+# A sum at 100 levels of parentheses, the deepest text the recursive parser
+# this loop replaced accepted.
 AT_LIMIT_SOURCE = (
-    "x ~ N(0, 1)\nf = " + "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " + x" * (MAX_DEPTH - 1) + "\n"
+    "x ~ N(0, 1)\nf = " + "(" * 100 + "x" + ")" * 100 + " + x" * 99 + "\n"
 )
 
 
 def test_parse_accepts_the_depth_limit():
     model = parse_model(AT_LIMIT_SOURCE)
-    assert evaluate(model, [0.5]) == 0.5 * MAX_DEPTH
+    assert evaluate(model, [0.5]) == 0.5 * 100
     assert parse_model(print_model(model)) == model
     draws = sample(model, 3 * _BLOCK, seed=5)
     x = np.random.default_rng(5).normal(0.0, 1.0, 3 * _BLOCK)
     acc = x
-    for _ in range(MAX_DEPTH - 1):  # the parsed order of additions
+    for _ in range(100 - 1):  # the parsed order of additions
         acc = acc + x
     assert draws.values.tobytes() == acc.tobytes()
 
@@ -220,7 +227,7 @@ def test_models_compare_print_and_pickle_as_dataclasses():
     assert {model: 1}[copied] == 1
 
 
-# A 200-term sum of two-variable products, deeper than MAX_DEPTH as a tree
+# A 200-term sum of two-variable products, deeper than 100 levels as a tree
 # of nested tuples
 SUM_OF_PRODUCTS = (
     "x0 ~ U(-1, 1)\nx1 ~ N(0, 1)\nf = "
@@ -240,10 +247,10 @@ def test_sum_of_200_products_keeps_its_bits():
     )
 
 
-# Source text at MAX_DEPTH: each call to cos opens one level, inside a sum,
-# a product and a power.
+# Source text 100 levels deep, the recursive parser's limit: each call to
+# cos opens one level, inside a sum, a product and a power.
 DEEPEST_SOURCE = "x + x*x"
-for _ in range(MAX_DEPTH):
+for _ in range(100):
     DEEPEST_SOURCE = f"x + x*cos({DEEPEST_SOURCE})^2"
 DEEPEST_SOURCE = f"x ~ N(0, 1)\nf = {DEEPEST_SOURCE}\n"
 
@@ -306,15 +313,16 @@ def _at_stack_depth(frames, call):
     return call() if frames == 0 else _at_stack_depth(frames - 1, call)
 
 
-def test_parser_recursion_error_becomes_syntax_error():
+def test_parse_from_a_deep_stack():
+    # the parser needs a few frames whatever the text; the recursive one it
+    # replaced took about 600 for this text, and failed under 900 deep
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    # leave about 100 frames: too few for MAX_DEPTH nested parentheses
-    free = sys.getrecursionlimit() - depth - 100
-    with pytest.raises(ModelSyntaxError, match="nests too deeply to parse") as err:
-        _at_stack_depth(free, lambda: parse_model(AT_LIMIT_SOURCE))
-    assert (err.value.line, err.value.column) == (2, 1)
+    free = sys.getrecursionlimit() - depth - 25
+    assert depth + free > 900
+    model = _at_stack_depth(free, lambda: parse_model(AT_LIMIT_SOURCE))
+    assert model == parse_model(AT_LIMIT_SOURCE)
 
 
 def test_evaluate_synthetic_points():
