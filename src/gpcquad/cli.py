@@ -2,8 +2,9 @@
 bases, quadrature rules, samples, and plot data out.
 
 Machine-readable JSON reports go to stdout; human-readable summaries go to
-stderr. Exit codes: 0 success (all checks pass), 1 usage or input error,
-2 numerical failure, 3 I/O error.
+stderr. Exit codes: 0 success (all checks pass), 1 usage or input error
+(argparse's usage errors included), 2 numerical failure, 3 I/O error.
+`main` returns the code, also after `--help` and `--version`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ecdf import load_monotone_csv
-from .errors import GpcquadError, NumericalError
+from .errors import GpcquadError, NumericalError, integer
 from .interp import (
     cdf_eval,
     draw_samples,
@@ -162,8 +163,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     density = load_model(args.model)
-    if args.grid < 2:
-        raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    integer(args.grid, "--grid", 2)
     tr = density.transform
     step = tr.b / (args.grid - 1)
     npad = math.ceil(0.05 * (args.grid - 1))
@@ -243,7 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NumericalError as exc:

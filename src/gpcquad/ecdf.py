@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer
 from .surrogate import SampleSet
 
 __all__ = [
@@ -239,13 +239,10 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
     segment (an atom in the data becomes a steep ramp: a continuous CDF
     cannot carry a jump).
 
-    `m` is an integer, numpy integers included; a bool or any other number
-    raises `SelectionError`.
+    `m` is an integer of at least 2, numpy integers included; a bool or any
+    other value raises `SelectionError`.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise SelectionError(f"m must be an integer, got {m!r}")
-    if m < 2:
-        raise SelectionError(f"m must be at least 2, got {m}")
+    m = integer(m, "m", 2, error=SelectionError)
     sv = ecdf.sorted_values
     if not (sv[0] > 0.0 and sv[-1] < 1.0):
         raise InvariantViolation("normalized samples must lie strictly inside (0,1)")

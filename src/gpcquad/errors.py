@@ -1,8 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one check of an
+integer argument (`integer`).
 
 Exit-code mapping used by the CLI: usage/input problems map to 1,
 numerical failures (NumericalError subtree) to 2, I/O errors to 3.
 """
+
+import numpy as np
+
+
+def integer(value, name: str, lo: int, hi: int | None = None, error=ValueError) -> int:
+    """`value` as an int, or `error` naming `name`: it must be an int or a
+    numpy integer, not a bool, within [lo, hi] (no upper bound if hi is None)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if hi is None and value < lo:
+        raise error(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise error(f"{name} must be within [{lo}, {hi}], got {value}")
+    return int(value)
 
 
 class GpcquadError(Exception):

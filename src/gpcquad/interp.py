@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import MonotoneData, TransformParams, _reject_nan
-from .errors import InvariantViolation
+from .errors import InvariantViolation, integer
 
 __all__ = [
     "DensityModel",
@@ -544,11 +544,10 @@ def draw_samples(model: DensityModel, count: int, seed: int):
     time, which consumes the stream as one `count`-long draw does and gives
     the same bits, so the output is the only array as long as the sample.
     Targets on plateaus raise one PlateauWarning for the whole call.
-    A `count` that is not a non-negative integer raises ValueError.
+    A `count` or `seed` that is not a non-negative integer raises ValueError.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    rng = np.random.default_rng(seed)
+    count = integer(count, "count", 0)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     a, b = model.transform.a, model.transform.b
     out = np.empty(count)
     pieces = _pieces(model)
@@ -624,13 +623,16 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
             failures.append("invalid transform parameters")
         # the constants the kernels read on a rising piece must be finite: a
         # chord slope dy / h overflows on a piece narrower than about
-        # 1e-308 dy, and a cubic's monomial coefficients (the moments' and
-        # the derivative check's) on one narrower than about 1e-154
+        # 1e-308 dy, a rational's density term 2 s (`_pdf_t`) on one narrower
+        # than about 2e-308 dy, and a cubic's monomial coefficients (the
+        # moments' and the derivative check's) on one narrower than about 1e-154
         rising = pieces.dy != 0
         constants = {"chord slope": pieces.s, "h d0": pieces.hd0, "h d1": pieces.hd1,
                      "weight w": pieces.w, "weight v": pieces.v}
         if model.variant == "cubic":
             _, constants["c3"], constants["c4"] = _cubic_monomial(pieces)
+        else:
+            constants["2 s"] = 2.0 * pieces.s
         unbounded = {name: rising & ~np.isfinite(c) for name, c in constants.items()}
         bad = np.flatnonzero(np.any(list(unbounded.values()), axis=0))
         if not failures and bad.size:

@@ -42,11 +42,10 @@ terms is already correctly rounded, so it needs no fsum.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, integer
 from .interp import DensityModel, _cubic_monomial, _pdf_t, _pieces, _to_t
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
 ]
 
 # Highest moment ever needed: basis degree cap 10 requires M_0..M_21.
+# Higher monomial moments are too ill-conditioned for the recurrence.
 MOMENT_CAP = 22
 
 # When the quadratic denominator term is at most this fraction of the
@@ -65,28 +65,6 @@ MOMENT_CAP = 22
 # it instead of exact long division: the exact quotient coefficients carry a
 # 1/D2 factor per degree and cancel catastrophically as D2 -> 0.
 _SERIES_THRESHOLD = 0.1
-
-
-def _check_order(k) -> int:
-    """k as an int; a ValueError naming k when it is not a non-negative
-    integer (integer types such as np.int64 pass, floats such as 3.0 do not)."""
-    try:
-        order = operator.index(k)
-    except TypeError:
-        order = -1
-    if order < 0:
-        raise ValueError(f"moment order must be a non-negative integer, got {k!r}")
-    return order
-
-
-def _check_kmax(kmax) -> int:
-    kmax = _check_order(kmax)
-    if kmax > MOMENT_CAP:
-        raise ValueError(
-            f"kmax = {kmax} exceeds the cap {MOMENT_CAP}; higher monomial "
-            f"moments are too ill-conditioned for the recurrence construction"
-        )
-    return kmax
 
 
 def moments(model: DensityModel, kmax: int) -> np.ndarray:
@@ -153,7 +131,7 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
     """
     if model.variant != "cubic":
         raise ValueError(f"expected a cubic model, got {model.variant!r}")
-    kmax = _check_kmax(kmax)
+    kmax = integer(kmax, "kmax", 0, MOMENT_CAP)
     p = _pieces(model)
     rising = p.dy != 0
     c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(p))
@@ -208,7 +186,7 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     """
     if model.variant != "rational":
         raise ValueError(f"expected a rational model, got {model.variant!r}")
-    kmax = _check_kmax(kmax)
+    kmax = integer(kmax, "kmax", 0, MOMENT_CAP)
     p = _pieces(model)
     rising = p.dy != 0
     x0, x1, y0, y1 = p.x0[rising], p.x1[rising], p.y0[rising], p.y1[rising]
@@ -295,7 +273,7 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
     """
     from scipy.integrate import quad
 
-    k = _check_order(k)
+    k = integer(k, "k", 0)
     p = _pieces(model)
     integrals = []
     worst = (0.0, None)

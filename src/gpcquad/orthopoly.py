@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KappaNotPositiveError
+from .errors import KappaNotPositiveError, integer
 
 __all__ = [
     "DEGREE_CAP",
@@ -39,13 +39,10 @@ DEGREE_CAP = 10
 BASIS_FORMAT_VERSION = 1
 
 
-def check_degree(n_hat: int) -> None:
-    """Raise ValueError unless n_hat is an integer, not a bool, in
+def check_degree(n_hat: int) -> int:
+    """n_hat as an int; ValueError unless it is an integer, not a bool, in
     [0, DEGREE_CAP]."""
-    if isinstance(n_hat, bool) or not isinstance(n_hat, (int, np.integer)):
-        raise ValueError(f"degree must be an integer, got {n_hat!r}")
-    if not 0 <= n_hat <= DEGREE_CAP:
-        raise ValueError(f"degree must be within [0, {DEGREE_CAP}], got {n_hat}")
+    return integer(n_hat, "degree", 0, DEGREE_CAP)
 
 
 @dataclass(frozen=True)
@@ -163,9 +160,9 @@ def basis_values(basis: OrthonormalBasis, x) -> np.ndarray:
 
 
 def eval_basis(basis: OrthonormalBasis, i: int, x):
-    """phi_i at x (scalar or array), through the recurrence."""
-    if not 0 <= i <= basis.degree:
-        raise IndexError(f"basis index {i} out of range [0, {basis.degree}]")
+    """phi_i at x (scalar or array), through the recurrence; IndexError
+    unless i is an integer in [0, degree]."""
+    i = integer(i, "basis index", 0, basis.degree, IndexError)
     out = basis_values(basis, x)[..., i]
     return float(out) if np.ndim(x) == 0 else out
 

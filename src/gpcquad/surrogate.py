@@ -40,6 +40,7 @@ from .errors import (
     EvaluationError,
     InvariantViolation,
     ModelSyntaxError,
+    integer,
 )
 
 __all__ = [
@@ -647,9 +648,12 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     arrays as long as the sample are alive at once, against the `dim + 1`
     of whole columns and the output: two for `SYNTHETIC_MODEL`, and one,
     the output, for a sum of one-variable terms.
+
+    A `count` or `seed` that is not a non-negative integer raises
+    ValueError, and a `count` under 2 `DegenerateSamplesError`.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {count!r}")
+    count = integer(count, "count", 0)
+    seed = integer(seed, "seed", 0)
     if count < 2:
         raise DegenerateSamplesError(f"need at least 2 samples, got {count}")
     jobs = _plan(model.expr)

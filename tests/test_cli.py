@@ -183,6 +183,38 @@ def test_sample_command(tmp_path, capsys):
     assert out.read_bytes() == twin.read_bytes()
 
 
+def test_a_negative_seed_is_named(tmp_path, capsys):
+    # formerly numpy's `expected non-negative integer`, which names no seed
+    points = tmp_path / "diag.csv"
+    save_monotone_csv(diagonal_data(6), points)
+    _, report, _ = run_cli(capsys, "fit", "--points", str(points), "--variant", "cubic", "--out", str(tmp_path))
+    for argv in (("fit", "--model", "builtin:synthetic", "--samples", "2000"),
+                 ("sample", report["variants"]["cubic"]["file"], "--count", "10")):
+        out = tmp_path / "out"
+        code, report_out, err = run_cli(capsys, *argv, "--seed", "-1", "--out", str(out))
+        assert (code, report_out, err) == (1, None, "error: seed must be at least 0, got -1\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "builtin:synthetic", "--samples", "1e6"],
+    ["quad", "--degree", "4"],
+    ["bogus"],
+    [],
+], ids=["float-samples", "missing-model", "unknown-command", "no-command"])
+def test_usage_errors_exit_1(capsys, argv):
+    # formerly argparse's SystemExit(2), the code of a numerical failure
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 1 and report is None
+    assert err.startswith("usage: gpcquad") and "error: " in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    assert main([flag]) == 0
+    assert "gpcquad" in capsys.readouterr().out
+
+
 def test_plotdata_uniform_grid(tmp_path, capsys):
     points = tmp_path / "diag.csv"
     save_monotone_csv(diagonal_data(6), points)
@@ -203,7 +235,7 @@ def test_plotdata_uniform_grid(tmp_path, capsys):
     assert np.all(pdf >= 0)
 
     code, _, err = run_cli(capsys, "plotdata", model_file, "--grid", "1", "--out", str(out))
-    assert code == 1
+    assert (code, err) == (1, "error: --grid must be at least 2, got 1\n")
 
 
 def test_invalid_model_file_and_missing_file(tmp_path, capsys):
@@ -319,6 +351,25 @@ def test_commands_refuse_a_model_whose_piece_constants_overflow(tmp_path, capsys
             code, report, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--out", str(out))
         assert code == 1 and report is None, argv
         assert err.startswith("error: piece 0 on [0.0, 1e-310] has a non-finite chord slope"), err
+        assert not out.exists()
+
+
+def test_commands_refuse_a_rational_model_whose_density_overflows(tmp_path, capsys):
+    # a chord slope of 1e308 is finite, but the density's 2 s term is not;
+    # formerly the failure named NaN residuals, not the piece
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "format_version": MODEL_FORMAT_VERSION, "variant": "rational",
+        "transform": {"a": 0.0, "b": 1.0, "delta": 0.001},
+        "knots_x": [0.0, 1e-308, 1.0], "knots_y": [0.0, 1.0, 1.0], "slopes": [0.0, 0.0, 0.0],
+    }))
+    for argv in (("quad", "--degree", "4"), ("sample", "--count", "10")):
+        out = tmp_path / argv[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--out", str(out))
+        assert (code, report) == (1, None), argv
+        assert err == "error: piece 0 on [0.0, 1e-308] has a non-finite 2 s\n", err
         assert not out.exists()
 
 

@@ -689,7 +689,8 @@ def test_block_draws_warn_once_for_all_plateaus(variant):
 @pytest.mark.parametrize("count", [1e4, 8192.0, True, -3, "100"],
                          ids=["1e4", "float", "bool", "negative", "str"])
 def test_draw_samples_count_must_be_a_non_negative_integer(synthetic_fits, count):
-    with pytest.raises(ValueError, match=rf"^count must be a non-negative integer, got {count!r}$"):
+    message = f"at least 0, got {count}" if count == -3 else f"an integer, got {count!r}"
+    with pytest.raises(ValueError, match=rf"^count must be {message}$"):
         draw_samples(synthetic_fits["cubic"], count, seed=1)
 
 
@@ -795,6 +796,22 @@ def test_validate_refuses_piece_constants_that_overflow(variant):
     assert report["ok"] is (variant == "rational")
     if variant == "cubic":
         assert report["failures"] == ["piece 0 on [0.0, 1e-200] has a non-finite c3, c4"]
+
+
+# knots 1e-308 apart: the chord slope 1e308 is finite, but the rational
+# density's 2 s term overflows, and inf * 0 at t = 0 is nan
+OVERFLOWING_DENSITY = {"knots_x": [0.0, 1e-308, 1.0], "knots_y": [0.0, 1.0, 1.0], "slopes": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("variant,names", [("cubic", "c3, c4"), ("rational", "2 s")])
+def test_validate_names_the_piece_whose_density_overflows(variant, names):
+    # formerly the rational model failed as `knot slope residual nan;
+    # density jump at a knot nan`, naming no piece
+    model = DensityModel(variant, *(np.array(v) for v in OVERFLOWING_DENSITY.values()), IDENTITY_TRANSFORM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_model(model, raise_on_failure=False)
+    assert report["failures"] == [f"piece 0 on [0.0, 1e-308] has a non-finite {names}"]
 
 
 # ---------------------------------------------------------------------------
