@@ -13,10 +13,9 @@ def integer(value, name: str, lo: int, hi: int | None = None, error=ValueError) 
     numpy integer, not a bool, within [lo, hi] (no upper bound if hi is None)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
-    if hi is None and value < lo:
-        raise error(f"{name} must be at least {lo}, got {value}")
-    if hi is not None and not lo <= value <= hi:
-        raise error(f"{name} must be within [{lo}, {hi}], got {value}")
+    if value < lo or hi is not None and value > hi:
+        bound = f"at least {lo}" if hi is None else f"within [{lo}, {hi}]"
+        raise error(f"{name} must be {bound}, got {value}")
     return int(value)
 
 
