@@ -3,6 +3,7 @@ orthonormal polynomial bases and Gauss quadrature rules derived from the
 fitted density."""
 
 from .ecdf import (
+    M_MAX,
     EmpiricalCDF,
     MonotoneData,
     TransformParams,

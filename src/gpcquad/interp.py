@@ -89,11 +89,18 @@ class DensityModel:
 
 
 def _chords(data: MonotoneData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dy, dy / dx) of each piece; `InvariantViolation` names the first
+    piece whose chord slope overflows, as `validate_model` does."""
     dx = np.diff(data.x)
     if not np.all(dx > 0):
         raise InvariantViolation("abscissae must be strictly increasing")
     dy = np.diff(data.y)
-    return dx, dy, dy / dx
+    with np.errstate(over="ignore"):
+        s = dy / dx
+    if not np.all(np.isfinite(s)):
+        j, x = int(np.argmin(np.isfinite(s))), data.x
+        raise InvariantViolation(f"piece {j} on [{float(x[j])}, {float(x[j + 1])}] has a non-finite chord slope")
+    return dx, dy, s
 
 
 def parabolic_slopes(data: MonotoneData) -> np.ndarray:
@@ -127,11 +134,12 @@ def project_slopes(data: MonotoneData, raw: np.ndarray) -> np.ndarray:
     _, _, s = _chords(data)
     left = np.concatenate(([s[0]], s))    # s_{k-1} with s_0 = s_1
     right = np.concatenate((s, [s[-1]]))  # s_k with s_n = s_{n-1}
-    out = np.where(
-        left * right > 0,
-        np.minimum(np.maximum(0.0, raw), 3.0 * np.minimum(left, right)),
-        0.0,
-    )
+    with np.errstate(over="ignore"):  # an inf product or bound clamps as a huge one would
+        out = np.where(
+            left * right > 0,
+            np.minimum(np.maximum(0.0, raw), 3.0 * np.minimum(left, right)),
+            0.0,
+        )
     return out
 
 
@@ -159,20 +167,21 @@ def geometric_mean_slopes(data: MonotoneData) -> np.ndarray:
         return v if math.isfinite(v) and v > 0.0 else 0.0
 
     d = np.empty(n)
-    # on Python floats: the same IEEE operations as on np.float64, unboxed
-    xl, sl = x.tolist(), s.tolist()
+    # on Python floats: the same IEEE operations as on np.float64, unboxed,
+    # and one that overflows gives inf without a warning
+    xl, yl, sl = x.tolist(), y.tolist(), s.tolist()
     spans = (x[2:] - x[:-2]).tolist()
     d[1:-1] = [
         power_pair(s0, (x2 - x1) / w, s1, (x1 - x0) / w)
         for x0, x1, x2, s0, s1, w in zip(xl, xl[1:], xl[2:], sl, sl[1:], spans)
     ]
-    s31 = (y[2] - y[0]) / (x[2] - x[0])
+    s31 = (yl[2] - yl[0]) / (xl[2] - xl[0])
     d[0] = power_pair(
-        s[0], (x[2] - x[0]) / (x[2] - x[1]), s31, (x[0] - x[1]) / (x[2] - x[1])
+        sl[0], (xl[2] - xl[0]) / (xl[2] - xl[1]), s31, (xl[0] - xl[1]) / (xl[2] - xl[1])
     )
-    snn2 = (y[-1] - y[-3]) / (x[-1] - x[-3])
+    snn2 = (yl[-1] - yl[-3]) / (xl[-1] - xl[-3])
     d[-1] = power_pair(
-        s[-1], (x[-1] - x[-3]) / (x[-2] - x[-3]), snn2, (x[-2] - x[-1]) / (x[-2] - x[-3])
+        sl[-1], (xl[-1] - xl[-3]) / (xl[-2] - xl[-3]), snn2, (xl[-2] - xl[-1]) / (xl[-2] - xl[-3])
     )
     return d
 

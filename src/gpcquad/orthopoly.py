@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KappaNotPositiveError, integer
+from .errors import KappaNotPositiveError, NumericalError, integer
 
 __all__ = [
     "DEGREE_CAP",
@@ -146,22 +146,31 @@ def compute_recurrence(
 def basis_values(basis: OrthonormalBasis, x) -> np.ndarray:
     """phi_0..phi_degree at x, stacked along a new last axis, by the
     orthonormal three-term recurrence
-    phi_{i+1} = ((x - gamma_i) phi_i - sqrt(kappa_i) phi_{i-1}) / sqrt(kappa_{i+1})."""
+    phi_{i+1} = ((x - gamma_i) phi_i - sqrt(kappa_i) phi_{i-1}) / sqrt(kappa_{i+1}).
+    A non-finite x raises ValueError naming its (flat) index, and a point
+    where a value overflows raises NumericalError naming it."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        j = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"cannot evaluate the basis at a non-finite point: x is {x.flat[j]} at index {j}")
     gamma = basis.rec.gamma
     root = np.sqrt(basis.rec.kappa)
     out = np.empty(x.shape + (basis.degree + 1,))
     prev, cur = np.zeros_like(x), np.ones_like(x)
     out[..., 0] = cur
-    for i in range(basis.degree):
-        prev, cur = cur, ((x - gamma[i]) * cur - root[i] * prev) / root[i + 1]
-        out[..., i + 1] = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(basis.degree):
+            prev, cur = cur, ((x - gamma[i]) * cur - root[i] * prev) / root[i + 1]
+            out[..., i + 1] = cur
+    if not np.all(np.isfinite(out)):
+        j = int(np.argmin(np.isfinite(out).all(axis=-1)))
+        raise NumericalError(f"the basis overflows float64 at x = {x.flat[j]} (index {j})")
     return out
 
 
 def eval_basis(basis: OrthonormalBasis, i: int, x):
-    """phi_i at x (scalar or array), through the recurrence; IndexError
-    unless i is an integer in [0, degree]."""
+    """phi_i at x (scalar or array), through the recurrence (`basis_values`,
+    whose errors it raises); IndexError unless i is an integer in [0, degree]."""
     i = integer(i, "basis index", 0, basis.degree, IndexError)
     out = basis_values(basis, x)[..., i]
     return float(out) if np.ndim(x) == 0 else out

@@ -11,6 +11,7 @@ import pytest
 
 from gpcquad import (
     DEGREE_CAP,
+    M_MAX,
     MOMENT_CAP,
     SYNTHETIC_MODEL,
     SelectionError,
@@ -39,7 +40,7 @@ ARGUMENTS = {
     "sample seed": (lambda f, v: sample(f.surrogate, 64, v), "seed", 0, None, ValueError),
     "draw_samples count": (lambda f, v: draw_samples(f.cubic, v, 1), "count", 0, None, ValueError),
     "draw_samples seed": (lambda f, v: draw_samples(f.cubic, 64, v), "seed", 0, None, ValueError),
-    "select_points m": (lambda f, v: select_points(f.cdf, v), "m", 2, None, SelectionError),
+    "select_points m": (lambda f, v: select_points(f.cdf, v), "m", 2, M_MAX, SelectionError),
     "rules_from_model degrees": (
         lambda f, v: rules_from_model(f.cubic, (2, v)), "degree", 0, DEGREE_CAP, ValueError),
     "compute_recurrence degree": (

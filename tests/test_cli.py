@@ -137,6 +137,31 @@ def test_points_file_with_a_malformed_row(tmp_path, capsys):
         assert f"{name}.csv, row 3: expected two numbers x,y, got {row!r}" in err
 
 
+@pytest.mark.parametrize("variant", ["cubic", "rational", "both"])
+def test_fit_points_whose_chord_slope_overflows_exit_1(tmp_path, capsys, variant):
+    # formerly each slope estimator leaked `overflow encountered in divide`
+    # and the cubic's message named no piece
+    points = tmp_path / "narrow.csv"
+    points.write_text("x,y\n0.0,0.0\n1e-310,0.5\n1.0,1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run_cli(
+            capsys, "fit", "--points", str(points), "--variant", variant, "--out", str(tmp_path)
+        )
+    assert (code, report) == (1, None)
+    assert err == "error: piece 0 on [0.0, 1e-310] has a non-finite chord slope\n"
+
+
+def test_fit_refuses_an_m_above_its_cap(tmp_path, capsys):
+    # formerly the point selection ran without end
+    code, report, err = run_cli(
+        capsys, "fit", "--model", "builtin:synthetic", "--samples", "2000",
+        "--m", "1000000000000000", "--out", str(tmp_path),
+    )
+    assert (code, report) == (1, None)
+    assert err == "error: m must be within [2, 10000], got 1000000000000000\n"
+
+
 def test_sample_file_with_a_malformed_row(tmp_path, capsys):
     for row, name in (("0.5,0.5", "two"), ("abc", "text"), ("nan", "nan"), ("-inf", "inf")):
         data = tmp_path / f"{name}.txt"

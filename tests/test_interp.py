@@ -814,6 +814,30 @@ def test_validate_names_the_piece_whose_density_overflows(variant, names):
     assert report["failures"] == [f"piece 0 on [0.0, 1e-308] has a non-finite {names}"]
 
 
+@pytest.mark.parametrize("fit", [fit_cubic, fit_rational], ids=["cubic", "rational"])
+def test_fits_name_the_piece_whose_chord_slope_overflows(fit):
+    # formerly both slope estimators leaked `overflow encountered in divide`,
+    # and the cubic failed as `non-finite values in slopes`, naming no piece
+    knots = MonotoneData(x=np.array(OVERFLOWING_KNOTS["knots_x"]), y=np.array(OVERFLOWING_KNOTS["knots_y"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=r"^piece 0 on \[0\.0, 1e-310\] has a non-finite chord slope$"):
+            fit(knots)
+        # a flat piece that narrow has a chord slope of 0: formerly the
+        # rational's one-sided end slope leaked `overflow encountered in
+        # scalar divide` there
+        fit(MonotoneData(x=np.array([0.0, 1e-310, 1.0]), y=np.array([0.0, 0.0, 1.0])))
+        # a finite chord slope of 9e299: formerly the cubic's projection
+        # leaked `overflow encountered in multiply`; its monomial
+        # coefficients overflow, and the rational fits
+        steep = MonotoneData(x=np.array([0.0, 1e-300, 1.0]), y=np.array([0.0, 0.9, 1.0]))
+        if fit is fit_cubic:
+            with pytest.raises(InvariantViolation, match=r"^piece 0 on \[0\.0, 1e-300\] has a non-finite c3, c4$"):
+                fit(steep)
+        else:
+            fit(steep)
+
+
 # ---------------------------------------------------------------------------
 # property-based fitting invariants
 # ---------------------------------------------------------------------------

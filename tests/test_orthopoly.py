@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from gpcquad import (
     DEGREE_CAP,
     KappaNotPositiveError,
+    NumericalError,
     compute_recurrence,
     eval_basis,
     fit_cubic,
@@ -16,7 +17,7 @@ from gpcquad import (
     pdf_eval,
     save_basis,
 )
-from gpcquad.orthopoly import basis_from_dict, basis_to_dict
+from gpcquad.orthopoly import basis_from_dict, basis_to_dict, basis_values
 from conftest import diagonal_data, random_selected_data
 
 UNIFORM_MOMENTS = 1.0 / (np.arange(30) + 1.0)
@@ -45,6 +46,22 @@ def test_eval_basis_returns_a_float_for_a_0d_array():
         got = eval_basis(basis, 2, x)
         assert type(got) is float and got == eval_basis(basis, 2, np.array([0.3]))[0]
     assert eval_basis(basis, 2, np.array([0.3])).shape == (1,)
+
+
+@pytest.mark.parametrize("evaluate", [lambda b, x: eval_basis(b, 2, x), basis_values],
+                         ids=["eval_basis", "basis_values"])
+def test_basis_refuses_non_finite_and_overflowing_points(evaluate):
+    # formerly NaN gave NaN, inf gave inf, and 1e300 leaked numpy's overflow
+    # RuntimeWarning before returning inf
+    _, basis = compute_recurrence(UNIFORM_MOMENTS, 2)
+    for x, shown, index in ((np.nan, "nan", 0), (np.inf, "inf", 0), ([0.5, -np.inf], "-inf", 1),
+                            (np.array([[0.5], [np.nan]]), "nan", 1)):
+        with pytest.raises(ValueError, match=rf"^cannot evaluate the basis at a non-finite point: "
+                                             rf"x is {shown} at index {index}$"):
+            evaluate(basis, x)
+    for x, index in ((1e300, 0), ([0.5, 1e300], 1), (np.array([[0.5], [1e300]]), 1)):
+        with pytest.raises(NumericalError, match=rf"^the basis overflows float64 at x = 1e\+300 \(index {index}\)$"):
+            evaluate(basis, x)
 
 
 def test_uniform_norm_against_integral_oracle():
