@@ -175,6 +175,7 @@ def _long_division(iA, iB, iC, D0, D2, opi):
     return poly, rem[np.arange(2, kmax + 2), :, np.arange(kmax)].T
 
 
+@np.errstate(all="ignore")  # a piece beyond float64's range is refused by name below
 def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     """Moments via long division of each piece's rational density.
 
@@ -183,6 +184,8 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     i w^(i-1) N/D, divides the second term by D (exactly, or through a
     geometric series in D2 w^2 / D0 when that is small), and the symmetric
     bounds: even antiderivative differences drop out, odd ones double.
+    Raises NumericalError naming the first piece whose local moments are
+    not finite, such as one so narrow that its width squared underflows.
     """
     if model.variant != "rational":
         raise ValueError(f"expected a rational model, got {model.variant!r}")
@@ -256,6 +259,13 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     fn[neg] = [math.log(z) for z in ((root[neg] + aa) / small).tolist()]
     poly, const = _long_division(iA[div], iB[div], iC[div], D0d, D2d, opi[div])
     raw[div, 1:] = raw[div, 1:] - poly - (scale[:, None] * const / root[:, None]) * fn[:, None]
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        j = int(np.flatnonzero(rising)[np.argmax(bad)])
+        raise NumericalError(
+            f"the moments of piece {j} on [{float(p.x0[j])}, {float(p.x1[j])}] are not finite "
+            f"in float64: the piece is too narrow or too steep for them"
+        )
     return _binomial_sum(raw, 0.5 * (x0 + x1), kmax)
 
 

@@ -7,8 +7,9 @@ sequence. The contraction is carried out in the widest hardware float
 coefficients is badly conditioned at high degree; the degree cap and the
 positivity tripwire on the normalization ratios bound the damage.
 
-The basis is evaluated through the orthonormal form of the same recurrence;
-its monomial coefficients are kept as the published output.
+The basis is the recurrence: it is evaluated through the orthonormal form
+of the recurrence, and its monomial coefficients, the published output, are
+derived from it.
 """
 
 from __future__ import annotations
@@ -48,10 +49,29 @@ def check_degree(n_hat: int) -> int:
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """gamma_0..gamma_n and kappa_0..kappa_n (kappa_0 = 1) of the monic
-    recurrence pi_{i+1}(x) = (x - gamma_i) pi_i(x) - kappa_i pi_{i-1}(x)."""
+    recurrence pi_{i+1}(x) = (x - gamma_i) pi_i(x) - kappa_i pi_{i-1}(x).
+    Building one raises NumericalError naming the first entry that makes it
+    no recurrence: gamma and kappa empty, not 1-D or of different lengths, a
+    non-finite entry, kappa_0 != 1 or kappa_i <= 0 for i >= 1."""
 
     gamma: np.ndarray
     kappa: np.ndarray
+
+    def __post_init__(self):
+        gamma, kappa = self.gamma, self.kappa
+        if np.ndim(gamma) != 1 or np.ndim(kappa) != 1 or not len(gamma):
+            raise NumericalError("gamma and kappa must be non-empty 1-D arrays")
+        if len(kappa) != len(gamma):
+            raise NumericalError(f"recurrence has {len(gamma)} gamma but {len(kappa)} kappa coefficients")
+        for name, values in (("gamma", gamma), ("kappa", kappa)):
+            if not np.isfinite(values).all():
+                bad = int(np.argmin(np.isfinite(values)))
+                raise NumericalError(f"{name}_{bad} = {values[bad]} is not finite")
+        if kappa[0] != 1.0:
+            raise NumericalError(f"kappa_0 = {kappa[0]} is not 1")
+        if np.any(kappa[1:] <= 0):
+            bad = int(np.argmax(kappa[1:] <= 0)) + 1
+            raise NumericalError(f"kappa_{bad} = {kappa[bad]:.6e} is not positive")
 
     @property
     def degree(self) -> int:
@@ -61,31 +81,31 @@ class RecurrenceCoeffs:
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """The orthonormal polynomials phi_i = pi_i / sqrt(kappa_0 ... kappa_i)
-    of a recurrence, i = 0..degree, with their coefficient vectors
-    (ascending powers). The coefficients are the published output; values
-    are taken through the recurrence (`basis_values`), since Horner on the
-    monomial coefficients loses accuracy as the degree grows."""
+    of a recurrence, i = 0..degree. Values are taken through the recurrence
+    (`basis_values`), since Horner on the monomial coefficients loses
+    accuracy as the degree grows."""
 
     rec: RecurrenceCoeffs
-    phi_coeffs: tuple
 
     @property
     def degree(self) -> int:
         return self.rec.degree
 
-
-def _monic_from_recurrence(gamma: np.ndarray, kappa: np.ndarray, n_hat: int):
-    polys = [np.array([1.0])]
-    prev = np.zeros(1)
-    for i in range(n_hat):
-        cur = polys[i]
-        nxt = np.zeros(i + 2)
-        nxt[1:] += cur
-        nxt[: i + 1] -= gamma[i] * cur
-        nxt[: len(prev)] -= kappa[i] * prev
-        prev = cur
-        polys.append(nxt)
-    return polys
+    @property
+    def phi_coeffs(self) -> tuple:
+        """The published coefficient vectors of phi_0..phi_degree (ascending
+        powers), from the monic pi_i the recurrence builds."""
+        gamma, kappa = self.rec.gamma, self.rec.kappa
+        monic, prev = [np.array([1.0])], np.zeros(1)
+        for i in range(self.degree):
+            cur, nxt = monic[i], np.zeros(i + 2)
+            nxt[1:] += cur
+            nxt[: i + 1] -= gamma[i] * cur
+            nxt[: len(prev)] -= kappa[i] * prev
+            prev = cur
+            monic.append(nxt)
+        norms = np.sqrt(np.cumprod(kappa))
+        return tuple(monic[i] / norms[i] for i in range(self.degree + 1))
 
 
 def compute_recurrence(
@@ -132,15 +152,12 @@ def compute_recurrence(
         pi_prev, pi_cur = pi_cur, nxt
         den_prev = den
 
+    # the basis and any quadrature rule both come from the rounded
+    # coefficients, so they are mutually consistent
     rec = RecurrenceCoeffs(
         gamma=np.asarray(gamma, dtype=float), kappa=np.asarray(kappa, dtype=float)
     )
-    # rebuild the polynomials from the rounded coefficients so that basis and
-    # any quadrature rule derived from `rec` are mutually consistent
-    monic = _monic_from_recurrence(rec.gamma, rec.kappa, n_hat)
-    norms = np.sqrt(np.cumprod(rec.kappa))
-    phi = tuple(monic[i] / norms[i] for i in range(n_hat + 1))
-    return rec, OrthonormalBasis(rec=rec, phi_coeffs=phi)
+    return rec, OrthonormalBasis(rec)
 
 
 def basis_values(basis: OrthonormalBasis, x) -> np.ndarray:
@@ -192,6 +209,8 @@ def basis_to_dict(rec: RecurrenceCoeffs, basis: OrthonormalBasis) -> dict:
 
 
 def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
+    """ValueError unless the document's gamma and kappa build a recurrence,
+    `degree` is its degree and `phi_coeffs` are, bit for bit, its basis's."""
     version = doc.get("format_version")
     if version != BASIS_FORMAT_VERSION:
         raise ValueError(f"unsupported basis format version {version!r}")
@@ -200,25 +219,19 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
             gamma=np.asarray(doc["gamma"], dtype=float),
             kappa=np.asarray(doc["kappa"], dtype=float),
         )
-        n_hat = doc["degree"]
-        phi = tuple(np.asarray(c, dtype=float) for c in doc["phi_coeffs"])
-        lengths = {"gamma": len(rec.gamma), "kappa": len(rec.kappa), "phi_coeffs": len(phi)}
-        sizes_ok = all(n == n_hat + 1 for n in lengths.values())
-    except (KeyError, TypeError) as exc:
+        n_hat, phi = check_degree(doc["degree"]), doc["phi_coeffs"]
+        for name, n in (("gamma and kappa", rec.degree + 1), ("phi_coeffs", len(phi))):
+            if n != n_hat + 1:
+                raise ValueError(f"degree {n_hat} needs {n_hat + 1} entries in {name}, got {n}")
+        basis = OrthonormalBasis(rec)
+        for i, want in enumerate(basis.phi_coeffs):
+            got = np.asarray(phi[i], dtype=float)
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                raise ValueError(f"phi_coeffs[{i}] = {got.tolist()} is not {want.tolist()}, "
+                                 f"the phi_{i} its gamma and kappa give")
+    except (KeyError, TypeError, ValueError, NumericalError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
-    if not sizes_ok:
-        got = ", ".join(f"{n} {name}" for name, n in lengths.items())
-        raise ValueError(
-            f"malformed basis document: degree {n_hat} needs {n_hat + 1} "
-            f"entries in each of gamma, kappa and phi_coeffs, got {got}"
-        )
-    for i, c in enumerate(phi):
-        if c.shape != (i + 1,):
-            raise ValueError(
-                f"malformed basis document: phi_coeffs[{i}] has {c.size} "
-                f"coefficients, phi_{i} needs {i + 1}"
-            )
-    return rec, OrthonormalBasis(rec=rec, phi_coeffs=phi)
+    return rec, basis
 
 
 def save_basis(rec: RecurrenceCoeffs, basis: OrthonormalBasis, path) -> None:

@@ -196,8 +196,11 @@ class SampleSet:
     """Model outputs at `count` i.i.d. parameter draws from a single seeded stream."""
 
     values: np.ndarray
-    count: int
     seed: int
+
+    @property
+    def count(self) -> int:
+        return self.values.size
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +678,7 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise EvaluationError(f"model evaluated to a non-finite value at draw {bad}")
-    return SampleSet(values=values, count=count, seed=seed)
+    return SampleSet(values=values, seed=seed)
 
 
 

@@ -152,6 +152,27 @@ def test_fit_points_whose_chord_slope_overflows_exit_1(tmp_path, capsys, variant
     assert err == "error: piece 0 on [0.0, 1e-310] has a non-finite chord slope\n"
 
 
+@pytest.mark.parametrize("width", ["1e-160", "1e-300"])
+def test_rules_of_a_rational_fit_with_a_piece_too_narrow_for_its_moments_exit_2(tmp_path, capsys, width):
+    # the fit is certified, but the piece's moments are not finite in float64;
+    # formerly quad and basis leaked five numpy warnings and blamed kappa_1 = nan
+    points = tmp_path / "narrow.csv"
+    points.write_text(f"x,y\n0.0,0.0\n{width},0.9\n1.0,1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, _ = run_cli(
+            capsys, "fit", "--points", str(points), "--variant", "rational", "--out", str(tmp_path)
+        )
+        assert code == 0 and report["ok"] is True
+        for command in ("quad", "basis"):
+            code, report, err = run_cli(capsys, command, str(tmp_path / "narrow-rational.json"),
+                                        "--degree", "4", "--out", str(tmp_path / command))
+            assert (code, report) == (2, None), command
+            assert err == (f"numerical failure: the moments of piece 0 on [0.0, {width}] are not "
+                           f"finite in float64: the piece is too narrow or too steep for them\n")
+            assert not (tmp_path / command).exists()
+
+
 def test_fit_refuses_an_m_above_its_cap(tmp_path, capsys):
     # formerly the point selection ran without end
     code, report, err = run_cli(

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gpcquad import (
     MOMENT_CAP,
     SYNTHETIC_MODEL,
     MonotoneData,
+    NumericalError,
     default_delta,
     fit_cubic,
     fit_rational,
@@ -20,6 +23,7 @@ from gpcquad import (
     moments_rational,
     numeric_moment_oracle,
     parse_model,
+    rules_from_model,
     sample,
     select_points,
 )
@@ -166,6 +170,22 @@ def test_rational_all_series_and_all_division():
         got = moments(model, 21)
         oracle = np.array([numeric_moment_oracle(model, k) for k in range(22)])
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("width", [1e-160, 1e-300])
+def test_rational_moments_refuse_a_piece_too_narrow_for_float64(width):
+    # fit_rational certifies these points, but the piece's width squared
+    # underflows; formerly moments returned NaN and leaked numpy warnings,
+    # and rules_from_model blamed a NaN kappa_1
+    model = fit_rational(MonotoneData(x=np.array([0.0, width, 1.0]), y=np.array([0.0, 0.9, 1.0])))
+    message = (rf"^the moments of piece 0 on \[0\.0, {width}\] are not finite in float64: "
+               rf"the piece is too narrow or too steep for them$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            moments(model, 21)
+        for outcome in rules_from_model(model, (4, 10)).values():
+            assert isinstance(outcome, NumericalError) and re.match(message, str(outcome))
 
 
 def test_unknown_variant_is_named():

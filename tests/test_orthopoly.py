@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gpcquad import (
     DEGREE_CAP,
     KappaNotPositiveError,
     NumericalError,
+    RecurrenceCoeffs,
     compute_recurrence,
     eval_basis,
     fit_cubic,
@@ -183,16 +185,21 @@ def test_kappa_positive_at_degree_eight(rng):
 
 
 def test_basis_json_round_trip(tmp_path, rng):
-    data, transform, _ = random_selected_data(rng)
-    model = fit_rational(data, transform=transform)
-    rec, basis = compute_recurrence(moments(model, 9), 4)
+    # every file save_basis writes loads back to the same recurrence and,
+    # derived from it, the same published coefficients, bit for bit
     path = tmp_path / "basis.json"
-    save_basis(rec, basis, path)
-    rec2, basis2 = load_basis(path)
-    np.testing.assert_array_equal(rec2.gamma, rec.gamma)
-    np.testing.assert_array_equal(rec2.kappa, rec.kappa)
-    for i in range(5):
-        np.testing.assert_array_equal(basis2.phi_coeffs[i], basis.phi_coeffs[i])
+    for fitter in (fit_cubic, fit_rational):
+        data, transform, _ = random_selected_data(rng)
+        model = fitter(data, transform=transform)
+        for n_hat in range(DEGREE_CAP + 1):
+            try:
+                rec, basis = compute_recurrence(moments(model, 2 * n_hat + 1), n_hat)
+            except KappaNotPositiveError:
+                break
+            save_basis(rec, basis, path)
+            rec2, basis2 = load_basis(path)
+            assert (rec2.gamma.tobytes(), rec2.kappa.tobytes()) == (rec.gamma.tobytes(), rec.kappa.tobytes())
+            assert [c.tobytes() for c in basis2.phi_coeffs] == [c.tobytes() for c in basis.phi_coeffs]
 
 
 def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
@@ -207,17 +214,44 @@ def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("gamma", lambda g: g[:1], "degree 2 needs 3 entries .* got 1 gamma, 3 kappa, 3 phi_coeffs"),
-        ("degree", lambda d: d + 2, "degree 4 needs 5 entries .* got 3 gamma, 3 kappa, 3 phi_coeffs"),
-        ("phi_coeffs", lambda c: c[:-1], "degree 2 needs 3 entries .* got 3 gamma, 3 kappa, 2 phi_coeffs"),
-        ("phi_coeffs", lambda c: [c[0], c[1][:-1], c[2]], r"phi_coeffs\[1\] has 1 coefficients, phi_1 needs 2"),
+        ("gamma", lambda g: g[:1], "recurrence has 1 gamma but 3 kappa coefficients"),
+        ("degree", lambda d: d + 2, "degree 4 needs 5 entries in gamma and kappa, got 3"),
+        ("phi_coeffs", lambda c: c[:-1], "degree 2 needs 3 entries in phi_coeffs, got 2"),
+        ("phi_coeffs", lambda c: [c[0], c[1][:-1], c[2]],
+         r"phi_coeffs\[1\] = \[\S+\] is not \[\S+, \S+\], the phi_1 its gamma and kappa give"),
+        ("gamma", lambda g: [g[0], float("nan"), g[2]], "gamma_1 = nan is not finite"),
+        ("kappa", lambda k: [k[0], -0.5, k[2]], r"kappa_1 = -5\.000000e-01 is not positive"),
+        ("kappa", lambda k: [4.0, k[1], k[2]], r"kappa_0 = 4\.0 is not 1"),
+        ("phi_coeffs", lambda c: [c[0], c[1], [c[2][0], np.nextafter(c[2][1], np.inf), c[2][2]]],
+         r"phi_coeffs\[2\] = \[\S+, \S+, \S+\] is not \[\S+, \S+, \S+\], the phi_2 its gamma"),
     ],
-    ids=["short-gamma", "degree-too-large", "short-phi-coeffs", "short-phi-entry"],
+    ids=["short-gamma", "degree-too-large", "short-phi-coeffs", "short-phi-entry",
+         "nan-gamma", "negative-kappa", "kappa-0-not-one", "phi-entry-off-by-one-ulp"],
 )
 def test_basis_document_lengths_must_agree(rng, field, value, message):
+    # the recurrence checks itself, and phi_coeffs must be the ones it
+    # gives; a NaN gamma or a negative kappa used to load, and eval_basis
+    # then leaked numpy's "invalid value encountered in sqrt"
     data, transform, _ = random_selected_data(rng)
     rec, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
     doc = basis_to_dict(rec, basis)
     doc[field] = value(doc[field])
-    with pytest.raises(ValueError, match="malformed basis document: " + message):
-        basis_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^malformed basis document: " + message):
+            basis_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "gamma, kappa, message",
+    [
+        ([0.5, 0.5], [2.0, 0.1], "kappa_0 = 2.0 is not 1"),
+        ([], [], "gamma and kappa must be non-empty 1-D arrays"),
+        ([[0.5, 0.5]], [[1.0, 0.1]], "gamma and kappa must be non-empty 1-D arrays"),
+        (0.5, 1.0, "gamma and kappa must be non-empty 1-D arrays"),
+    ],
+    ids=["kappa-0", "empty", "two-dimensional", "scalar"],
+)
+def test_recurrence_checks_itself_when_built(gamma, kappa, message):
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        RecurrenceCoeffs(gamma=np.array(gamma), kappa=np.array(kappa))

@@ -34,15 +34,14 @@ def test_gauss_rule_degree_zero_and_bad_kappa():
     rec, _ = uniform_recurrence(0)
     rule = gauss_rule(rec)
     assert rule.nodes.tolist() == [0.5] and rule.weights.tolist() == [1.0]
-    bad = RecurrenceCoeffs(gamma=np.array([0.5, 0.5]), kappa=np.array([1.0, -0.1]))
+    # the recurrence refuses itself when it is built, so no rule is reached
     with pytest.raises(NumericalError, match="kappa_1 = -1.000000e-01 is not positive"):
-        gauss_rule(bad)
+        gauss_rule(RecurrenceCoeffs(gamma=np.array([0.5, 0.5]), kappa=np.array([1.0, -0.1])))
 
 
 def test_gauss_rule_shape_guard():
-    bad = RecurrenceCoeffs(gamma=np.array([0.5, 0.5]), kappa=np.array([1.0]))
     with pytest.raises(NumericalError, match="2 gamma but 1 kappa"):
-        gauss_rule(bad)
+        gauss_rule(RecurrenceCoeffs(gamma=np.array([0.5, 0.5]), kappa=np.array([1.0])))
 
 
 def test_gauss_rule_maps_a_solver_failure_to_eigen_convergence_error(monkeypatch):
@@ -141,9 +140,8 @@ def test_uniform_rule_from_diagonal_fit():
     ids=["nan-gamma", "nan-kappa", "inf-gamma", "inf-kappa"],
 )
 def test_gauss_rule_names_a_non_finite_coefficient(gamma, kappa, message):
-    rec = RecurrenceCoeffs(gamma=np.array(gamma), kappa=np.array(kappa))
     with pytest.raises(NumericalError, match=message) as info:
-        gauss_rule(rec)
+        gauss_rule(RecurrenceCoeffs(gamma=np.array(gamma), kappa=np.array(kappa)))
     assert type(info.value) is NumericalError
 
 

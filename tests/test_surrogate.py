@@ -19,6 +19,7 @@ from gpcquad import (
     EvaluationError,
     InvariantViolation,
     ModelSyntaxError,
+    SampleSet,
     evaluate,
     load_samples,
     parse_model,
@@ -489,6 +490,9 @@ def test_sample_determinism_and_count_guard():
     second = sample(model, 512, seed=42)
     assert np.array_equal(first.values, second.values)
     assert first.seed == 42 and first.count == 512
+    # the count is the values' size, so no sample set can disagree with it
+    with pytest.raises(TypeError):
+        SampleSet(values=np.zeros(3), count=5, seed=1)
     assert not np.array_equal(first.values, sample(model, 512, seed=43).values)
     with pytest.raises(DegenerateSamplesError):
         sample(model, 1, seed=0)
