@@ -100,7 +100,7 @@ def _cmd_basis(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     out_file = out / f"{Path(args.model).stem}-basis{args.degree}.json"
-    save_basis(rec, basis, out_file)
+    save_basis(basis, out_file)
     report = {
         "command": "basis",
         "file": str(out_file),

@@ -723,6 +723,8 @@ def model_to_dict(model: DensityModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DensityModel:
+    if not isinstance(doc, dict):
+        raise InvariantViolation(f"malformed model document: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InvariantViolation(f"unsupported model format version {version!r}")
@@ -749,4 +751,8 @@ def save_model(model: DensityModel, path) -> None:
 
 def load_model(path) -> DensityModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvariantViolation(f"malformed model document: {path} is not JSON: {exc}") from exc
+    return model_from_dict(doc)

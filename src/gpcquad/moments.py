@@ -291,18 +291,23 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
         x0, h = p.x0[j], p.h[j]
         # integrate in piece-local coordinates so narrow steep pieces do not
         # starve the adaptive subdivision; rational pieces with large slope
-        # sums concentrate their mass in boundary layers of width ~1/v, so
-        # force breakpoints at that scale. The density is taken at the
-        # rounded x = x_j + t h, through its own t, as a caller's would be.
-        layer = min(0.25, 10.0 / max(p.v[j], 40.0))
+        # sums concentrate their mass in boundary layers of width ~1/v, with
+        # tails that fall like 1/t^2 beyond them, so force breakpoints at
+        # that scale and at 2^-i and 1 - 2^-i for i = 2 .. ceil(log2 v) - 1.
+        # The density is taken at the rounded x = x_j + t h, through its own
+        # t, as a caller's would be.
+        v = float(p.v[j])
+        layer = min(0.25, 10.0 / max(v, 40.0))
+        steps = [2.0**-i for i in range(2, math.ceil(math.log2(v)) if 1.0 < v < math.inf else 0)]
+        points = sorted({layer, 0.5, 1.0 - layer, *steps, *(1.0 - s for s in steps)})
         val, err = quad(
             lambda t, j=j: h * (x0 + t * h) ** k * _pdf_t(p, j, _to_t(p, j, x0 + t * h)),
             0.0,
             1.0,
             epsabs=1e-13,
             epsrel=1e-11,
-            limit=400,
-            points=sorted({layer, 0.5, 1.0 - layer}),
+            limit=400 + len(points),
+            points=points,
         )
         integrals.append(val)
         if err > worst[0]:

@@ -94,8 +94,18 @@ class OrthonormalBasis:
     @property
     def phi_coeffs(self) -> tuple:
         """The published coefficient vectors of phi_0..phi_degree (ascending
-        powers), from the monic pi_i the recurrence builds."""
+        powers), from the monic pi_i the recurrence builds. Raises
+        NumericalError naming the first phi_i whose norm
+        sqrt(kappa_0 ... kappa_i) is not finite and positive in float64."""
         gamma, kappa = self.rec.gamma, self.rec.kappa
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.sqrt(np.cumprod(kappa))
+        bad = ~(np.isfinite(norms) & (norms > 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalError(
+                f"the norm sqrt(kappa_0 ... kappa_{i}) = {norms[i]} of phi_{i} is not finite and positive in float64"
+            )
         monic, prev = [np.array([1.0])], np.zeros(1)
         for i in range(self.degree):
             cur, nxt = monic[i], np.zeros(i + 2)
@@ -104,7 +114,6 @@ class OrthonormalBasis:
             nxt[: len(prev)] -= kappa[i] * prev
             prev = cur
             monic.append(nxt)
-        norms = np.sqrt(np.cumprod(kappa))
         return tuple(monic[i] / norms[i] for i in range(self.degree + 1))
 
 
@@ -198,19 +207,22 @@ def eval_basis(basis: OrthonormalBasis, i: int, x):
 # ---------------------------------------------------------------------------
 
 
-def basis_to_dict(rec: RecurrenceCoeffs, basis: OrthonormalBasis) -> dict:
+def basis_to_dict(basis: OrthonormalBasis) -> dict:
     return {
         "format_version": BASIS_FORMAT_VERSION,
         "degree": basis.degree,
-        "gamma": rec.gamma.tolist(),
-        "kappa": rec.kappa.tolist(),
+        "gamma": basis.rec.gamma.tolist(),
+        "kappa": basis.rec.kappa.tolist(),
         "phi_coeffs": [c.tolist() for c in basis.phi_coeffs],
     }
 
 
 def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     """ValueError unless the document's gamma and kappa build a recurrence,
-    `degree` is its degree and `phi_coeffs` are, bit for bit, its basis's."""
+    `doc` is an object, `degree` is its degree and `phi_coeffs` are, bit for
+    bit, its basis's."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed basis document: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != BASIS_FORMAT_VERSION:
         raise ValueError(f"unsupported basis format version {version!r}")
@@ -234,12 +246,16 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     return rec, basis
 
 
-def save_basis(rec: RecurrenceCoeffs, basis: OrthonormalBasis, path) -> None:
+def save_basis(basis: OrthonormalBasis, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_to_dict(rec, basis), fh, indent=1)
+        json.dump(basis_to_dict(basis), fh, indent=1)
         fh.write("\n")
 
 
 def load_basis(path) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     with open(path, "r", encoding="utf-8") as fh:
-        return basis_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"malformed basis document: {path} is not JSON: {exc}") from exc
+    return basis_from_dict(doc)

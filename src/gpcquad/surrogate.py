@@ -100,16 +100,6 @@ class Distribution:
             # numpy's uniform draws need hi - lo itself to be a finite double
             raise ValueError(f"uniform width hi - lo overflows, got ({self.p1}, {self.p2})")
 
-    def mean(self) -> float:
-        if self.kind == "gaussian":
-            return self.p1
-        return 0.5 * (self.p1 + self.p2)
-
-    def variance(self) -> float:
-        if self.kind == "gaussian":
-            return self.p2**2
-        return (self.p2 - self.p1) ** 2 / 12.0
-
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(self.p1, self.p2, count)
@@ -211,38 +201,30 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<num>   \d+\.\d*(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)? | \d+(?:[eE][+-]?\d+)? )
   | (?P<name>  [A-Za-z_][A-Za-z_0-9]* )
-  | (?P<op>    [-+*/^()=,~;] )
+  | (?P<op>    [-+*/^()=,~] )
+  | (?P<break> [\n;] )
   | (?P<ws>    [ \t\r]+ )
   | (?P<comment> \#[^\n]* )
-  | (?P<nl>    \n )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
-    """Return (kind, text, line, col) tokens; newlines kept as statement breaks."""
+    """Return (kind, text, line, col) tokens; a newline or `;` is a `break`."""
     tokens = []
-    line, col = 1, 1
+    line, start = 1, 0  # start: the offset of the line's first character
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            raise ModelSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            tokens.append(("break", "\n", line, col))
-            line += 1
-            col = 1
-        else:
-            if kind == "op" and text == ";":
-                tokens.append(("break", ";", line, col))
-            elif kind not in ("ws", "comment"):
-                tokens.append((kind, text, line, col))
-            col += len(text)
+            raise ModelSyntaxError(f"unexpected character {source[pos]!r}", line, pos - start + 1)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.lastgroup, m.group(), line, pos - start + 1))
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+        if m.group() == "\n":
+            line, start = line + 1, pos
+    tokens.append(("eof", "", line, pos - start + 1))
     return tokens
 
 
@@ -263,13 +245,14 @@ _OPERATORS = {sign.strip(): op for op, (sign, *_) in _INFIX.items()}
 
 
 class _Parser:
-    """One statement's tokens, read from `i` on; `expr` appends the postfix
-    program of an expression to `code`."""
+    """A model's tokens, read from `i` on; `expr` appends the postfix
+    program of an expression to `code`, and `var_index` maps each variable
+    declared so far to its index."""
 
-    def __init__(self, tokens, var_index):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.var_index = var_index
+        self.var_index = {}
         self.code = []
 
     def peek(self):
@@ -283,6 +266,10 @@ class _Parser:
     def error(self, message):
         _, text, line, col = self.peek()
         raise ModelSyntaxError(message, line, col)
+
+    def end(self, what):
+        if self.peek()[0] not in ("break", "eof"):
+            self.error(f"unexpected trailing input after {what}")
 
     def expect_op(self, op):
         kind, text, _, _ = self.peek()
@@ -362,36 +349,20 @@ def parse_model(source: str) -> SurrogateModel:
     Raises ModelSyntaxError (with line/column) on malformed input,
     undeclared or duplicated variables and unknown functions.
     """
-    tokens = _tokenize(source)
-    # split into statements on break tokens
-    statements = []
-    current = []
-    for tok in tokens:
-        if tok[0] in ("break", "eof"):
-            if current:
-                statements.append(current + [("eof", "", tok[2], tok[3])])
-            current = []
-        else:
-            current.append(tok)
-
-    names: list[str] = []
+    p = _Parser(_tokenize(source))
     dists: list[Distribution] = []
     expr = None
-    for stmt in statements:
-        kind, text, line, col = stmt[0]
-        is_decl = (
-            kind == "name"
-            and len(stmt) > 1
-            and stmt[1][0] == "op"
-            and stmt[1][1] == "~"
-        )
-        if is_decl:
+    while True:
+        kind, text, line, col = p.next()
+        if kind == "break":
+            continue
+        if kind == "eof":
+            break
+        if kind == "name" and p.peek()[:2] == ("op", "~"):
             if text == "f":
                 raise ModelSyntaxError("'f' is reserved for the model expression", line, col)
-            if text in names:
+            if text in p.var_index:
                 raise ModelSyntaxError(f"duplicate declaration of {text!r}", line, col)
-            p = _Parser(stmt, {})
-            p.next()  # name
             p.next()  # ~
             dkind, dtext, dline, dcol = p.next()
             if dkind != "name" or dtext not in ("N", "U"):
@@ -401,25 +372,20 @@ def parse_model(source: str) -> SurrogateModel:
             p.expect_op(",")
             b = _parse_signed_number(p)
             p.expect_op(")")
-            if p.peek()[0] != "eof":
-                p.error("unexpected trailing input after declaration")
+            p.end("declaration")
             try:
-                dist = Distribution("gaussian" if dtext == "N" else "uniform", a, b)
+                dists.append(Distribution("gaussian" if dtext == "N" else "uniform", a, b))
             except ValueError as exc:
                 raise ModelSyntaxError(str(exc), dline, dcol) from None
-            names.append(text)
-            dists.append(dist)
+            p.var_index[text] = len(p.var_index)
         elif kind == "name" and text == "f":
             if expr is not None:
                 raise ModelSyntaxError("duplicate model expression 'f = ...'", line, col)
-            p = _Parser(stmt, {n: i for i, n in enumerate(names)})
-            p.next()  # f
             nkind, ntext, nline, ncol = p.next()
             if nkind != "op" or ntext != "=":
                 raise ModelSyntaxError("expected '=' after 'f'", nline, ncol)
             p.expr()
-            if p.peek()[0] != "eof":
-                p.error("unexpected trailing input after expression")
+            p.end("expression")
             expr = tuple(p.code)
         else:
             raise ModelSyntaxError(
@@ -427,7 +393,7 @@ def parse_model(source: str) -> SurrogateModel:
             )
     if expr is None:
         raise ModelSyntaxError("model has no expression line 'f = ...'", 1, 1)
-    return SurrogateModel(tuple(names), tuple(dists), expr)
+    return SurrogateModel(tuple(p.var_index), tuple(dists), expr)
 
 
 # ---------------------------------------------------------------------------

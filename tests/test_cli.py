@@ -293,6 +293,16 @@ def test_invalid_model_file_and_missing_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "not json"])
+def test_quad_on_a_model_file_that_is_not_a_json_object_exits_1(tmp_path, capsys, text):
+    # a JSON array used to escape as an AttributeError traceback
+    model_file = tmp_path / "m.json"
+    model_file.write_text(text)
+    code, report, err = run_cli(capsys, "quad", str(model_file), "--out", str(tmp_path))
+    assert code == 1 and report is None
+    assert err.startswith("error: malformed model document: ")
+
+
 def test_format_1_model_file_must_be_refit(tmp_path, capsys):
     """Format-1 files (with the per-piece coefficient table) are rejected."""
     model_file = tmp_path / "m.json"

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -737,6 +738,25 @@ def test_load_rejects_bad_version_and_tampering(tmp_path, rng):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "expected a JSON object, got list"), ('"model"', "expected a JSON object, got str"),
+     ("not json", "{path} is not JSON: Expecting value")],
+    ids=["list", "string", "not-json"],
+)
+def test_load_rejects_a_document_that_is_not_a_json_object(tmp_path, text, message):
+    # a JSON array used to raise AttributeError, and text that is not JSON a
+    # JSONDecodeError that named neither the file nor the kind of document
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    message = re.escape(message.format(path=path))
+    with pytest.raises(InvariantViolation, match=f"^malformed model document: {message}"):
+        load_model(path)
+    if text != "not json":
+        with pytest.raises(InvariantViolation, match=f"^malformed model document: {message}$"):
+            model_from_dict(json.loads(text))
 
 
 def test_load_rejects_non_finite_values(rng):

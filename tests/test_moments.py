@@ -172,6 +172,17 @@ def test_rational_all_series_and_all_division():
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("width", [1e-6, 1e-20, 1e-100, 1e-150])
+def test_oracle_total_mass_of_a_steep_rational_piece(width):
+    # piece 1 has v ~ 0.9 / width; beyond its boundary layer its density falls
+    # like 1/t^2, and with breakpoints only at the layer and 0.5 the oracle
+    # lost that tail: M_0 read 0.99091 at widths 1e-20 to 1e-150
+    model = fit_rational(MonotoneData(x=np.array([0.0, width, 1.0]), y=np.array([0.0, 0.9, 1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(numeric_moment_oracle(model, 0) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("width", [1e-160, 1e-300])
 def test_rational_moments_refuse_a_piece_too_narrow_for_float64(width):
     # fit_rational certifies these points, but the piece's width squared

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from gpcquad import (
     DEGREE_CAP,
     KappaNotPositiveError,
     NumericalError,
+    OrthonormalBasis,
     RecurrenceCoeffs,
     compute_recurrence,
     eval_basis,
@@ -196,7 +199,7 @@ def test_basis_json_round_trip(tmp_path, rng):
                 rec, basis = compute_recurrence(moments(model, 2 * n_hat + 1), n_hat)
             except KappaNotPositiveError:
                 break
-            save_basis(rec, basis, path)
+            save_basis(basis, path)
             rec2, basis2 = load_basis(path)
             assert (rec2.gamma.tobytes(), rec2.kappa.tobytes()) == (rec.gamma.tobytes(), rec.kappa.tobytes())
             assert [c.tobytes() for c in basis2.phi_coeffs] == [c.tobytes() for c in basis.phi_coeffs]
@@ -204,8 +207,8 @@ def test_basis_json_round_trip(tmp_path, rng):
 
 def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
     data, transform, _ = random_selected_data(rng)
-    rec, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
-    doc = basis_to_dict(rec, basis)
+    _, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
+    doc = basis_to_dict(basis)
     del doc["phi_coeffs"]
     with pytest.raises(ValueError, match="malformed basis document"):
         basis_from_dict(doc)
@@ -233,12 +236,54 @@ def test_basis_document_lengths_must_agree(rng, field, value, message):
     # gives; a NaN gamma or a negative kappa used to load, and eval_basis
     # then leaked numpy's "invalid value encountered in sqrt"
     data, transform, _ = random_selected_data(rng)
-    rec, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
-    doc = basis_to_dict(rec, basis)
+    _, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
+    doc = basis_to_dict(basis)
     doc[field] = value(doc[field])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^malformed basis document: " + message):
+            basis_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "expected a JSON object, got list"), ('"basis"', "expected a JSON object, got str"),
+     ("not json", "{path} is not JSON: Expecting value")],
+    ids=["list", "string", "not-json"],
+)
+def test_load_basis_refuses_a_document_that_is_not_a_json_object(tmp_path, text, message):
+    # a JSON array used to raise AttributeError, and text that is not JSON a
+    # JSONDecodeError that named neither the file nor the kind of document
+    path = tmp_path / "basis.json"
+    path.write_text(text)
+    message = re.escape(message.format(path=path))
+    with pytest.raises(ValueError, match=f"^malformed basis document: {message}"):
+        load_basis(path)
+    if text != "not json":
+        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
+            basis_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "kappa, index, norm",
+    [([1.0] + [1e-40] * 10, 9, "0.0"), ([1.0] + [1e300] * 3, 2, "inf")],
+    ids=["underflow", "overflow"],
+)
+def test_phi_coeffs_refuse_a_norm_outside_float64(tmp_path, kappa, index, norm):
+    # the recurrence checks out, but sqrt(kappa_0 ... kappa_i) leaves
+    # float64's range; the underflow used to leak numpy's "divide by zero"
+    # and return inf coefficients, from save_basis and load_basis too
+    basis = OrthonormalBasis(RecurrenceCoeffs(gamma=np.zeros(len(kappa)), kappa=np.array(kappa)))
+    message = rf"the norm sqrt\(kappa_0 \.\.\. kappa_{index}\) = {norm} of phi_{index} is not finite and positive in float64"
+    doc = {"format_version": 1, "degree": basis.degree, "gamma": basis.rec.gamma.tolist(),
+           "kappa": basis.rec.kappa.tolist(), "phi_coeffs": [[1.0]] * len(kappa)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            basis.phi_coeffs
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            save_basis(basis, tmp_path / "basis.json")
+        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
             basis_from_dict(doc)
 
 

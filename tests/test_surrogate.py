@@ -122,6 +122,27 @@ def test_syntax_error_carries_position():
     assert err.value.column == 9
 
 
+@pytest.mark.parametrize(
+    "source, message, line, column",
+    [
+        ("x ~ N(0,\n", "expected a number", 1, 9),
+        ("x ~ N(0, 1) y\nf = x", "unexpected trailing input after declaration", 1, 13),
+        ("x ~ N(0,1); f = x +", "expected a number, variable, function call or '('", 1, 20),
+        ("x ~ N(0,1)\r\nf = (x # c\n", "expected ')'", 2, 11),
+        ("x ~ N(0,1);;\tf = x ) ; y ~ U(0,1)", "unexpected trailing input after expression", 1, 20),
+        ("x ~ N(0,1); f = y; y ~ U(0, 1)", "undeclared variable 'y'", 1, 17),
+        ("x ~ N(0,1)\n\n  f x", "expected '=' after 'f'", 3, 5),
+    ],
+)
+def test_syntax_error_positions_at_statement_ends(source, message, line, column):
+    # a statement ends at a newline, a ';' or the end of the text, and an
+    # error there is placed on that break
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(source)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 # Nesting: each kind opens one level, and text may nest to any depth. Past
 # 100 levels the recursive parser this loop replaced refused text, and 400
 # nested parentheses once ended in a bare RecursionError.
@@ -868,7 +889,10 @@ def test_distribution_sanity_five_se(dist):
     n = 100_000
     rng = np.random.default_rng(99)
     values = dist.draw(rng, n)
-    mean, var = dist.mean(), dist.variance()
+    if dist.kind == "gaussian":
+        mean, var = dist.p1, dist.p2**2
+    else:
+        mean, var = 0.5 * (dist.p1 + dist.p2), (dist.p2 - dist.p1) ** 2 / 12.0
     se_mean = math.sqrt(var / n)
     # Var of the sample variance: (mu4 - var^2)/n
     if dist.kind == "gaussian":
