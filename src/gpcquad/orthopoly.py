@@ -247,8 +247,9 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
 
 
 def save_basis(basis: OrthonormalBasis, path) -> None:
+    doc = basis_to_dict(basis)  # before opening, so a failure leaves `path` as it was
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_to_dict(basis), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 

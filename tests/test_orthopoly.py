@@ -272,7 +272,8 @@ def test_load_basis_refuses_a_document_that_is_not_a_json_object(tmp_path, text,
 def test_phi_coeffs_refuse_a_norm_outside_float64(tmp_path, kappa, index, norm):
     # the recurrence checks out, but sqrt(kappa_0 ... kappa_i) leaves
     # float64's range; the underflow used to leak numpy's "divide by zero"
-    # and return inf coefficients, from save_basis and load_basis too
+    # and return inf coefficients, from save_basis and load_basis too, and
+    # save_basis must not leave a file behind
     basis = OrthonormalBasis(RecurrenceCoeffs(gamma=np.zeros(len(kappa)), kappa=np.array(kappa)))
     message = rf"the norm sqrt\(kappa_0 \.\.\. kappa_{index}\) = {norm} of phi_{index} is not finite and positive in float64"
     doc = {"format_version": 1, "degree": basis.degree, "gamma": basis.rec.gamma.tolist(),
@@ -283,6 +284,7 @@ def test_phi_coeffs_refuse_a_norm_outside_float64(tmp_path, kappa, index, norm):
             basis.phi_coeffs
         with pytest.raises(NumericalError, match=f"^{message}$"):
             save_basis(basis, tmp_path / "basis.json")
+        assert not (tmp_path / "basis.json").exists()
         with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
             basis_from_dict(doc)
 
