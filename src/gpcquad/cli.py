@@ -22,10 +22,10 @@ from . import __version__
 from .ecdf import load_monotone_csv
 from .errors import GpcquadError, NumericalError, integer
 from .interp import (
-    cdf_eval,
+    cdf_original,
     draw_samples,
     load_model,
-    pdf_eval,
+    pdf_original,
     save_model,
     validate_model,
 )
@@ -81,7 +81,9 @@ def _cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for variant in variants:
-        # fit_variant raises InvariantViolation unless validate_model passes
+        # a DensityModel runs validate_model when it is built, so fit_variant
+        # raises InvariantViolation unless it passes; the report repeats it
+        # for the residuals
         density = fit_variant(data, variant, transform)
         out_file = out / f"{stem}-{variant}.json"
         save_model(density, out_file)
@@ -170,9 +172,8 @@ def _cmd_plotdata(args) -> int:
             tr.a + tr.b + step * np.arange(1, npad + 1),
         )
     )
-    xn = tr.normalize(xhat)
-    cdf = cdf_eval(density, xn)
-    pdf = pdf_eval(density, xn) / tr.b
+    cdf = cdf_original(density, xhat)
+    pdf = pdf_original(density, xhat)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("xhat,cdf,pdf\n")
         for a, b, c in zip(xhat, cdf, pdf):

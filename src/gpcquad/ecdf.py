@@ -64,10 +64,15 @@ class EmpiricalCDF:
 
 @dataclass(frozen=True)
 class MonotoneData:
-    """Selected CDF interpolation points, endpoints pinned to (0,0) and (1,1)."""
+    """Selected CDF interpolation points, endpoints pinned to (0,0) and (1,1).
+    Building one (`dataclasses.replace` included) runs `validate`, which
+    raises `InvariantViolation` unless it passes."""
 
     x: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -304,6 +309,4 @@ def load_monotone_csv(path) -> MonotoneData:
             ) from exc
         xs.append(x)
         ys.append(y)
-    data = MonotoneData(x=np.asarray(xs), y=np.asarray(ys))
-    data.validate()
-    return data
+    return MonotoneData(x=np.asarray(xs), y=np.asarray(ys))

@@ -69,7 +69,9 @@ class DensityModel:
     """A fitted piecewise CDF/PDF pair on [x_1, x_n] plus its sample transform.
 
     The knots (x, y) and the knot slopes determine every piece; piece k
-    spans [x[k], x[k+1]]. Immutable; safe for concurrent evaluation.
+    spans [x[k], x[k+1]]. Building one (`dataclasses.replace` included) runs
+    `validate_model`, which raises `InvariantViolation` unless it passes.
+    Immutable; safe for concurrent evaluation.
     """
 
     variant: str
@@ -77,6 +79,9 @@ class DensityModel:
     y: np.ndarray
     slopes: np.ndarray
     transform: TransformParams
+
+    def __post_init__(self):
+        validate_model(self)
 
     @property
     def n(self) -> int:
@@ -89,11 +94,10 @@ class DensityModel:
 
 
 def _chords(data: MonotoneData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dy, dy / dx) of each piece; `InvariantViolation` names the first
-    piece whose chord slope overflows, as `validate_model` does."""
+    """(dx, dy, dy / dx) of each piece, with dx > 0 as a MonotoneData has it;
+    `InvariantViolation` names the first piece whose chord slope overflows,
+    as `validate_model` does."""
     dx = np.diff(data.x)
-    if not np.all(dx > 0):
-        raise InvariantViolation("abscissae must be strictly increasing")
     dy = np.diff(data.y)
     with np.errstate(over="ignore"):
         s = dy / dx
@@ -193,30 +197,24 @@ def geometric_mean_slopes(data: MonotoneData) -> np.ndarray:
 
 def fit_cubic(data: MonotoneData, transform: TransformParams | None = None) -> DensityModel:
     """Monotone piecewise cubic CDF through the selected points."""
-    data.validate()
-    model = DensityModel(
+    return DensityModel(
         variant="cubic",
         x=data.x.copy(),
         y=data.y.copy(),
         slopes=project_slopes(data, parabolic_slopes(data)),
         transform=transform or IDENTITY_TRANSFORM,
     )
-    validate_model(model)
-    return model
 
 
 def fit_rational(data: MonotoneData, transform: TransformParams | None = None) -> DensityModel:
     """Monotone piecewise rational quadratic CDF through the selected points."""
-    data.validate()
-    model = DensityModel(
+    return DensityModel(
         variant="rational",
         x=data.x.copy(),
         y=data.y.copy(),
         slopes=geometric_mean_slopes(data),
         transform=transform or IDENTITY_TRANSFORM,
     )
-    validate_model(model)
-    return model
 
 
 def _cubic_monomial(pieces: _Pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -595,7 +593,9 @@ def _cubic_derivative_min(pieces: _Pieces, rising: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
-    """Recheck the construction invariants; returns the residual report.
+    """The construction invariants, which building a `DensityModel` checks;
+    returns the residual report. Run on a built model, it also catches
+    arrays changed in place since.
 
     Slope-type residuals are scaled by max(1, |slope|) so the tolerance is
     meaningful for steep near-atom ramps as well as O(1) densities. A check
@@ -730,7 +730,7 @@ def model_from_dict(doc: dict) -> DensityModel:
         raise InvariantViolation(f"unsupported model format version {version!r}")
     try:
         tr = doc["transform"]
-        model = DensityModel(
+        return DensityModel(
             variant=doc["variant"],
             x=np.asarray(doc["knots_x"], dtype=float),
             y=np.asarray(doc["knots_y"], dtype=float),
@@ -739,8 +739,6 @@ def model_from_dict(doc: dict) -> DensityModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"malformed model document: {exc}") from exc
-    validate_model(model)
-    return model
 
 
 def save_model(model: DensityModel, path) -> None:

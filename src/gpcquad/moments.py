@@ -71,9 +71,7 @@ def moments(model: DensityModel, kmax: int) -> np.ndarray:
     """M_0..M_kmax of the fitted density, dispatched on the variant."""
     if model.variant == "cubic":
         return moments_cubic(model, kmax)
-    if model.variant == "rational":
-        return moments_rational(model, kmax)
-    raise ValueError(f"unknown variant {model.variant!r}; expected 'cubic' or 'rational'")
+    return moments_rational(model, kmax)
 
 
 def _segment_fsums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:

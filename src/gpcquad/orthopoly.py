@@ -96,7 +96,8 @@ class OrthonormalBasis:
         """The published coefficient vectors of phi_0..phi_degree (ascending
         powers), from the monic pi_i the recurrence builds. Raises
         NumericalError naming the first phi_i whose norm
-        sqrt(kappa_0 ... kappa_i) is not finite and positive in float64."""
+        sqrt(kappa_0 ... kappa_i) is not finite and positive in float64, or
+        else the first whose coefficients are not finite there."""
         gamma, kappa = self.rec.gamma, self.rec.kappa
         with np.errstate(over="ignore", under="ignore"):
             norms = np.sqrt(np.cumprod(kappa))
@@ -107,14 +108,19 @@ class OrthonormalBasis:
                 f"the norm sqrt(kappa_0 ... kappa_{i}) = {norms[i]} of phi_{i} is not finite and positive in float64"
             )
         monic, prev = [np.array([1.0])], np.zeros(1)
-        for i in range(self.degree):
-            cur, nxt = monic[i], np.zeros(i + 2)
-            nxt[1:] += cur
-            nxt[: i + 1] -= gamma[i] * cur
-            nxt[: len(prev)] -= kappa[i] * prev
-            prev = cur
-            monic.append(nxt)
-        return tuple(monic[i] / norms[i] for i in range(self.degree + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(self.degree):
+                cur, nxt = monic[i], np.zeros(i + 2)
+                nxt[1:] += cur
+                nxt[: i + 1] -= gamma[i] * cur
+                nxt[: len(prev)] -= kappa[i] * prev
+                prev = cur
+                monic.append(nxt)
+            phi = tuple(monic[i] / norms[i] for i in range(self.degree + 1))
+        for i, c in enumerate(phi):
+            if not np.isfinite(c).all():
+                raise NumericalError(f"the coefficients of phi_{i} are not finite in float64")
+        return phi
 
 
 def compute_recurrence(

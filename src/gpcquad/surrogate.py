@@ -197,6 +197,8 @@ class SampleSet:
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# re.ASCII: a number is written in the digits 0-9 alone, where `\d` would
+# otherwise read any Unicode decimal digit ('\u0663', '\uff11') as its value
 _TOKEN_RE = re.compile(
     r"""
     (?P<num>   \d+\.\d*(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)? | \d+(?:[eE][+-]?\d+)? )
@@ -206,7 +208,7 @@ _TOKEN_RE = re.compile(
   | (?P<ws>    [ \t\r]+ )
   | (?P<comment> \#[^\n]* )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

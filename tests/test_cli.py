@@ -380,6 +380,19 @@ def test_fit_rejects_a_uniform_too_wide_to_draw(tmp_path, capsys):
     assert code == 1 and report is None
     assert err.startswith("error: uniform width hi - lo overflows") and "Traceback" not in err
 
+
+def test_fit_refuses_a_model_file_with_a_non_ascii_digit(tmp_path, capsys):
+    # formerly exited 0, fitting x + 3
+    source = tmp_path / "digit.txt"
+    source.write_text("x ~ N(0, 1)\nf = x + \u0663\n", encoding="utf-8")
+    code, report, err = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path / "out")
+    )
+    assert code == 1 and report is None
+    assert err == "error: unexpected character '\u0663' (line 2, column 9)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_deep_nesting(tmp_path, capsys):
     # refused past 100 levels, and a bare RecursionError before that
     source = tmp_path / "deep.txt"

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ def test_monotone_data_validation():
     with pytest.raises(InvariantViolation):
         MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.8, 0.5])).validate()
     MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.5, 1.0])).validate(2)
+
+
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0], "abscissae must be strictly increasing"),
+        ([0.0, 0.5, 0.7, 1.0], [0.0, 0.6, 0.4, 1.0], "ordinates must be non-decreasing"),
+        ([0.0, 0.5, 1.0], [0.0, 1.0], "point arrays must have equal length >= 2"),
+    ],
+    ids=["repeated-x", "falling-y", "unequal-lengths"],
+)
+def test_a_point_set_that_fails_its_checks_cannot_be_built(x, y, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            MonotoneData(x=np.array(x), y=np.array(y))
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 200))

@@ -120,10 +120,10 @@ def test_geometric_mean_slopes_linear_and_flat():
     ids=["parabolic", "geometric-mean", "project"],
 )
 def test_slopes_reject_repeated_abscissae(estimate):
-    # formerly RuntimeWarnings and slopes of nan or 0
-    data = MonotoneData(x=np.array([0.0, 0.5, 0.5, 0.5, 1.0]), y=np.linspace(0.0, 1.0, 5))
+    # formerly RuntimeWarnings and slopes of nan or 0; now no such point set
+    # can be built, so no estimator sees one
     with pytest.raises(InvariantViolation, match="strictly increasing"):
-        estimate(data)
+        estimate(MonotoneData(x=np.array([0.0, 0.5, 0.5, 0.5, 1.0]), y=np.linspace(0.0, 1.0, 5)))
 
 
 def reference_geometric_mean_slopes(data):
@@ -787,11 +787,8 @@ def test_load_rejects_mismatched_lengths(rng):
     doc["knots_x"] = doc["knots_y"] = doc["slopes"] = [0.0]
     with pytest.raises(InvariantViolation, match="got lengths 1, 1, 1"):
         model_from_dict(doc)
-    report = validate_model(
-        DensityModel("cubic", np.zeros((2, 2)), np.zeros(2), np.zeros(2), transform),
-        raise_on_failure=False,
-    )
-    assert not report["ok"] and "1-D" in report["failures"][0]
+    with pytest.raises(InvariantViolation, match="must be 1-D with one length >= 2, got lengths 4, 2, 2"):
+        DensityModel("cubic", np.zeros((2, 2)), np.zeros(2), np.zeros(2), transform)
 
 
 # knots 1e-310 apart: the first piece's chord slope 0.5 / 1e-310 overflows
@@ -801,21 +798,18 @@ OVERFLOWING_KNOTS = {"knots_x": [0.0, 1e-310, 1.0], "knots_y": [0.0, 0.5, 1.0], 
 @pytest.mark.parametrize("variant", ["cubic", "rational"])
 def test_validate_refuses_piece_constants_that_overflow(variant):
     # formerly `ok` with NaN slope and C1 residuals and leaked RuntimeWarnings
-    model = DensityModel(variant, *(np.array(v) for v in OVERFLOWING_KNOTS.values()), IDENTITY_TRANSFORM)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = validate_model(model, raise_on_failure=False)
         with pytest.raises(InvariantViolation, match=r"^piece 0 on \[0\.0, 1e-310\] has a non-finite chord slope"):
-            validate_model(model)
-    assert report["ok"] is False and len(report["failures"]) == 1
+            DensityModel(variant, *(np.array(v) for v in OVERFLOWING_KNOTS.values()), IDENTITY_TRANSFORM)
     # a cubic piece 1e-200 wide has a finite chord slope, but its monomial
     # coefficients, which the moments read, overflow
-    model = DensityModel(variant, np.array([0.0, 1e-200, 1.0]), np.array([0.0, 0.5, 1.0]),
-                         np.zeros(3), IDENTITY_TRANSFORM)
-    report = validate_model(model, raise_on_failure=False)
-    assert report["ok"] is (variant == "rational")
+    knots = (np.array([0.0, 1e-200, 1.0]), np.array([0.0, 0.5, 1.0]), np.zeros(3))
     if variant == "cubic":
-        assert report["failures"] == ["piece 0 on [0.0, 1e-200] has a non-finite c3, c4"]
+        with pytest.raises(InvariantViolation, match=r"^piece 0 on \[0\.0, 1e-200\] has a non-finite c3, c4$"):
+            DensityModel(variant, *knots, IDENTITY_TRANSFORM)
+    else:
+        DensityModel(variant, *knots, IDENTITY_TRANSFORM)
 
 
 # knots 1e-308 apart: the chord slope 1e308 is finite, but the rational
@@ -827,11 +821,10 @@ OVERFLOWING_DENSITY = {"knots_x": [0.0, 1e-308, 1.0], "knots_y": [0.0, 1.0, 1.0]
 def test_validate_names_the_piece_whose_density_overflows(variant, names):
     # formerly the rational model failed as `knot slope residual nan;
     # density jump at a knot nan`, naming no piece
-    model = DensityModel(variant, *(np.array(v) for v in OVERFLOWING_DENSITY.values()), IDENTITY_TRANSFORM)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = validate_model(model, raise_on_failure=False)
-    assert report["failures"] == [f"piece 0 on [0.0, 1e-308] has a non-finite {names}"]
+        with pytest.raises(InvariantViolation, match=rf"^piece 0 on \[0\.0, 1e-308\] has a non-finite {names}$"):
+            DensityModel(variant, *(np.array(v) for v in OVERFLOWING_DENSITY.values()), IDENTITY_TRANSFORM)
 
 
 @pytest.mark.parametrize("fit", [fit_cubic, fit_rational], ids=["cubic", "rational"])
@@ -856,6 +849,96 @@ def test_fits_name_the_piece_whose_chord_slope_overflows(fit):
                 fit(steep)
         else:
             fit(steep)
+
+
+# ---------------------------------------------------------------------------
+# construction contract: a model that fails its checks is refused where it
+# is built, so no evaluator sees one (point sets: test_ecdf.py)
+# ---------------------------------------------------------------------------
+
+
+def model_fields(variant="cubic", **changes):
+    """The fields of a valid model on four knots (the uniform density),
+    with `changes` applied."""
+    fields = dict(variant=variant, x=np.array([0.0, 0.3, 0.6, 1.0]), y=np.array([0.0, 0.3, 0.6, 1.0]),
+                  slopes=np.ones(4), transform=IDENTITY_TRANSFORM)
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        # formerly built, and cdf_eval, pdf_eval and draw_samples gave NaN
+        (model_fields(slopes=np.array([1.0, math.nan, 1.0, 1.0])), "non-finite values in slopes"),
+        # formerly built, and given a Gauss rule by rules_from_model
+        (model_fields(slopes=np.array([1.0, -1.0, 1.0, 1.0])), "negative knot slope"),
+        # formerly built, and evaluated as if it were rational
+        (model_fields("quintic"), "unknown variant 'quintic'"),
+        # formerly built; its moments raised `math domain error` (rational)
+        # or came back with no error (cubic)
+        (model_fields("rational", y=np.array([0.0, 0.7, 0.6, 1.0])), "knot values not non-decreasing"),
+        (model_fields("cubic", y=np.array([0.0, 0.7, 0.6, 1.0])), "knot values not non-decreasing"),
+        (model_fields(x=np.array([0.1, 0.3, 0.6, 1.0])), r"endpoints not pinned to \(0,0\), \(1,1\)"),
+        (model_fields(x=np.array([[0.0, 0.3, 0.6, 1.0]])), "knots_x, knots_y and slopes must be 1-D with one length >= 2, got lengths 4, 4, 4"),
+    ],
+    ids=["nan-slope", "negative-slope", "unknown-variant", "rational-falling-values",
+         "cubic-falling-values", "unpinned-ends", "2-D-knots"],
+)
+def test_a_model_that_fails_its_checks_cannot_be_built(fields, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DensityModel(**fields)
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_report_names_a_slope_made_negative_after_construction(variant):
+    model = FITTERS[variant](diagonal_data(5))
+    model.slopes[2] = -1.0  # in place, past the constructor's check
+    report = validate_model(model, raise_on_failure=False)
+    assert report["ok"] is False and report["failures"] == ["negative knot slope"]
+
+
+@st.composite
+def hand_built_models(draw):
+    """DensityModel fields: up to 6 knots on a lattice of step 1e-6 (so no
+    piece is narrower), non-decreasing knot values, slopes in [0, 1e6] with
+    an occasional negative, NaN or inf one, and a known or unknown variant."""
+    n = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.integers(1, 10**6 - 1), min_size=n - 2, max_size=n - 2, unique=True))
+    levels = draw(st.lists(st.integers(0, 10**6), min_size=n - 2, max_size=n - 2))
+    slopes = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    spoiled = draw(st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from([-1.0, math.nan, math.inf])))
+    if spoiled is not None:
+        slopes[spoiled[0]] = spoiled[1]
+    return dict(
+        variant=draw(st.sampled_from(["cubic", "rational", "quintic"])),
+        x=np.array([0, *sorted(inner), 10**6]) / 1e6,
+        y=np.array([0, *sorted(levels), 10**6]) / 1e6,
+        slopes=np.array(slopes),
+        transform=IDENTITY_TRANSFORM,
+    )
+
+
+@given(fields=hand_built_models())
+@settings(max_examples=200, deadline=None)
+def test_a_hand_built_model_is_refused_or_sound(fields, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "hand-built-model.json"
+    grid = np.linspace(0.0, 1.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = DensityModel(**fields)
+        except InvariantViolation:
+            return
+        save_model(model, path)
+        loaded = load_model(path)
+        cdf, pdf = cdf_eval(model, grid), pdf_eval(model, grid)
+    assert (loaded.variant, loaded.transform) == (model.variant, model.transform)
+    for name in ("x", "y", "slopes"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+    assert np.all(np.isfinite(cdf) & (0.0 <= cdf) & (cdf <= 1.0))
+    assert np.all(np.isfinite(pdf))
 
 
 # ---------------------------------------------------------------------------

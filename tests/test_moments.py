@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gpcquad import (
     MOMENT_CAP,
     SYNTHETIC_MODEL,
+    InvariantViolation,
     MonotoneData,
     NumericalError,
     default_delta,
@@ -200,9 +201,9 @@ def test_rational_moments_refuse_a_piece_too_narrow_for_float64(width):
 
 
 def test_unknown_variant_is_named():
-    model = dataclasses.replace(fit_cubic(diagonal_data(4)), variant="cubc")
-    with pytest.raises(ValueError, match="unknown variant 'cubc'"):
-        moments(model, 4)
+    # formerly built, and refused by `moments` as a ValueError
+    with pytest.raises(InvariantViolation, match="^unknown variant 'cubc'$"):
+        dataclasses.replace(fit_cubic(diagonal_data(4)), variant="cubc")
 
 
 def test_moments_reject_a_float_order():

@@ -290,6 +290,31 @@ def test_phi_coeffs_refuse_a_norm_outside_float64(tmp_path, kappa, index, norm):
 
 
 @pytest.mark.parametrize(
+    "gamma, kappa, index",
+    [([1e40] * 11, [1.0] * 11, 8), ([1e200, 0.0], [1.0, 1e-320], 1)],
+    ids=["monic-overflow", "division-overflow"],
+)
+def test_phi_coeffs_refuse_coefficients_outside_float64(tmp_path, gamma, kappa, index):
+    # every norm is finite and positive, but phi_index's coefficients are
+    # not: the monic pi_8's (1e40)^8 overflows in the first case, and the
+    # division of pi_1 by a norm of 1e-160 in the second; the first used to
+    # leak numpy's "overflow encountered in multiply"
+    basis = OrthonormalBasis(RecurrenceCoeffs(gamma=np.array(gamma), kappa=np.array(kappa)))
+    message = f"the coefficients of phi_{index} are not finite in float64"
+    doc = {"format_version": 1, "degree": basis.degree, "gamma": gamma, "kappa": kappa,
+           "phi_coeffs": [[1.0]] * len(kappa)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            basis.phi_coeffs
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            save_basis(basis, tmp_path / "basis.json")
+        assert not (tmp_path / "basis.json").exists()
+        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
+            basis_from_dict(doc)
+
+
+@pytest.mark.parametrize(
     "gamma, kappa, message",
     [
         ([], [], "gamma and kappa must be non-empty 1-D arrays"),

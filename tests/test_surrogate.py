@@ -143,6 +143,21 @@ def test_syntax_error_positions_at_statement_ends(source, message, line, column)
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "source, line, column",
+    [("x ~ N(\u0663, \uff11)\nf = x + \u0967\u0966", 1, 7), ("x ~ N(0, 1)\nf = x + \u0663", 2, 9)],
+    ids=["arabic-indic-and-fullwidth", "arabic-indic"],
+)
+def test_numbers_are_ascii_digits(source, line, column):
+    # formerly any Unicode decimal digit read as its value: the first source
+    # parsed as N(3, 1) with f = x + 10
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(source)
+    assert str(err.value) == f"unexpected character {source.splitlines()[line - 1][column - 1]!r} (line {line}, column {column})"
+    # outside a number, in a comment, such a digit is still read past
+    assert parse_model("x ~ N(0, 1)  # \u0663\nf = x") == parse_model("x ~ N(0, 1)\nf = x")
+
+
 # Nesting: each kind opens one level, and text may nest to any depth. Past
 # 100 levels the recursive parser this loop replaced refused text, and 400
 # nested parentheses once ended in a bare RecursionError.
