@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only
 from .surrogate import SampleSet
 
 __all__ = [
@@ -65,21 +65,19 @@ class EmpiricalCDF:
 @dataclass(frozen=True)
 class MonotoneData:
     """Selected CDF interpolation points, endpoints pinned to (0,0) and (1,1).
-    Building one (`dataclasses.replace` included) runs `validate`, which
-    raises `InvariantViolation` unless it passes."""
+    Each array is a read-only float copy. Building one (`dataclasses.replace`,
+    `copy` and `pickle` included) raises `InvariantViolation` unless x and y
+    are 1-D of one length >= 2, x strictly increases and y never falls."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    def validate(self, m: int | None = None) -> None:
+        object.__setattr__(self, "x", read_only(self.x))
+        object.__setattr__(self, "y", read_only(self.y))
         x, y = self.x, self.y
+        if x.ndim != 1 or y.ndim != 1:
+            raise InvariantViolation(f"point arrays must be 1-D, got shapes {x.shape} and {y.shape}")
         if len(x) != len(y) or len(x) < 2:
             raise InvariantViolation("point arrays must have equal length >= 2")
         if x[0] != 0.0 or y[0] != 0.0 or x[-1] != 1.0 or y[-1] != 1.0:
@@ -88,10 +86,13 @@ class MonotoneData:
             raise InvariantViolation("abscissae must be strictly increasing")
         if not np.all(np.diff(y) >= 0):
             raise InvariantViolation("ordinates must be non-decreasing")
-        if m is not None:
-            step = 1.0 / m + 1e-12
-            if np.max(np.diff(x)) > step or np.max(np.diff(y)) > step:
-                raise InvariantViolation(f"a step exceeds 1/m = {1.0 / m}")
+
+    def __reduce__(self):
+        return type(self), (self.x, self.y)
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
 
 
 def _sample_values(samples) -> np.ndarray:
@@ -260,32 +261,29 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
         raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
 
     xs, ys = _walk(ecdf, m)
-    px = [0.0, *xs, 1.0]
-    py = [0.0, *ys, 1.0]
+    px = np.array([0.0, *xs, 1.0])
+    py = np.array([0.0, *ys, 1.0])
 
-    # enforce the per-coordinate step bound by splitting oversized segments
-    out_x = [0.0]
-    out_y = [0.0]
-    for x0, x1, y0, y1 in zip(px, px[1:], py, py[1:]):
-        dx = x1 - x0
-        dy = y1 - y0
-        pieces = max(1, math.ceil(max(dx, dy) * m))
-        for i in range(1, pieces):
-            out_x.append(x0 + dx * (i / pieces))
-            out_y.append(y0 + dy * (i / pieces))
-        out_x.append(x1)
-        out_y.append(y1)
-    x = np.asarray(out_x)
-    y = np.asarray(out_y)
+    # enforce the per-coordinate step bound by splitting each oversized step
+    # along its segment into `parts` equal parts: part i of a step from
+    # (x0, y0) lies at x0 + dx * (i / parts), and part 0 at x0 itself
+    dx, dy = np.diff(px), np.diff(py)
+    parts = np.maximum(1, np.ceil(np.maximum(dx, dy) * m)).astype(int)
+    step = np.repeat(np.arange(parts.size), parts)
+    first = np.cumsum(parts) - parts  # index of each step's part 0
+    frac = (np.arange(step.size) - first[step]) / parts[step]
+    x = np.append(px[step] + dx[step] * frac, 1.0)
+    y = np.append(py[step] + dy[step] * frac, 1.0)
     y = np.minimum.accumulate(y[::-1])[::-1]  # shield monotonicity from roundoff
     if np.any(np.diff(x) <= 0):
         raise SelectionError(
             f"sample resolution too coarse for m = {m}: "
             f"subdivision collapsed adjacent abscissae"
         )
-    data = MonotoneData(x=x, y=y)
-    data.validate(m)
-    return data
+    bound = 1.0 / m + 1e-12
+    if np.max(np.diff(x)) > bound or np.max(np.diff(y)) > bound:
+        raise InvariantViolation(f"a step exceeds 1/m = {1.0 / m}")
+    return MonotoneData(x=x, y=y)
 
 
 def save_monotone_csv(data: MonotoneData, path) -> None:
@@ -309,4 +307,4 @@ def load_monotone_csv(path) -> MonotoneData:
             ) from exc
         xs.append(x)
         ys.append(y)
-    return MonotoneData(x=np.asarray(xs), y=np.asarray(ys))
+    return MonotoneData(x=xs, y=ys)

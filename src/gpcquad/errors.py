@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its one check of an
-integer argument (`integer`).
+"""Exception types shared across the package, its one check of an integer
+argument (`integer`) and the read-only copy its checked values hold
+(`read_only`).
 
 Exit-code mapping used by the CLI: usage/input problems map to 1,
 numerical failures (NumericalError subtree) to 2, I/O errors to 3.
@@ -17,6 +18,14 @@ def integer(value, name: str, lo: int, hi: int | None = None, error=ValueError) 
         bound = f"at least {lo}" if hi is None else f"within [{lo}, {hi}]"
         raise error(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def read_only(values) -> np.ndarray:
+    """A float copy of `values` that refuses in-place writes, so that no
+    caller can undo the check of the value that holds it."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 class GpcquadError(Exception):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import MonotoneData, TransformParams, _reject_nan
-from .errors import InvariantViolation, integer
+from .errors import InvariantViolation, integer, read_only
 
 __all__ = [
     "DensityModel",
@@ -69,7 +69,8 @@ class DensityModel:
     """A fitted piecewise CDF/PDF pair on [x_1, x_n] plus its sample transform.
 
     The knots (x, y) and the knot slopes determine every piece; piece k
-    spans [x[k], x[k+1]]. Building one (`dataclasses.replace` included) runs
+    spans [x[k], x[k+1]]. Each array is a read-only float copy. Building one
+    (`dataclasses.replace`, `copy` and `pickle` included) runs
     `validate_model`, which raises `InvariantViolation` unless it passes.
     Immutable; safe for concurrent evaluation.
     """
@@ -81,7 +82,12 @@ class DensityModel:
     transform: TransformParams
 
     def __post_init__(self):
+        for name in ("x", "y", "slopes"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         validate_model(self)
+
+    def __reduce__(self):
+        return type(self), (self.variant, self.x, self.y, self.slopes, self.transform)
 
     @property
     def n(self) -> int:
@@ -199,8 +205,8 @@ def fit_cubic(data: MonotoneData, transform: TransformParams | None = None) -> D
     """Monotone piecewise cubic CDF through the selected points."""
     return DensityModel(
         variant="cubic",
-        x=data.x.copy(),
-        y=data.y.copy(),
+        x=data.x,
+        y=data.y,
         slopes=project_slopes(data, parabolic_slopes(data)),
         transform=transform or IDENTITY_TRANSFORM,
     )
@@ -210,8 +216,8 @@ def fit_rational(data: MonotoneData, transform: TransformParams | None = None) -
     """Monotone piecewise rational quadratic CDF through the selected points."""
     return DensityModel(
         variant="rational",
-        x=data.x.copy(),
-        y=data.y.copy(),
+        x=data.x,
+        y=data.y,
         slopes=geometric_mean_slopes(data),
         transform=transform or IDENTITY_TRANSFORM,
     )
@@ -594,8 +600,7 @@ def _cubic_derivative_min(pieces: _Pieces, rising: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     """The construction invariants, which building a `DensityModel` checks;
-    returns the residual report. Run on a built model, it also catches
-    arrays changed in place since.
+    returns the residual report.
 
     Slope-type residuals are scaled by max(1, |slope|) so the tolerance is
     meaningful for steep near-atom ramps as well as O(1) densities. A check
@@ -732,9 +737,9 @@ def model_from_dict(doc: dict) -> DensityModel:
         tr = doc["transform"]
         return DensityModel(
             variant=doc["variant"],
-            x=np.asarray(doc["knots_x"], dtype=float),
-            y=np.asarray(doc["knots_y"], dtype=float),
-            slopes=np.asarray(doc["slopes"], dtype=float),
+            x=doc["knots_x"],
+            y=doc["knots_y"],
+            slopes=doc["slopes"],
             transform=TransformParams(*(float(tr[key]) for key in ("a", "b", "delta"))),
         )
     except (KeyError, TypeError, ValueError) as exc:

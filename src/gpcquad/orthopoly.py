@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KappaNotPositiveError, NumericalError, integer
+from .errors import InvariantViolation, KappaNotPositiveError, NumericalError, integer, read_only
 
 __all__ = [
     "DEGREE_CAP",
@@ -49,15 +49,18 @@ def check_degree(n_hat: int) -> int:
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """gamma_0..gamma_n and kappa_0..kappa_n (kappa_0 = 1) of the monic
-    recurrence pi_{i+1}(x) = (x - gamma_i) pi_i(x) - kappa_i pi_{i-1}(x).
-    Building one raises NumericalError naming the first entry that makes it
-    no recurrence: gamma and kappa empty, not 1-D or of different lengths, a
-    non-finite entry, kappa_0 != 1 or kappa_i <= 0 for i >= 1."""
+    recurrence pi_{i+1}(x) = (x - gamma_i) pi_i(x) - kappa_i pi_{i-1}(x),
+    each a read-only float copy. Building one (`dataclasses.replace`, `copy`
+    and `pickle` included) raises NumericalError naming the first entry that
+    makes it no recurrence: gamma and kappa empty, not 1-D or of different
+    lengths, a non-finite entry, kappa_0 != 1 or kappa_i <= 0 for i >= 1."""
 
     gamma: np.ndarray
     kappa: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", read_only(self.gamma))
+        object.__setattr__(self, "kappa", read_only(self.kappa))
         gamma, kappa = self.gamma, self.kappa
         if np.ndim(gamma) != 1 or np.ndim(kappa) != 1 or not len(gamma):
             raise NumericalError("gamma and kappa must be non-empty 1-D arrays")
@@ -72,6 +75,9 @@ class RecurrenceCoeffs:
         if np.any(kappa[1:] <= 0):
             bad = int(np.argmax(kappa[1:] <= 0)) + 1
             raise NumericalError(f"kappa_{bad} = {kappa[bad]:.6e} is not positive")
+
+    def __reduce__(self):
+        return type(self), (self.gamma, self.kappa)
 
     @property
     def degree(self) -> int:
@@ -169,9 +175,7 @@ def compute_recurrence(
 
     # the basis and any quadrature rule both come from the rounded
     # coefficients, so they are mutually consistent
-    rec = RecurrenceCoeffs(
-        gamma=np.asarray(gamma, dtype=float), kappa=np.asarray(kappa, dtype=float)
-    )
+    rec = RecurrenceCoeffs(gamma=gamma, kappa=kappa)
     return rec, OrthonormalBasis(rec)
 
 
@@ -224,19 +228,16 @@ def basis_to_dict(basis: OrthonormalBasis) -> dict:
 
 
 def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
-    """ValueError unless the document's gamma and kappa build a recurrence,
-    `doc` is an object, `degree` is its degree and `phi_coeffs` are, bit for
-    bit, its basis's."""
+    """InvariantViolation unless the document's gamma and kappa build a
+    recurrence, `doc` is an object, `degree` is its degree and `phi_coeffs`
+    are, bit for bit, its basis's."""
     if not isinstance(doc, dict):
-        raise ValueError(f"malformed basis document: expected a JSON object, got {type(doc).__name__}")
+        raise InvariantViolation(f"malformed basis document: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != BASIS_FORMAT_VERSION:
-        raise ValueError(f"unsupported basis format version {version!r}")
+        raise InvariantViolation(f"unsupported basis format version {version!r}")
     try:
-        rec = RecurrenceCoeffs(
-            gamma=np.asarray(doc["gamma"], dtype=float),
-            kappa=np.asarray(doc["kappa"], dtype=float),
-        )
+        rec = RecurrenceCoeffs(gamma=doc["gamma"], kappa=doc["kappa"])
         n_hat, phi = check_degree(doc["degree"]), doc["phi_coeffs"]
         for name, n in (("gamma and kappa", rec.degree + 1), ("phi_coeffs", len(phi))):
             if n != n_hat + 1:
@@ -248,7 +249,7 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
                 raise ValueError(f"phi_coeffs[{i}] = {got.tolist()} is not {want.tolist()}, "
                                  f"the phi_{i} its gamma and kappa give")
     except (KeyError, TypeError, ValueError, NumericalError) as exc:
-        raise ValueError(f"malformed basis document: {exc}") from exc
+        raise InvariantViolation(f"malformed basis document: {exc}") from exc
     return rec, basis
 
 
@@ -264,5 +265,5 @@ def load_basis(path) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            raise ValueError(f"malformed basis document: {path} is not JSON: {exc}") from exc
+            raise InvariantViolation(f"malformed basis document: {path} is not JSON: {exc}") from exc
     return basis_from_dict(doc)

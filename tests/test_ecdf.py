@@ -218,6 +218,55 @@ def test_select_points_matches_reference_walk_synthetic(synthetic_cdf, m):
     _assert_selects_like_reference(synthetic_cdf, m)
 
 
+# The split of oversized steps as `select_points` wrote it with a Python loop
+# over the walk's points: its one array pass must give every point's bits.
+def reference_split(cdf, m):
+    xs, ys = _walk(cdf, m)
+    px = [0.0, *xs, 1.0]
+    py = [0.0, *ys, 1.0]
+    out_x = [0.0]
+    out_y = [0.0]
+    for x0, x1, y0, y1 in zip(px, px[1:], py, py[1:]):
+        dx = x1 - x0
+        dy = y1 - y0
+        pieces = max(1, math.ceil(max(dx, dy) * m))
+        for i in range(1, pieces):
+            out_x.append(x0 + dx * (i / pieces))
+            out_y.append(y0 + dy * (i / pieces))
+        out_x.append(x1)
+        out_y.append(y1)
+    y = np.asarray(out_y)
+    return np.asarray(out_x), np.minimum.accumulate(y[::-1])[::-1]
+
+
+def _assert_splits_like_reference(cdf, m):
+    want_x, want_y = reference_split(cdf, m)
+    if np.any(np.diff(want_x) <= 0):
+        with pytest.raises(SelectionError):
+            select_points(cdf, m)
+        return
+    data = select_points(cdf, m)
+    assert data.x.tobytes() == want_x.tobytes()
+    assert data.y.tobytes() == want_y.tobytes()
+
+
+def test_select_points_splits_like_the_loop_on_mixture_fine():
+    # the benchmark's mixture-fine datasets at seed 1: N = 2e4, m = 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(38):
+            values = mixture_values(np.random.default_rng([1, j]), size=20_000)
+            _assert_splits_like_reference(fit_transform(values, default_delta(values))[1], 200)
+
+
+@pytest.mark.parametrize("m", [2, 45, 200])
+def test_select_points_splits_like_the_loop_on_synthetic(m):
+    values = sample(parse_model(SYNTHETIC_MODEL), 200_000, seed=1).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_splits_like_reference(fit_transform(values, default_delta(values))[1], m)
+
+
 def test_walk_chord_never_decreases_inside_a_window(rng, synthetic_cdf):
     # the precondition for `_walk`'s one `bisect` per step: inside every
     # window it searches, the chord^2 from the current point, computed as
@@ -253,10 +302,16 @@ def test_select_points_diagonal_m4(rng):
     assert np.max(np.diff(data.y)) <= 0.25 + 1e-12
 
 
+def assert_steps_within(data, m):
+    """No step of a selected point set exceeds 1/m in either coordinate."""
+    bound = 1.0 / m + 1e-12
+    assert np.max(np.diff(data.x)) <= bound and np.max(np.diff(data.y)) <= bound
+
+
 def test_select_points_synthetic_point_count(synthetic_cdf):
     data = select_points(synthetic_cdf, 45)
     assert 64 <= data.n <= 84
-    data.validate(45)
+    assert_steps_within(data, 45)
 
 
 def test_select_points_m_guard(rng):
@@ -284,13 +339,15 @@ def test_select_points_resolution_error():
 
 
 def test_monotone_data_validation():
+    # building a point set checks it
     with pytest.raises(InvariantViolation):
-        MonotoneData(x=np.array([0.0, 1.0]), y=np.array([0.0, 0.5])).validate()
+        MonotoneData(x=np.array([0.0, 1.0]), y=np.array([0.0, 0.5]))
     with pytest.raises(InvariantViolation):
-        MonotoneData(x=np.array([0.0, 0.5, 0.5, 1.0]), y=np.array([0, 0.1, 0.2, 1.0])).validate()
+        MonotoneData(x=np.array([0.0, 0.5, 0.5, 1.0]), y=np.array([0, 0.1, 0.2, 1.0]))
     with pytest.raises(InvariantViolation):
-        MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.8, 0.5])).validate()
-    MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.5, 1.0])).validate(2)
+        MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.8, 0.5]))
+    data = MonotoneData(x=[0.0, 0.5, 1.0], y=[0.0, 0.5, 1.0])
+    assert data.x.tobytes() == np.array([0.0, 0.5, 1.0]).tobytes() == data.y.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -299,8 +356,12 @@ def test_monotone_data_validation():
         ([0.0, 0.5, 0.5, 1.0], [0.0, 0.2, 0.4, 1.0], "abscissae must be strictly increasing"),
         ([0.0, 0.5, 0.7, 1.0], [0.0, 0.6, 0.4, 1.0], "ordinates must be non-decreasing"),
         ([0.0, 0.5, 1.0], [0.0, 1.0], "point arrays must have equal length >= 2"),
+        # formerly numpy's untyped "truth value of an array ... is ambiguous"
+        (np.zeros((2, 2)), np.zeros(2), r"point arrays must be 1-D, got shapes \(2, 2\) and \(2,\)"),
+        ([0.0, 1.0], [[0.0, 1.0]], r"point arrays must be 1-D, got shapes \(2,\) and \(1, 2\)"),
+        (0.0, 1.0, r"point arrays must be 1-D, got shapes \(\) and \(\)"),
     ],
-    ids=["repeated-x", "falling-y", "unequal-lengths"],
+    ids=["repeated-x", "falling-y", "unequal-lengths", "2-D-x", "2-D-y", "0-d"],
 )
 def test_a_point_set_that_fails_its_checks_cannot_be_built(x, y, message):
     with warnings.catch_warnings():
@@ -319,7 +380,8 @@ def test_select_points_invariants_property(seed, m):
         data = select_points(cdf, m)
     except SelectionError:
         return  # legitimate resolution failure
-    data.validate(m)
+    # the point set checked itself when select_points built it
+    assert_steps_within(data, m)
 
 
 def test_refinement_never_decreases_n(rng):

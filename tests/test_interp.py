@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -174,8 +175,7 @@ def test_geometric_mean_slopes_match_per_knot_reference(rng):
         ),
         diagonal_data(3),
     ]
-    for data in corpus:
-        data.validate()
+    for data in corpus:  # each point set checked itself when built
         want = reference_geometric_mean_slopes(data)
         assert geometric_mean_slopes(data).tobytes() == want.tobytes()
 
@@ -894,8 +894,14 @@ def test_a_model_that_fails_its_checks_cannot_be_built(fields, message):
 @pytest.mark.parametrize("variant", ["cubic", "rational"])
 def test_report_names_a_slope_made_negative_after_construction(variant):
     model = FITTERS[variant](diagonal_data(5))
-    model.slopes[2] = -1.0  # in place, past the constructor's check
-    report = validate_model(model, raise_on_failure=False)
+    with pytest.raises(ValueError, match="read-only"):
+        model.slopes[2] = -1.0  # in place, past the constructor's check
+    # the report still names the failure on a stand-in no constructor checked
+    slopes = model.slopes.copy()
+    slopes[2] = -1.0
+    stand_in = types.SimpleNamespace(variant=variant, x=model.x, y=model.y, slopes=slopes,
+                                     transform=model.transform, n=model.n)
+    report = validate_model(stand_in, raise_on_failure=False)
     assert report["ok"] is False and report["failures"] == ["negative knot slope"]
 
 
@@ -934,6 +940,8 @@ def test_a_hand_built_model_is_refused_or_sound(fields, tmp_path_factory):
         save_model(model, path)
         loaded = load_model(path)
         cdf, pdf = cdf_eval(model, grid), pdf_eval(model, grid)
+    for built in (model, loaded):
+        assert not any(getattr(built, name).flags.writeable for name in ("x", "y", "slopes"))
     assert (loaded.variant, loaded.transform) == (model.variant, model.transform)
     for name in ("x", "y", "slopes"):
         assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
@@ -978,7 +986,6 @@ def monotone_datasets(draw):
 @given(data=monotone_datasets(), variant=st.sampled_from(["cubic", "rational"]))
 @settings(max_examples=120, deadline=None)
 def test_fit_properties(data, variant):
-    data.validate()
     model = FITTERS[variant](data)  # validates Hermite/C1/monotonicity internally
     xs = np.linspace(0, 1, 1500)
     cdf = cdf_eval(model, xs)

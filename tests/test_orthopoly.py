@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from gpcquad import (
     DEGREE_CAP,
+    InvariantViolation,
     KappaNotPositiveError,
     NumericalError,
     OrthonormalBasis,
@@ -210,7 +211,7 @@ def test_basis_document_without_phi_coeffs_is_malformed(tmp_path, rng):
     _, basis = compute_recurrence(moments(fit_cubic(data, transform=transform), 5), 2)
     doc = basis_to_dict(basis)
     del doc["phi_coeffs"]
-    with pytest.raises(ValueError, match="malformed basis document"):
+    with pytest.raises(InvariantViolation, match="malformed basis document"):
         basis_from_dict(doc)
 
 
@@ -241,7 +242,7 @@ def test_basis_document_lengths_must_agree(rng, field, value, message):
     doc[field] = value(doc[field])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^malformed basis document: " + message):
+        with pytest.raises(InvariantViolation, match="^malformed basis document: " + message):
             basis_from_dict(doc)
 
 
@@ -257,11 +258,19 @@ def test_load_basis_refuses_a_document_that_is_not_a_json_object(tmp_path, text,
     path = tmp_path / "basis.json"
     path.write_text(text)
     message = re.escape(message.format(path=path))
-    with pytest.raises(ValueError, match=f"^malformed basis document: {message}"):
+    with pytest.raises(InvariantViolation, match=f"^malformed basis document: {message}"):
         load_basis(path)
     if text != "not json":
-        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
+        with pytest.raises(InvariantViolation, match=f"^malformed basis document: {message}$"):
             basis_from_dict(json.loads(text))
+
+
+def test_basis_document_of_another_format_version_is_refused():
+    # formerly a plain ValueError, where a model document of another version
+    # raised InvariantViolation
+    doc = {"format_version": 2, "degree": 0, "gamma": [0.5], "kappa": [1.0], "phi_coeffs": [[1.0]]}
+    with pytest.raises(InvariantViolation, match="^unsupported basis format version 2$"):
+        basis_from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -285,7 +294,7 @@ def test_phi_coeffs_refuse_a_norm_outside_float64(tmp_path, kappa, index, norm):
         with pytest.raises(NumericalError, match=f"^{message}$"):
             save_basis(basis, tmp_path / "basis.json")
         assert not (tmp_path / "basis.json").exists()
-        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
+        with pytest.raises(InvariantViolation, match=f"^malformed basis document: {message}$"):
             basis_from_dict(doc)
 
 
@@ -310,7 +319,7 @@ def test_phi_coeffs_refuse_coefficients_outside_float64(tmp_path, gamma, kappa, 
         with pytest.raises(NumericalError, match=f"^{message}$"):
             save_basis(basis, tmp_path / "basis.json")
         assert not (tmp_path / "basis.json").exists()
-        with pytest.raises(ValueError, match=f"^malformed basis document: {message}$"):
+        with pytest.raises(InvariantViolation, match=f"^malformed basis document: {message}$"):
             basis_from_dict(doc)
 
 
