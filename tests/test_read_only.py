@@ -27,6 +27,7 @@ from gpcquad import (
     pdf_eval,
     select_points,
 )
+from gpcquad.interp import IDENTITY_TRANSFORM
 
 FIELDS = {MonotoneData: ("x", "y"), DensityModel: ("x", "y", "slopes"), RecurrenceCoeffs: ("gamma", "kappa")}
 
@@ -80,6 +81,19 @@ def test_a_model_keeps_no_array_it_was_given():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cdf_eval(hand_built, 0.25) == 0.25 and pdf_eval(hand_built, 0.25) == 1.0
+
+
+def test_complex_arrays_are_refused():
+    # a cast to float would drop the imaginary parts without an error; the
+    # recurrence used to accept a complex gamma as it was
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="^expected real values, got complex128$"):
+            MonotoneData(x=np.array([0.0, 0.5, 1.0]) + 1j, y=[0.0, 0.5, 1.0])
+        with pytest.raises(TypeError, match="^expected real values, got complex128$"):
+            DensityModel("cubic", [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], np.ones(3) + 1j, IDENTITY_TRANSFORM)
+        with pytest.raises(TypeError, match="^expected real values, got complex128$"):
+            RecurrenceCoeffs(gamma=[0.5 + 1j], kappa=[1.0])
 
 
 def _copies(value):
