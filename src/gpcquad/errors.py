@@ -22,13 +22,14 @@ def integer(value, name: str, lo: int, hi: int | None = None, error=ValueError) 
 
 def read_only(values) -> np.ndarray:
     """A float copy of `values` that refuses in-place writes, so that no
-    caller can undo the check of the value that holds it. Complex values
-    raise TypeError, where a cast would drop their imaginary parts."""
+    caller can undo the check of the value that holds it: its memory is an
+    immutable `bytes`, so not even its WRITEABLE flag can be set back.
+    Complex values raise TypeError, where a cast would drop their imaginary
+    parts."""
     if np.iscomplexobj(values):
         raise TypeError(f"expected real values, got {np.asarray(values).dtype}")
     out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
+    return np.frombuffer(out.tobytes()).reshape(out.shape)
 
 
 class GpcquadError(Exception):

@@ -64,6 +64,9 @@ def test_every_array_refuses_an_in_place_write(built, kind):
                 array[1] = math.nan
             with pytest.raises(ValueError, match="read-only"):
                 array += 1.0
+            for owner in (array, array.base):  # no flag can be set back
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                    owner.flags.writeable = True
             assert getattr(value, name).tobytes() == before
 
 
