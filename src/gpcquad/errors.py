@@ -28,8 +28,8 @@ def read_only(values) -> np.ndarray:
     parts."""
     if np.iscomplexobj(values):
         raise TypeError(f"expected real values, got {np.asarray(values).dtype}")
-    out = np.array(values, dtype=float)
-    return np.frombuffer(out.tobytes()).reshape(out.shape)
+    values = np.asarray(values, dtype=float)
+    return np.frombuffer(values.tobytes()).reshape(values.shape)
 
 
 class GpcquadError(Exception):
