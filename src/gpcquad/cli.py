@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .ecdf import load_monotone_csv
-from .errors import GpcquadError, NumericalError, integer
+from .errors import GpcquadError, NumericalError, integer, json_text, write_csv
 from .interp import (
     cdf_original,
     draw_samples,
@@ -38,8 +37,7 @@ __all__ = ["main"]
 
 
 def _emit(report: dict, summary: str) -> None:
-    json.dump(report, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(report))
     sys.stderr.write(summary + "\n")
 
 
@@ -174,10 +172,7 @@ def _cmd_plotdata(args) -> int:
     )
     cdf = cdf_original(density, xhat)
     pdf = pdf_original(density, xhat)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("xhat,cdf,pdf\n")
-        for a, b, c in zip(xhat, cdf, pdf):
-            fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
+    write_csv(args.out, "xhat,cdf,pdf", xhat, cdf, pdf)
     report = {
         "command": "plotdata",
         "file": str(args.out),

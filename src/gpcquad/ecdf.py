@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, write_csv
 from .surrogate import SampleSet
 
 __all__ = [
@@ -51,7 +51,7 @@ class TransformParams:
         return self.a + self.b * np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class EmpiricalCDF:
     """Sorted normalized samples; the step estimator y(x) = #(values <= x)/N."""
 
@@ -62,7 +62,7 @@ class EmpiricalCDF:
         return self.sorted_values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class MonotoneData:
     """Selected CDF interpolation points, endpoints pinned to (0,0) and (1,1).
     Each array is a read-only float copy. Building one (`dataclasses.replace`,
@@ -287,10 +287,7 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
 
 
 def save_monotone_csv(data: MonotoneData, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for xi, yi in zip(data.x, data.y):
-            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+    write_csv(path, "x,y", data.x, data.y)
 
 
 def load_monotone_csv(path) -> MonotoneData:

@@ -1,10 +1,17 @@
 """Exception types shared across the package, its one check of an integer
-argument (`integer`) and the read-only copy its checked values hold
-(`read_only`).
+argument (`integer`), the read-only copy its checked values hold
+(`read_only`) and every decision about its file formats: a JSON report is
+`json_text`, a JSON file `write_json` and a CSV file `write_csv` (each builds
+its whole text before it opens the file, so a failure leaves the file as it
+was), and a model or basis file is read by `read_json` and checked by
+`from_document`.
 
 Exit-code mapping used by the CLI: usage/input problems map to 1,
 numerical failures (NumericalError subtree) to 2, I/O errors to 3.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +37,47 @@ def read_only(values) -> np.ndarray:
         raise TypeError(f"expected real values, got {np.asarray(values).dtype}")
     values = np.asarray(values, dtype=float)
     return np.frombuffer(values.tobytes()).reshape(values.shape)
+
+
+def json_text(doc) -> str:
+    """`doc` as the text of a JSON file or report: indent 1, a final newline."""
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as `json_text`."""
+    Path(path).write_text(json_text(doc), encoding="utf-8")
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write `header`, then one row of `columns` per index, each field a float's `repr`."""
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_json(path, kind: str):
+    """The JSON value in `path`; InvariantViolation naming the path if json cannot read it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deeply
+            raise InvariantViolation(f"malformed {kind} document: {path} is not JSON: {exc}") from exc
+
+
+def from_document(doc, kind: str, version: int, build, *errors):
+    """`build(doc)` for a JSON object `doc` whose `format_version` is
+    `version`. InvariantViolation naming `kind` otherwise, and in place of
+    a KeyError, TypeError, ValueError or one of `errors` that `build` raises."""
+    if not isinstance(doc, dict):
+        raise InvariantViolation(f"malformed {kind} document: expected a JSON object, got {type(doc).__name__}")
+    found = doc.get("format_version")
+    if found != version:
+        raise InvariantViolation(f"unsupported {kind} format version {found!r}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError, *errors) as exc:
+        raise InvariantViolation(f"malformed {kind} document: {exc}") from exc
 
 
 class GpcquadError(Exception):

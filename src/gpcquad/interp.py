@@ -23,7 +23,6 @@ on narrow intervals and cannot meet the knot-interpolation tolerances.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections import namedtuple
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import MonotoneData, TransformParams, _reject_nan
-from .errors import InvariantViolation, integer, read_only
+from .errors import InvariantViolation, from_document, integer, read_json, read_only, write_json
 
 __all__ = [
     "DensityModel",
@@ -64,7 +63,7 @@ class PlateauWarning(UserWarning):
     """Inverse CDF hit the interior of a flat stretch; midpoint returned."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class DensityModel:
     """A fitted piecewise CDF/PDF pair on [x_1, x_n] plus its sample transform.
 
@@ -728,12 +727,7 @@ def model_to_dict(model: DensityModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DensityModel:
-    if not isinstance(doc, dict):
-        raise InvariantViolation(f"malformed model document: expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise InvariantViolation(f"unsupported model format version {version!r}")
-    try:
+    def build(doc):
         tr = doc["transform"]
         return DensityModel(
             variant=doc["variant"],
@@ -742,20 +736,12 @@ def model_from_dict(doc: dict) -> DensityModel:
             slopes=doc["slopes"],
             transform=TransformParams(*(float(tr[key]) for key in ("a", "b", "delta"))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvariantViolation(f"malformed model document: {exc}") from exc
+    return from_document(doc, "model", MODEL_FORMAT_VERSION, build)
 
 
 def save_model(model: DensityModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> DensityModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvariantViolation(f"malformed model document: {path} is not JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

@@ -14,12 +14,11 @@ derived from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, KappaNotPositiveError, NumericalError, integer, read_only
+from .errors import KappaNotPositiveError, NumericalError, from_document, integer, read_json, read_only, write_json
 
 __all__ = [
     "DEGREE_CAP",
@@ -46,7 +45,7 @@ def check_degree(n_hat: int) -> int:
     return integer(n_hat, "degree", 0, DEGREE_CAP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class RecurrenceCoeffs:
     """gamma_0..gamma_n and kappa_0..kappa_n (kappa_0 = 1) of the monic
     recurrence pi_{i+1}(x) = (x - gamma_i) pi_i(x) - kappa_i pi_{i-1}(x),
@@ -231,12 +230,7 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     """InvariantViolation unless the document's gamma and kappa build a
     recurrence, `doc` is an object, `degree` is its degree and `phi_coeffs`
     are, bit for bit, its basis's."""
-    if not isinstance(doc, dict):
-        raise InvariantViolation(f"malformed basis document: expected a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version != BASIS_FORMAT_VERSION:
-        raise InvariantViolation(f"unsupported basis format version {version!r}")
-    try:
+    def build(doc):
         rec = RecurrenceCoeffs(gamma=doc["gamma"], kappa=doc["kappa"])
         n_hat, phi = check_degree(doc["degree"]), doc["phi_coeffs"]
         for name, n in (("gamma and kappa", rec.degree + 1), ("phi_coeffs", len(phi))):
@@ -248,22 +242,13 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
             if got.shape != want.shape or got.tobytes() != want.tobytes():
                 raise ValueError(f"phi_coeffs[{i}] = {got.tolist()} is not {want.tolist()}, "
                                  f"the phi_{i} its gamma and kappa give")
-    except (KeyError, TypeError, ValueError, NumericalError) as exc:
-        raise InvariantViolation(f"malformed basis document: {exc}") from exc
-    return rec, basis
+        return rec, basis
+    return from_document(doc, "basis", BASIS_FORMAT_VERSION, build, NumericalError)
 
 
 def save_basis(basis: OrthonormalBasis, path) -> None:
-    doc = basis_to_dict(basis)  # before opening, so a failure leaves `path` as it was
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, basis_to_dict(basis))
 
 
 def load_basis(path) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvariantViolation(f"malformed basis document: {path} is not JSON: {exc}") from exc
-    return basis_from_dict(doc)
+    return basis_from_dict(read_json(path, "basis"))

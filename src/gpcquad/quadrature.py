@@ -10,13 +10,12 @@ which loads with numpy itself and keeps scipy off the import path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ecdf import TransformParams
-from .errors import EigenConvergenceError, NumericalError
+from .errors import EigenConvergenceError, NumericalError, write_csv, write_json
 from .orthopoly import OrthonormalBasis, RecurrenceCoeffs, basis_values
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class QuadratureRule:
     """Nodes (ascending) and positive weights summing to one, in the
     normalized coordinate."""
@@ -116,20 +115,9 @@ def rule_to_dict(rule: QuadratureRule, transform: TransformParams | None = None)
 
 
 def save_rule(rule: QuadratureRule, path, transform: TransformParams | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rule_to_dict(rule, transform), fh, indent=1)
-        fh.write("\n")
+    write_json(path, rule_to_dict(rule, transform))
 
 
-def save_rule_csv(
-    rule: QuadratureRule, path, transform: TransformParams | None = None
-) -> None:
-    original = (
-        transform.denormalize(rule.nodes)
-        if transform is not None
-        else rule.nodes
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node,weight,node_original\n")
-        for x, w, xo in zip(rule.nodes, rule.weights, original):
-            fh.write(f"{float(x)!r},{float(w)!r},{float(xo)!r}\n")
+def save_rule_csv(rule: QuadratureRule, path, transform: TransformParams | None = None) -> None:
+    original = rule.nodes if transform is None else transform.denormalize(rule.nodes)
+    write_csv(path, "node,weight,node_original", rule.nodes, rule.weights, original)

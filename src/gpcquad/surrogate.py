@@ -181,7 +181,7 @@ def _operands(ins, dim: int) -> int:
     return _SHAPES[op][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class SampleSet:
     """Model outputs at `count` i.i.d. parameter draws from a single seeded stream."""
 

@@ -17,12 +17,14 @@ from gpcquad import (
     MonotoneData,
     NumericalError,
     RecurrenceCoeffs,
+    SampleSet,
     cdf_eval,
     compute_recurrence,
     default_delta,
     fit_cubic,
     fit_rational,
     fit_transform,
+    gauss_rule,
     moments,
     pdf_eval,
     select_points,
@@ -34,14 +36,16 @@ FIELDS = {MonotoneData: ("x", "y"), DensityModel: ("x", "y", "slopes"), Recurren
 
 @pytest.fixture(scope="module")
 def built():
-    """A point set, both fits of it and a recurrence from the cubic fit."""
+    """A point set, both fits of it and a recurrence from the cubic fit, with
+    the samples, ECDF, basis and rule they come from or give."""
     values = np.random.default_rng(1).normal(size=2000)
     transform, cdf = fit_transform(values, default_delta(values))
     data = select_points(cdf, 20)
     cubic = fit_cubic(data, transform=transform)
     rational = fit_rational(data, transform=transform)
-    rec, _ = compute_recurrence(moments(cubic, 9), 4)
-    return {"points": data, "cubic": cubic, "rational": rational, "recurrence": rec}
+    rec, basis = compute_recurrence(moments(cubic, 9), 4)
+    return {"points": data, "cubic": cubic, "rational": rational, "recurrence": rec,
+            "samples": SampleSet(values=values, seed=1), "ecdf": cdf, "basis": basis, "rule": gauss_rule(rec)}
 
 
 KINDS = ["points", "cubic", "rational", "recurrence"]
@@ -107,6 +111,20 @@ def _copies(value):
     yield "copy", copy.copy(value)
     yield "deepcopy", copy.deepcopy(value)
     yield "replace", dataclasses.replace(value)
+
+
+@pytest.mark.parametrize("kind", ["points", "cubic", "recurrence", "samples", "ecdf", "basis", "rule"])
+def test_equality_and_hash_do_not_raise(built, kind):
+    # the six types that hold arrays compare and hash by identity (`==`
+    # raised numpy's untyped ValueError, `hash` TypeError); a basis compares
+    # and hashes through its recurrence
+    value = built[kind]
+    twin = copy.copy(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = kind == "basis"  # copy.copy shares a basis's recurrence
+        assert value == value and (value == twin) is same and (value != twin) is not same
+        assert len({value, twin}) == (1 if same else 2)
 
 
 @pytest.mark.parametrize("kind", KINDS)
