@@ -10,12 +10,13 @@ Two fitting schemes over the same selected points:
 Both produce a CDF that is 0 left of the first knot, 1 right of the last,
 continuously differentiable in between, with a non-negative density.
 
-A model stores only its knots, knot values and knot slopes; each call
-builds one table of its pieces' constants (`_pieces`). Each variant has one
-CDF kernel and one density kernel (`_cdf_t`, `_pdf_t`), written in plain
-arithmetic so that the same code evaluates a scalar or an array of (piece k,
-t = (x - x_k)/h) pairs; evaluation, validation, inversion and the moment
-oracle all go through them. Rational pieces are evaluated in the
+A model holds its knots, knot values and knot slopes, and the table of its
+pieces' constants (`_pieces`) that its check derives from them once; the
+evaluators, the inversion and the moments all read that table. Each variant
+has one CDF kernel and one density kernel (`_cdf_t`, `_pdf_t`), written in
+plain arithmetic so that the same code evaluates a scalar or an array of
+(piece k, t = (x - x_k)/h) pairs; evaluation, validation, inversion and the
+moment oracle all go through them. Rational pieces are evaluated in the
 Bernstein-weighted local form, whose terms are all non-negative; the
 global monomial form loses roughly (interval length)^-2 worth of precision
 on narrow intervals and cannot meet the knot-interpolation tolerances.
@@ -26,7 +27,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,8 +73,10 @@ class DensityModel:
     The knots (x, y) and the knot slopes determine every piece; piece k
     spans [x[k], x[k+1]]. Each array is a read-only float copy. Building one
     (`dataclasses.replace`, `copy` and `pickle` included) runs
-    `validate_model`, which raises `InvariantViolation` unless it passes.
-    Immutable; safe for concurrent evaluation.
+    `validate_model`, which raises `InvariantViolation` unless it passes,
+    and keeps its report as the read-only mapping `checks`; the check also
+    derives `pieces` from the knots. Immutable; safe for concurrent
+    evaluation.
     """
 
     variant: str
@@ -79,11 +84,13 @@ class DensityModel:
     y: np.ndarray
     slopes: np.ndarray
     transform: TransformParams
+    checks: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("x", "y", "slopes"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
-        validate_model(self)
+        report = validate_model(self)  # passed, so no failures: a tuple keeps them read-only
+        object.__setattr__(self, "checks", MappingProxyType({**report, "failures": ()}))
 
     def __reduce__(self):
         return type(self), (self.variant, self.x, self.y, self.slopes, self.transform)
@@ -91,6 +98,12 @@ class DensityModel:
     @property
     def n(self) -> int:
         return len(self.x)
+
+    @cached_property  # stored in the instance __dict__, which a frozen dataclass allows
+    def pieces(self) -> _Pieces:
+        """The table of each piece's constants (`_pieces`), built once, by the
+        check; its arrays are read-only."""
+        return _pieces(self)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +251,9 @@ _Pieces = namedtuple("_Pieces", "variant x0 x1 h y0 y1 dy d0 d1 s hd0 hd1 w v")
 
 
 def _pieces(model: DensityModel) -> _Pieces:
-    """Each piece's constants, once per call: piece k spans [x0[k], x1[k]],
-    of width h, from y0 to y1 (a rise of dy), with knot slopes d0, d1 and
-    chord slope s. hd0 = h d0 and hd1 = h d1 weigh the cubic Hermite form;
+    """Each piece's constants: piece k spans [x0[k], x1[k]], of width h,
+    from y0 to y1 (a rise of dy), with knot slopes d0, d1 and chord slope
+    s. hd0 = h d0 and hd1 = h d1 weigh the cubic Hermite form;
     w = (y1 d0 + y0 d1)/s and v = (d0 + d1)/s are the middle Bernstein
     weights of the rational form, kept for cubic models too, whose moment
     oracle places breakpoints by v. Flat pieces (s = 0) get no finite w, v."""
@@ -251,7 +264,8 @@ def _pieces(model: DensityModel) -> _Pieces:
         s = dy / h
         w = (y1 * d0 + y0 * d1) / s
         v = (d0 + d1) / s
-    return _Pieces(model.variant, x0, x1, h, y0, y1, dy, d0, d1, s, h * d0, h * d1, w, v)
+    h, dy, s, hd0, hd1, w, v = map(read_only, (h, dy, s, h * d0, h * d1, w, v))
+    return _Pieces(model.variant, x0, x1, h, y0, y1, dy, d0, d1, s, hd0, hd1, w, v)
 
 
 def _to_t(pieces: _Pieces, k, x):
@@ -308,7 +322,7 @@ def _eval_points(model: DensityModel, x):
     -1e300 they overflow). A NaN raises `ValueError` naming its (flat) index."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(_reject_nan(x))
-    pieces = _pieces(model)
+    pieces = model.pieces
     k = np.clip(np.searchsorted(model.x, x, side="right") - 1, 0, model.n - 2)
     return scalar, x, pieces, k, _to_t(pieces, k, np.clip(x, model.x[0], model.x[-1]))
 
@@ -466,9 +480,9 @@ def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -
     return x
 
 
-def _inverse(model: DensityModel, pieces: _Pieces, u: np.ndarray, out: np.ndarray):
+def _inverse(model: DensityModel, u: np.ndarray, out: np.ndarray):
     """`inverse_cdf` of the 1-D targets u in [0, 1] into `out`, without the
-    warning; `pieces` is the model's piece table.
+    warning.
 
     Returns `(plateaus, example)`: the number of targets on plateaus and,
     if there are any, `(target, lo, hi)` for the first. Each preimage
@@ -498,6 +512,7 @@ def _inverse(model: DensityModel, pieces: _Pieces, u: np.ndarray, out: np.ndarra
         inner = slice(None)  # all of them, as with uniform draws: no copies
     k, target = j[inner], u[inner]
     root = _cubic_root if model.variant == "cubic" else _rational_root
+    pieces = model.pieces
     out[inner] = _polish(pieces, k, target, root(pieces, k, target))
     return plateau.size, example
 
@@ -531,7 +546,7 @@ def inverse_cdf(model: DensityModel, y):
     if bad.any():
         raise ValueError(f"target CDF value must be in [0,1], got {u[bad][0]}")
     out = np.empty(u.shape)
-    plateaus, example = _inverse(model, _pieces(model), u, out)
+    plateaus, example = _inverse(model, u, out)
     if plateaus:
         _warn_plateaus(plateaus, example)
     return float(out[0]) if not shape else out.reshape(shape)
@@ -562,11 +577,10 @@ def draw_samples(model: DensityModel, count: int, seed: int):
     rng = np.random.default_rng(integer(seed, "seed", 0))
     a, b = model.transform.a, model.transform.b
     out = np.empty(count)
-    pieces = _pieces(model)
     plateaus, example = 0, None
     for start in range(0, count, _BLOCK):
         x = out[start : start + _BLOCK]
-        hits, first = _inverse(model, pieces, rng.uniform(0.0, 1.0, len(x)), x)
+        hits, first = _inverse(model, rng.uniform(0.0, 1.0, len(x)), x)
         if hits:
             plateaus += hits
             example = example or first
@@ -599,7 +613,8 @@ def _cubic_derivative_min(pieces: _Pieces, rising: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")
 def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     """The construction invariants, which building a `DensityModel` checks;
-    returns the residual report.
+    returns the residual report. A `DensityModel` is checked through its own
+    `pieces`; any other object with its fields gets a table built.
 
     Slope-type residuals are scaled by max(1, |slope|) so the tolerance is
     meaningful for steep near-atom ramps as well as O(1) densities. A check
@@ -623,7 +638,8 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
     elif non_finite:
         failures.append(f"non-finite values in {', '.join(non_finite)}")
     else:
-        pieces = _pieces(model)
+        # a DensityModel's own table; a stand-in gets one built
+        pieces = model.pieces if isinstance(model, DensityModel) else _pieces(model)
         if not (x[0] == 0.0 and y[0] == 0.0 and x[-1] == 1.0 and y[-1] == 1.0):
             failures.append("endpoints not pinned to (0,0), (1,1)")
         if not np.all(pieces.h > 0):

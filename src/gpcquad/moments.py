@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, integer
-from .interp import DensityModel, _cubic_monomial, _pdf_t, _pieces, _to_t
+from .interp import DensityModel, _cubic_monomial, _pdf_t, _to_t
 
 __all__ = [
     "MOMENT_CAP",
@@ -130,7 +130,7 @@ def moments_cubic(model: DensityModel, kmax: int) -> np.ndarray:
     if model.variant != "cubic":
         raise ValueError(f"expected a cubic model, got {model.variant!r}")
     kmax = integer(kmax, "kmax", 0, MOMENT_CAP)
-    p = _pieces(model)
+    p = model.pieces
     rising = p.dy != 0
     c2, c3, c4 = (c[rising][:, None] for c in _cubic_monomial(p))
     h = p.h[rising][:, None]
@@ -188,7 +188,7 @@ def moments_rational(model: DensityModel, kmax: int) -> np.ndarray:
     if model.variant != "rational":
         raise ValueError(f"expected a rational model, got {model.variant!r}")
     kmax = integer(kmax, "kmax", 0, MOMENT_CAP)
-    p = _pieces(model)
+    p = model.pieces
     rising = p.dy != 0
     x0, x1, y0, y1 = p.x0[rising], p.x1[rising], p.y0[rising], p.y1[rising]
     h, dy, w, v = p.h[rising], p.dy[rising], p.w[rising], p.v[rising]
@@ -282,7 +282,7 @@ def numeric_moment_oracle(model: DensityModel, k: int) -> float:
     from scipy.integrate import quad
 
     k = integer(k, "k", 0)
-    p = _pieces(model)
+    p = model.pieces
     integrals = []
     worst = (0.0, None)
     for j in np.flatnonzero(p.y1 != p.y0).tolist():

@@ -119,5 +119,9 @@ def save_rule(rule: QuadratureRule, path, transform: TransformParams | None = No
 
 
 def save_rule_csv(rule: QuadratureRule, path, transform: TransformParams | None = None) -> None:
-    original = rule.nodes if transform is None else transform.denormalize(rule.nodes)
-    write_csv(path, "node,weight,node_original", rule.nodes, rule.weights, original)
+    """The columns of `rule_to_dict`'s fields: `node_original` only with a transform."""
+    header, columns = "node,weight", [rule.nodes, rule.weights]
+    if transform is not None:
+        header += ",node_original"
+        columns.append(transform.denormalize(rule.nodes))
+    write_csv(path, header, *columns)

@@ -25,6 +25,7 @@ from gpcquad import (
     save_model,
     validate_model,
 )
+from gpcquad import cli, interp
 from gpcquad.cli import main
 from gpcquad.interp import MODEL_FORMAT_VERSION
 from conftest import diagonal_data, mixture_values
@@ -55,6 +56,24 @@ def test_fit_builtin_synthetic(tmp_path, capsys):
         want = json.loads(json.dumps(validate_model(model, raise_on_failure=False)))
         assert info["checks"] == want
     assert "checks pass" in err
+
+
+def test_fit_certifies_each_variant_once(tmp_path, capsys, monkeypatch):
+    # the report used to run validate_model again on each model its
+    # constructor had just checked
+    certified = []
+    certify = interp.validate_model
+
+    def counted(model, *args, **kwargs):
+        certified.append(model.variant)
+        return certify(model, *args, **kwargs)
+
+    for module in (interp, cli):  # and the cli's own name for it, if it has one
+        monkeypatch.setattr(module, "validate_model", counted, raising=False)
+    code, report, _ = run_cli(capsys, "fit", "--model", "builtin:synthetic", "--samples", "20000",
+                              "--variant", "both", "--out", str(tmp_path))
+    assert code == 0 and list(report["variants"]) == ["cubic", "rational"]
+    assert certified == ["cubic", "rational"]
 
 
 def test_fit_from_sample_file_single_variant(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_csv_files_are_a_header_and_repr_rows(built, tmp_path, capsys, variant):
     want = _csv("node,weight,node_original", rule.nodes, rule.weights, model.transform.denormalize(rule.nodes))
     assert (tmp_path / "rule.csv").read_text(encoding="utf-8") == want
     save_rule_csv(rule, tmp_path / "rule-unit.csv")
-    want = _csv("node,weight,node_original", rule.nodes, rule.weights, rule.nodes)
+    want = _csv("node,weight", rule.nodes, rule.weights)
     assert (tmp_path / "rule-unit.csv").read_text(encoding="utf-8") == want
 
     save_model(model, tmp_path / "m.json")
@@ -98,6 +98,24 @@ def test_csv_files_are_a_header_and_repr_rows(built, tmp_path, capsys, variant):
     xhat = rows[:, 0]
     want = _csv("xhat,cdf,pdf", xhat, cdf_original(model, xhat), pdf_original(model, xhat))
     assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("original", [True, False], ids=["transform", "unit"])
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_each_rule_csv_column_is_its_json_field(built, tmp_path, variant, original):
+    # without a transform the CSV used to write the unit nodes under
+    # node_original, a field the JSON leaves out
+    model, _, rule = built[variant]
+    transform = model.transform if original else None
+    save_rule_csv(rule, tmp_path / "rule.csv", transform)
+    doc = rule_to_dict(rule, transform)
+    header, *rows = (tmp_path / "rule.csv").read_text(encoding="utf-8").splitlines()
+    fields = {"node": "nodes", "weight": "weights", "node_original": "nodes_original"}
+    columns = header.split(",")
+    assert [fields[column] for column in columns] == [key for key in doc if key != "format_version"]
+    for i, column in enumerate(columns):
+        got = [float(row.split(",")[i]).hex() for row in rows]
+        assert got == [value.hex() for value in doc[fields[column]]], column
 
 
 def test_a_writer_whose_document_fails_leaves_the_file_as_it_was(built, tmp_path):

@@ -608,7 +608,7 @@ def test_piece_table_keeps_the_bits_of_the_x_form_kernels(rng, synthetic_fits, m
         data, transform, _ = random_selected_data(rng)
         models += [fit(data, transform=transform) for fit in FITTERS.values()]
     for number, model in enumerate(models):
-        table, want = _pieces(model), reference_pieces(model)
+        table, want = model.pieces, reference_pieces(model)
         for name, got in zip(table._fields[1:], table[1:]):
             assert got.tobytes() == getattr(want, name).tobytes(), name
         # knots, piece midpoints, points outside the support and at random
@@ -625,7 +625,7 @@ def test_piece_table_keeps_the_bits_of_the_x_form_kernels(rng, synthetic_fits, m
         got_oracle = [moments_module.numeric_moment_oracle(model, k) for k in (1, 7)] if number < 6 else []
         with monkeypatch.context() as patch:
             # the oracle's integrand as it stood: the x-form density at x_j + t h
-            patch.setattr(moments_module, "_pieces", reference_pieces)
+            patch.setitem(vars(model), "pieces", want)
             patch.setattr(moments_module, "_to_t", lambda pieces, j, x: x)
             patch.setattr(moments_module, "_pdf_t", lambda pieces, j, x: reference_piece_pdf(model, j, x))
             assert got_moments.tobytes() == moments_module.moments(model, 21).tobytes()
@@ -647,6 +647,33 @@ def test_cubic_inverse_evaluates_the_cdf_at_most_twice(synthetic_fits, monkeypat
         sizes.clear()
         inverse_cdf(model, np.random.default_rng(seed).uniform(0.0, 1.0, 20_000))
         assert 1 <= len(sizes) <= 2, sizes
+
+
+def test_a_built_model_builds_no_further_piece_table(synthetic_fits, monkeypatch):
+    # every evaluator, the inversion and the moments built the whole table
+    # on each call; a model now builds it once, when it is checked
+    built = []
+    build = interp._pieces
+
+    def counted(model):
+        built.append(model.variant)
+        return build(model)
+
+    monkeypatch.setattr(interp, "_pieces", counted)
+    for variant, fitted in synthetic_fits.items():
+        model = DensityModel(variant, fitted.x, fitted.y, fitted.slopes, fitted.transform)
+        assert built == [variant]
+        for x in (0.3, np.linspace(-0.5, 1.5, 101)):
+            cdf_eval(model, x)
+            pdf_eval(model, x)
+        for y in (0.3, np.linspace(0.0, 1.0, 101)):
+            inverse_cdf(model, y)
+        draw_samples(model, 5000, 1)
+        moments_module.moments(model, 21)
+        moments_module.numeric_moment_oracle(model, 1)
+        validate_model(model)
+        assert built == [variant]
+        built.clear()
 
 
 # `draw_samples` as it stood before it drew in blocks: one whole-length

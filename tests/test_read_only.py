@@ -141,6 +141,26 @@ def test_copies_are_read_only_with_the_same_bytes(built, kind):
                 assert (again.variant, again.transform) == (value.variant, value.transform), how
 
 
+@pytest.mark.parametrize("kind", ["cubic", "rational"])
+def test_copies_rebuild_the_piece_table_and_checks_from_the_knots(built, kind):
+    model = built[kind]
+    fresh = DensityModel(model.variant, model.x, model.y, model.slopes, model.transform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for how, again in _copies(model):
+            assert again.pieces is not model.pieces and again.checks is not model.checks, how
+            assert again.pieces.variant == fresh.pieces.variant, how
+            for got, want in zip(again.pieces[1:], fresh.pieces[1:]):
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable, how
+            assert dict(again.checks) == dict(fresh.checks) and again.checks["ok"] is True, how
+            with pytest.raises(TypeError):
+                again.checks["ok"] = False
+        slopes = model.slopes.copy()
+        slopes[2] = -1.0
+        with pytest.raises(InvariantViolation, match="^negative knot slope$"):
+            dataclasses.replace(model, slopes=slopes)
+
+
 def _spoil(blob: bytes, array: np.ndarray, index: int, value: float) -> bytes:
     """The pickle `blob` with entry `index` of `array`'s bytes set to `value`."""
     raw = array.tobytes()

@@ -1,8 +1,9 @@
 """Start-up guard: importing gpcquad and running every CLI subcommand, with
 `fit` both on a model and on the sample file `sample` writes, loads no
 scipy module (on a 2-vCPU x86-64 virtual machine, scipy.integrate alone took
-0.65-0.79 s of a 0.73-0.98 s package import), and `numeric_moment_oracle`,
-which imports scipy on its first call, still returns the same bits."""
+0.65-0.79 s of a 0.73-0.98 s package import) and runs with scipy absent,
+and `numeric_moment_oracle`, which imports scipy on its first call, still
+returns the same bits."""
 
 import json
 import os
@@ -13,8 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter; argv[1] is a scratch directory.
-CHILD = textwrap.dedent(
+# Runs every CLI command in a fresh interpreter, into the scratch directory
+# argv[1]; leaves their exit codes in `codes`.
+COMMANDS = textwrap.dedent(
     """
     import contextlib, io, json, sys
     from pathlib import Path
@@ -37,6 +39,11 @@ CHILD = textwrap.dedent(
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes.append(gpcquad.cli.main(argv))
+    """
+)
+
+CHILD = COMMANDS + textwrap.dedent(
+    """
     scipy_modules = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
     oracle = {}
@@ -55,18 +62,30 @@ ORACLE_BITS = {
 }
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
+def _run(child: str, scratch):
+    """The JSON value `child`, run in a fresh interpreter, prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path)],
+        [sys.executable, "-c", child, str(scratch)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    result = _run(CHILD, tmp_path)
     assert result["codes"] == [0, 0, 0, 0, 0, 0]
     assert result["scipy_modules"] == []
     assert result["oracle"] == ORACLE_BITS
+
+
+def test_cli_commands_run_without_scipy(tmp_path):
+    # scipy is a dev dependency only: with every import of it failing, each
+    # command still exits 0
+    blocked = 'import sys\nsys.modules["scipy"] = None\n' + COMMANDS + "print(json.dumps(codes))\n"
+    assert _run(blocked, tmp_path) == [0, 0, 0, 0, 0, 0]
