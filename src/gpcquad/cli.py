@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .ecdf import load_monotone_csv
-from .errors import GpcquadError, NumericalError, integer, json_text, write_csv
+from .errors import GpcquadError, NumericalError, integer, json_text, read_text, write_csv
 from .interp import cdf_original, draw_samples, load_model, pdf_original, save_model
 from .orthopoly import save_basis
 from .pipeline import VARIANTS, basis_from_model, fit_variant, rule_from_model, select_from_samples
@@ -37,7 +37,7 @@ def _emit(report: dict, summary: str) -> None:
 def _model_source(path_arg: str) -> str:
     if path_arg == "builtin:synthetic":
         return SYNTHETIC_MODEL
-    return Path(path_arg).read_text(encoding="utf-8")
+    return read_text(path_arg)
 
 
 def _cmd_fit(args) -> int:

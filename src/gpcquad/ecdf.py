@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, write_csv
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, read_rows, write_csv
 from .surrogate import SampleSet
 
 __all__ = [
@@ -291,17 +291,6 @@ def save_monotone_csv(data: MonotoneData, path) -> None:
 
 
 def load_monotone_csv(path) -> MonotoneData:
-    xs, ys = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
-    start = 1 if rows and rows[0][1].lower().startswith("x") else 0
-    for i, ln in rows[start:]:
-        try:
-            x, y = (float(field) for field in ln.split(","))
-        except ValueError as exc:  # wrong field count or a non-numeric field
-            raise InvariantViolation(
-                f"{path}, row {i}: expected two numbers x,y, got {ln!r}"
-            ) from exc
-        xs.append(x)
-        ys.append(y)
-    return MonotoneData(x=xs, y=ys)
+    """The x,y rows of a points file, read by `errors.read_rows` (InvariantViolation)."""
+    rows = read_rows(path, 2, "points", InvariantViolation)
+    return MonotoneData(x=rows[:, 0], y=rows[:, 1])

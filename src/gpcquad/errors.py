@@ -3,14 +3,17 @@ argument (`integer`), the read-only copy its checked values hold
 (`read_only`) and every decision about its file formats: a JSON report is
 `json_text`, a JSON file `write_json` and a CSV file `write_csv` (each builds
 its whole text before it opens the file, so a failure leaves the file as it
-was), and a model or basis file is read by `read_json` and checked by
-`from_document`.
+was), a model or basis file is read by `read_json` and checked by
+`from_document`, a sample or points file is read by `read_rows` and a
+model source file by `read_text`.
 
 Exit-code mapping used by the CLI: usage/input problems map to 1,
 numerical failures (NumericalError subtree) to 2, I/O errors to 3.
 """
 
 import json
+import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +66,91 @@ def read_json(path, kind: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deeply
             raise InvariantViolation(f"malformed {kind} document: {path} is not JSON: {exc}") from exc
+
+
+# Characters per batch of lines in `read_rows` (`readlines`' size hint):
+# a few thousand rows, whose strings stay small beside the values.
+_ROW_BATCH = 1 << 16
+
+
+def _not_utf8(path, error):
+    """`error` naming `path` and its first line (LF, CRLF or CR ended) that is not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for i, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return error(f"{path}, line {i}: not UTF-8 text")
+    raise AssertionError(f"{path} decodes as UTF-8")
+
+
+def read_text(path) -> str:
+    """`path` read as UTF-8 with an optional byte-order mark, or InvariantViolation from `_not_utf8`."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, InvariantViolation) from None
+
+
+def read_rows(path, columns: int, noun: str, error) -> np.ndarray:
+    """The rows of a sample file (`columns` 1) or points file (`columns` 2):
+    one value per row, or an array of shape (rows, columns).
+
+    UTF-8 text with an optional byte-order mark; blank lines and blank fields
+    are skipped; the first line that is not blank is a header if its first
+    field is not a number; every other line holds `columns` finite numbers,
+    each read by `float()`. Raises `error` naming the path and the 1-based
+    line of the first line that is not UTF-8, else of the first bad row, or
+    "no {noun} in {path}". Lines are read in batches, and a one-column batch
+    of plain numbers is converted by one `np.array` call. Only the values
+    are held whole, never the file's text."""
+    expected = ("one finite number", "two finite numbers")[columns - 1]
+    values = array("d")
+    head = True  # no line that is not blank read yet
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            try:
+                end = 0  # lines read so far
+                for lines in iter(lambda: fh.readlines(_ROW_BATCH), []):
+                    start, end = end + 1, end + len(lines)  # `start`: the first line's number
+                    if head:  # drop the blank lines before the first row, and a header
+                        skip = next((j for j, line in enumerate(lines) if line.strip()), len(lines))
+                        if skip < len(lines):
+                            head = False
+                            try:
+                                float(lines[skip].strip().split(",")[0])
+                            except ValueError:  # a header: the values start on the next line
+                                skip += 1
+                        start += skip
+                        del lines[:skip]
+                    if columns == 1:
+                        try:
+                            batch = np.array(lines, dtype=float)
+                        except ValueError:  # a blank line, a CSV field or a bad row
+                            batch = None
+                        if batch is not None and np.isfinite(batch).all():
+                            values.frombytes(batch.tobytes())
+                            continue
+                    for i, line in enumerate(lines, start):
+                        row = line.strip()
+                        try:
+                            numbers = [*map(float, filter(str.strip, row.split(",")))]
+                        except ValueError:
+                            numbers = ()
+                        if row and (len(numbers) != columns or not all(map(math.isfinite, numbers))):
+                            raise error(f"{path}, row {i}: expected {expected}, got {row!r}")
+                        values.extend(numbers)
+            except error:
+                for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise _not_utf8(path, error) from None
+    if not values:
+        raise error(f"no {noun} in {path}")
+    values = np.frombuffer(values)
+    return values if columns == 1 else values.reshape(-1, columns)
 
 
 def from_document(doc, kind: str, version: int, build, *errors):

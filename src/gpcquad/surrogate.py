@@ -29,7 +29,6 @@ import math
 import operator
 import re
 import reprlib
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .errors import (
     InvariantViolation,
     ModelSyntaxError,
     integer,
+    read_rows,
 )
 
 __all__ = [
@@ -652,7 +652,6 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
 
 # ---------------------------------------------------------------------------
 # sample file I/O: one value per line, or CSV with a single column
-# (optional header detected by a failed parse of the first line)
 # ---------------------------------------------------------------------------
 
 # Values per write in `save_samples`: bounds the text held at once to a
@@ -661,90 +660,13 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
 _SAVE_CHUNK = 1 << 13
 _SAVE_LINE = "%.17g\n"
 _SAVE_FORMAT = _SAVE_LINE * _SAVE_CHUNK
-# Characters per batch of lines in `load_samples` (`readlines`' size hint):
-# a few thousand rows, whose strings stay small beside the values.
-_LOAD_BATCH = 1 << 16
-
-
-def _sample_row(path, i: int, row: str) -> float:
-    """The value of one row of a sample file; `i` is its 1-based line."""
-    try:
-        (field,) = (f for f in row.split(",") if f.strip())
-        value = float(field)
-    except ValueError:  # not exactly one non-blank field, or not a number
-        value = math.nan
-    if not math.isfinite(value):
-        raise DegenerateSamplesError(f"{path}, row {i}: expected one finite number, got {row!r}")
-    return value
-
-
-def _undecodable_line(path) -> int:
-    """The 1-based number of the first line of `path` that is not UTF-8."""
-    with open(path, "rb") as fh:
-        for i, line in enumerate(fh, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return i
-    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 def load_samples(path) -> np.ndarray:
-    """Read a sample file written by `save_samples` or by hand.
-
-    One value per line, or a single-column CSV (blank fields beside the
-    value are ignored); an optional header line; blank lines are skipped.
-    Raises `DegenerateSamplesError` for a file without values, for a row
-    that is not one finite number and for a line that is not UTF-8 text,
-    naming the line.
-
-    The first line that is not blank is a header if its first field is not
-    a number. Every row is read by `float()`, in batches of lines: a batch
-    of plain numbers is converted by one `np.array` call, which calls
-    `float()` on each line, and a batch holding a blank line, a CSV field or
-    a row that is bad or not finite is read row by row, naming the line of
-    the first bad row. Only the values are held whole, never the file's text.
-    """
-    values = array("d")
-    head = True  # no line that is not blank read yet
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                end = 0  # lines read so far
-                for lines in iter(lambda: fh.readlines(_LOAD_BATCH), []):
-                    start, end = end + 1, end + len(lines)  # `start`: the first line's number
-                    if head:  # drop the blank lines before the first row, and a header
-                        skip = next((j for j, line in enumerate(lines) if line.strip()), len(lines))
-                        if skip < len(lines):
-                            head = False
-                            try:
-                                float(lines[skip].strip().split(",")[0])
-                            except ValueError:  # a header: the values start on the next line
-                                skip += 1
-                        start += skip
-                        del lines[:skip]
-                    try:
-                        batch = np.array(lines, dtype=float)
-                    except ValueError:  # a blank line, a CSV field or a bad row
-                        batch = None
-                    if batch is not None and np.isfinite(batch).all():
-                        values.frombytes(batch.tobytes())
-                        continue
-                    for i, line in enumerate(lines, start):
-                        row = line.strip()
-                        if row:
-                            values.append(_sample_row(path, i, row))
-            except DegenerateSamplesError:
-                for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
-                    pass
-                raise
-    except UnicodeDecodeError:
-        raise DegenerateSamplesError(
-            f"{path}, line {_undecodable_line(path)}: not UTF-8 text"
-        ) from None
-    if not values:
-        raise DegenerateSamplesError(f"no samples in {path}")
-    return np.frombuffer(values)
+    """Read a sample file (one value per line, or a single-column CSV) with
+    `errors.read_rows`: `DegenerateSamplesError` for a file without values,
+    or naming the line of a bad row or of a line that is not UTF-8."""
+    return read_rows(path, 1, "samples", DegenerateSamplesError)
 
 
 def save_samples(values: np.ndarray, path) -> None:

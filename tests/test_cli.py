@@ -18,6 +18,7 @@ from gpcquad import (
     parse_model,
     sample,
     save_monotone_csv,
+    save_samples,
     select_points,
     fit_cubic,
     fit_density,
@@ -148,12 +149,26 @@ def test_basis_closed_forms_and_degree_cap(tmp_path, capsys):
 
 
 def test_points_file_with_a_malformed_row(tmp_path, capsys):
-    for row, name in (("0.5,0.5,0.5", "three"), ("0.5", "one"), ("a,0.5", "text")):
+    # a nan or inf field formerly passed the reader and was blamed on the
+    # order of the points ("abscissae must be strictly increasing",
+    # "ordinates must be non-decreasing")
+    for row, name in (("0.5,0.5,0.5", "three"), ("0.5", "one"), ("a,0.5", "text"),
+                      ("nan,0.5", "nan"), ("0.5,inf", "inf")):
         points = tmp_path / f"{name}.csv"
         points.write_text(f"x,y\n0.0,0.0\n{row}\n1.0,1.0\n")
         code, report, err = run_cli(capsys, "fit", "--points", str(points), "--out", str(tmp_path))
         assert code == 1 and report is None
-        assert f"{name}.csv, row 3: expected two numbers x,y, got {row!r}" in err
+        assert f"{name}.csv, row 3: expected two finite numbers, got {row!r}" in err
+
+
+def test_points_file_that_is_not_utf8(tmp_path, capsys):
+    # formerly the codec's UnicodeDecodeError, naming neither the file nor the line
+    points = tmp_path / "bytes.csv"
+    points.write_bytes(b"x,y\n0.0,0.0\n0.5,0.5\xff\n1.0,1.0\n")
+    code, report, err = run_cli(capsys, "fit", "--points", str(points), "--out", str(tmp_path / "out"))
+    assert (code, report) == (1, None)
+    assert err == f"error: {points}, line 3: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("variant", ["cubic", "rational", "both"])
@@ -217,6 +232,22 @@ def test_sample_file_that_is_not_utf8(tmp_path, capsys):
     code, report, err = run_cli(capsys, "fit", "--data", str(data), "--out", str(tmp_path))
     assert code == 1 and report is None
     assert "bytes.txt, line 3: not UTF-8 text" in err
+
+
+def test_fit_data_with_a_byte_order_mark(tmp_path, capsys):
+    # formerly the mark made the first row a header, dropping its value
+    values = np.random.default_rng(5).normal(size=2000)
+    plain, marked = tmp_path / "plain" / "draws.txt", tmp_path / "marked" / "draws.txt"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    save_samples(values, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        code, report, _ = run_cli(capsys, "fit", "--data", str(path), "--out", str(path.parent))
+        assert code == 0 and report["ok"] is True
+    for variant in ("cubic", "rational"):
+        name = f"draws-{variant}.json"
+        assert (marked.parent / name).read_bytes() == (plain.parent / name).read_bytes()
 
 
 def test_sample_command(tmp_path, capsys):
@@ -409,6 +440,34 @@ def test_fit_refuses_a_model_file_with_a_non_ascii_digit(tmp_path, capsys):
     )
     assert code == 1 and report is None
     assert err == "error: unexpected character '\u0663' (line 2, column 9)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_model_with_a_byte_order_mark(tmp_path, capsys):
+    # formerly `unexpected character '\ufeff' (line 1, column 1)`
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        source = tmp_path / name / "model.txt"
+        source.parent.mkdir()
+        source.write_bytes(mark + b"x ~ N(0, 1)\r\nf = x + x^2\r\n")
+        code, report, _ = run_cli(
+            capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(source.parent)
+        )
+        assert code == 0 and report["ok"] is True
+    for variant in ("cubic", "rational"):
+        name = f"model-{variant}.json"
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_fit_refuses_a_model_file_that_is_not_utf8(tmp_path, capsys):
+    # formerly `'utf-8' codec can't decode byte 0xff in position 20`, naming
+    # neither the file nor the line
+    source = tmp_path / "bytes.txt"
+    source.write_bytes(b"x ~ N(0, 1)\nf = x + \xff\n")
+    code, report, err = run_cli(
+        capsys, "fit", "--model", str(source), "--samples", "2000", "--out", str(tmp_path / "out")
+    )
+    assert (code, report) == (1, None)
+    assert err == f"error: {source}, line 2: not UTF-8 text\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -392,6 +392,20 @@ def test_refinement_never_decreases_n(rng):
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+def test_points_file_grammar(tmp_path):
+    # a header is any first line whose first field is not a number, and
+    # blank fields are skipped; formerly only a line starting with `x` was
+    # a header, and a blank field failed the row
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"\xef\xbb\xbfposition, level\r\n\r\n0.0, 0.0,\r\n0.5,,0.25\r\n,1.0,1.0\r\n")
+    data = load_monotone_csv(path)
+    assert data.x.tolist() == [0.0, 0.5, 1.0] and data.y.tolist() == [0.0, 0.25, 1.0]
+    for text in ("", "\n \n", "x,y\n", "position, level\n\n"):
+        path.write_text(text)
+        with pytest.raises(InvariantViolation, match=rf"^no points in {re.escape(str(path))}$"):
+            load_monotone_csv(path)
+
+
 def test_monotone_csv_round_trip(tmp_path, rng):
     values = mixture_values(rng, size=800)
     _, cdf = fit_transform(values, default_delta(values))

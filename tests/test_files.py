@@ -1,16 +1,20 @@
 """Every file gpcquad writes: a JSON file or report is `json.dumps(doc,
 indent=1)` plus a newline, a CSV file is its header plus one `repr` per field,
-a writer whose document fails leaves an existing file as it was, and a model
-or basis file that json cannot read is refused naming its path."""
+a writer whose document fails leaves an existing file as it was, a model
+or basis file that json cannot read is refused naming its path, and a sample
+or points file reads back bit for bit, also as a hand-edited copy."""
 
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcquad import (
     InvariantViolation,
+    MonotoneData,
     cdf_original,
     compute_recurrence,
     default_delta,
@@ -20,6 +24,8 @@ from gpcquad import (
     gauss_rule,
     load_basis,
     load_model,
+    load_monotone_csv,
+    load_samples,
     moments,
     pdf_original,
     save_basis,
@@ -27,6 +33,7 @@ from gpcquad import (
     save_monotone_csv,
     save_rule,
     save_rule_csv,
+    save_samples,
     select_points,
 )
 from gpcquad.cli import main
@@ -144,3 +151,45 @@ def test_a_file_json_cannot_read_is_refused_naming_its_path(tmp_path, load, kind
     path.write_bytes(content)
     with pytest.raises(InvariantViolation, match=f"^malformed {kind} document: {re.escape(str(path))} is not JSON: "):
         load(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# a byte-order mark, CRLF ends, a header, a blank line before every line, trailing blank fields
+DRESS = st.tuples(*[st.booleans()] * 5)
+
+
+def _dressed(lines, header, dress) -> bytes:
+    """The bytes of a file of `lines` as a hand-edited copy might hold them."""
+    bom, crlf, headed, blank_lines, blank_fields = dress
+    lines = [header] + lines if headed else lines
+    if blank_fields:
+        lines = [line + ", ," for line in lines]
+    if blank_lines:
+        lines = [part for line in lines for part in ("", line)]
+    text = "".join(line + ("\r\n" if crlf else "\n") for line in lines)
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+
+
+@given(st.lists(FINITE, min_size=1, max_size=40), DRESS)
+@settings(max_examples=300, deadline=None)
+def test_a_sample_file_reads_back_bit_for_bit(tmp_path_factory, values, dress):
+    path = tmp_path_factory.mktemp("samples") / "samples.txt"
+    values = np.array(values)
+    save_samples(values, path)
+    assert load_samples(path).tobytes() == values.tobytes()
+    path.write_bytes(_dressed(path.read_text().splitlines(), "value", dress))
+    assert load_samples(path).tobytes() == values.tobytes()
+
+
+@given(st.lists(UNIT, max_size=30, unique=True), st.lists(st.floats(0.0, 1.0), max_size=30), DRESS)
+@settings(max_examples=300, deadline=None)
+def test_a_points_file_reads_back_bit_for_bit(tmp_path_factory, x, y, dress):
+    size = min(len(x), len(y))
+    data = MonotoneData(x=[0.0, *sorted(x[:size]), 1.0], y=[0.0, *sorted(y[:size]), 1.0])
+    path = tmp_path_factory.mktemp("points") / "points.csv"
+    save_monotone_csv(data, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_bytes(_dressed(rows, header, dress))
+    again = load_monotone_csv(path)
+    assert again.x.tobytes() == data.x.tobytes() and again.y.tobytes() == data.y.tobytes()

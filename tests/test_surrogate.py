@@ -27,7 +27,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad import surrogate
+from gpcquad import errors
 from gpcquad.surrogate import _BLOCK, SurrogateModel, _plan
 from test_memory import PRODUCTS, SUM_OF_TERMS
 
@@ -963,11 +963,34 @@ def test_load_samples_reads_a_utf8_header(tmp_path):
     assert load_samples(path).tobytes() == np.array([1.5, -2.25]).tobytes()
 
 
+@pytest.mark.parametrize("form", ["plain", "header", "csv"])
+def test_load_samples_reads_a_byte_order_mark(tmp_path, form):
+    # formerly the mark made the first row fail `float()`, so it was taken
+    # for a header and dropped: "\ufeff1.5\n2.5\n" read as [2.5]
+    values = np.random.default_rng(11).standard_normal(1000)
+    path = tmp_path / "samples.txt"
+    save_samples(values, path)
+    text = path.read_text()
+    text = {"plain": text, "header": "value\n" + text, "csv": "value,\n" + text.replace("\n", ",\n")}[form]
+    path.write_text(text)
+    assert load_samples(path).tobytes() == values.tobytes()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_samples(path).tobytes() == values.tobytes()
+
+
+def test_load_samples_counts_lone_cr_line_ends_when_naming_a_line_that_is_not_utf8(tmp_path):
+    # formerly line 1: the rows were counted at CR ends, the bytes only at LF
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"1.0\r2.0\r\xff\r3.0\r")
+    with pytest.raises(DegenerateSamplesError, match=rf"^{re.escape(str(path))}, line 3: not UTF-8 text$"):
+        load_samples(path)
+
+
 def batch_starts(path):
     """The 1-based line at which each batch of lines `load_samples` reads starts."""
     starts, end = [], 0
     with open(path, encoding="utf-8") as fh:
-        for lines in iter(lambda: fh.readlines(surrogate._LOAD_BATCH), []):
+        for lines in iter(lambda: fh.readlines(errors._ROW_BATCH), []):
             starts.append(end + 1)
             end += len(lines)
     return starts
@@ -984,7 +1007,7 @@ def test_load_samples_at_a_batch_boundary(tmp_path, row, batch, offset):
     named, as anywhere else; every row is 4 characters wide, so the
     batches start where they start without it."""
     path = tmp_path / "samples.txt"
-    lines = ["0.25"] * (4 * surrogate._LOAD_BATCH // 5)
+    lines = ["0.25"] * (4 * errors._ROW_BATCH // 5)
     path.write_text("\n".join(lines) + "\n")
     starts = batch_starts(path)
     assert len(starts) == 4
@@ -1001,7 +1024,7 @@ def test_load_samples_at_a_batch_boundary(tmp_path, row, batch, offset):
 
 @pytest.mark.parametrize("blank_lines", [0, 1 << 17], ids=["at-the-top", "after-a-batch-of-blank-lines"])
 def test_load_samples_reads_a_header_before_several_batches(tmp_path, blank_lines):
-    values = np.random.default_rng(3).standard_normal(3 * surrogate._LOAD_BATCH // 10)
+    values = np.random.default_rng(3).standard_normal(3 * errors._ROW_BATCH // 10)
     path = tmp_path / "samples.txt"
     save_samples(values, path)
     path.write_text("\n" * blank_lines + "value\n" + path.read_text())
