@@ -3,7 +3,8 @@ bases, quadrature rules, samples, and plot data out.
 
 Machine-readable JSON reports go to stdout; human-readable summaries go to
 stderr. Exit codes: 0 success (all checks pass), 1 usage or input error
-(argparse's usage errors included), 2 numerical failure, 3 I/O error.
+(argparse's usage errors included, and a count or grid too large to
+allocate), 2 numerical failure, 3 I/O error.
 `main` returns the code, also after `--help` and `--version`.
 """
 
@@ -13,13 +14,14 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .ecdf import load_monotone_csv
-from .errors import GpcquadError, NumericalError, integer, json_text, read_text, write_csv
+from .errors import GpcquadError, NumericalError, integer, json_text, read_text, write_rows
 from .interp import cdf_original, draw_samples, load_model, pdf_original, save_model
 from .orthopoly import save_basis
 from .pipeline import VARIANTS, basis_from_model, fit_variant, rule_from_model, select_from_samples
@@ -64,11 +66,7 @@ def _cmd_fit(args) -> int:
         "variants": {},
     }
     if transform is not None:
-        report["transform"] = {
-            "a": transform.a,
-            "b": transform.b,
-            "delta": transform.delta,
-        }
+        report["transform"] = asdict(transform)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for variant in variants:
@@ -161,7 +159,7 @@ def _cmd_plotdata(args) -> int:
     )
     cdf = cdf_original(density, xhat)
     pdf = pdf_original(density, xhat)
-    write_csv(args.out, "xhat,cdf,pdf", xhat, cdf, pdf)
+    write_rows(args.out, "xhat,cdf,pdf", "%r", xhat, cdf, pdf)
     report = {
         "command": "plotdata",
         "file": str(args.out),
@@ -233,7 +231,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    except (GpcquadError, ValueError) as exc:
+    except (GpcquadError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, read_rows, write_csv
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, read_rows, write_rows
 from .surrogate import SampleSet
 
 __all__ = [
@@ -53,9 +53,24 @@ class TransformParams:
 
 @dataclass(frozen=True, eq=False)  # == and hash by identity: arrays have no truth value or hash
 class EmpiricalCDF:
-    """Sorted normalized samples; the step estimator y(x) = #(values <= x)/N."""
+    """Sorted normalized samples; the step estimator y(x) = #(values <= x)/N.
+    Building one raises `InvariantViolation` unless the values are a
+    non-empty 1-D float array that lies strictly inside (0, 1) and never
+    decreases, which also refuses NaN. The values are held as given, not
+    as a `read_only` copy, which would add 8 MB to the peak of a fit of
+    N = 1e6 samples."""
 
     sorted_values: np.ndarray
+
+    def __post_init__(self):
+        sv = np.asarray(self.sorted_values, dtype=float)
+        object.__setattr__(self, "sorted_values", sv)
+        if sv.ndim != 1 or sv.size == 0:
+            raise InvariantViolation(f"ECDF values must be a non-empty 1-D array, got shape {sv.shape}")
+        if not (sv[0] > 0.0 and sv[-1] < 1.0):
+            raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
+        if not (sv[:-1] <= sv[1:]).all():
+            raise InvariantViolation("ECDF values must never decrease, and hold no NaN")
 
     @property
     def count(self) -> int:
@@ -256,10 +271,6 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
     other value or one out of range raises `SelectionError`.
     """
     m = integer(m, "m", 2, M_MAX, SelectionError)
-    sv = ecdf.sorted_values
-    if not (sv[0] > 0.0 and sv[-1] < 1.0):
-        raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
-
     xs, ys = _walk(ecdf, m)
     px = np.array([0.0, *xs, 1.0])
     py = np.array([0.0, *ys, 1.0])
@@ -287,7 +298,7 @@ def select_points(ecdf: EmpiricalCDF, m: int) -> MonotoneData:
 
 
 def save_monotone_csv(data: MonotoneData, path) -> None:
-    write_csv(path, "x,y", data.x, data.y)
+    write_rows(path, "x,y", "%r", data.x, data.y)
 
 
 def load_monotone_csv(path) -> MonotoneData:

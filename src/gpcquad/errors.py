@@ -1,9 +1,10 @@
 """Exception types shared across the package, its one check of an integer
 argument (`integer`), the read-only copy its checked values hold
-(`read_only`) and every decision about its file formats: a JSON report is
-`json_text`, a JSON file `write_json` and a CSV file `write_csv` (each builds
-its whole text before it opens the file, so a failure leaves the file as it
-was), a model or basis file is read by `read_json` and checked by
+(`read_only`) and every decision about its file formats, so no other
+module opens a file: a JSON report is `json_text`, a JSON file `write_json`
+and a sample, points, rule or plot file `write_rows` (each refuses a
+non-finite number before it opens the file, so a failure leaves the file as
+it was), a model or basis file is read by `read_json` and checked by
 `from_document`, a sample or points file is read by `read_rows` and a
 model source file by `read_text`.
 
@@ -43,8 +44,9 @@ def read_only(values) -> np.ndarray:
 
 
 def json_text(doc) -> str:
-    """`doc` as the text of a JSON file or report: indent 1, a final newline."""
-    return json.dumps(doc, indent=1) + "\n"
+    """`doc` as the text of a JSON file or report: indent 1, a final newline.
+    ValueError for a non-finite number, which RFC 8259 JSON cannot hold."""
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
 def write_json(path, doc) -> None:
@@ -52,11 +54,32 @@ def write_json(path, doc) -> None:
     Path(path).write_text(json_text(doc), encoding="utf-8")
 
 
-def write_csv(path, header: str, *columns) -> None:
-    """Write `header`, then one row of `columns` per index, each field a float's `repr`."""
-    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+# Values per `%` format in `write_rows`: bounds the floats and text held at
+# once to a few hundred kilobytes whatever the row count.
+_WRITE_BATCH = 1 << 13
+
+
+def write_rows(path, header, field: str, *columns) -> None:
+    """Write `header` (unless None), then one line per index: the columns'
+    values as Python floats in the `%` format `field`, joined by commas.
+    ValueError before the file is opened for a column that is not 1-D or
+    holds a non-finite value. The rows are stacked and formatted
+    `_WRITE_BATCH` values at a time."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for column in columns:
+        if column.ndim != 1:
+            raise ValueError(f"expected a 1-D array, got shape {column.shape}")
+        finite = np.isfinite(column)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"expected finite values, got {column[bad]} at index {bad}")
+    line, batch = ",".join([field] * len(columns)) + "\n", _WRITE_BATCH // len(columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for start in range(0, columns[0].size, batch):
+            rows = np.column_stack([column[start : start + batch] for column in columns])
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_json(path, kind: str):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -731,11 +731,7 @@ def model_to_dict(model: DensityModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "variant": model.variant,
-        "transform": {
-            "a": model.transform.a,
-            "b": model.transform.b,
-            "delta": model.transform.delta,
-        },
+        "transform": asdict(model.transform),
         "knots_x": model.x.tolist(),
         "knots_y": model.y.tolist(),
         "slopes": model.slopes.tolist(),

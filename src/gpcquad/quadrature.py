@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import TransformParams
-from .errors import EigenConvergenceError, NumericalError, write_csv, write_json
+from .errors import EigenConvergenceError, NumericalError, write_json, write_rows
 from .orthopoly import OrthonormalBasis, RecurrenceCoeffs, basis_values
 
 __all__ = [
@@ -103,25 +103,20 @@ def orthonormality_error(basis: OrthonormalBasis, rule: QuadratureRule) -> float
 RULE_FORMAT_VERSION = 1
 
 
-def rule_to_dict(rule: QuadratureRule, transform: TransformParams | None = None) -> dict:
-    doc = {
+def rule_to_dict(rule: QuadratureRule, transform: TransformParams) -> dict:
+    return {
         "format_version": RULE_FORMAT_VERSION,
         "nodes": rule.nodes.tolist(),
         "weights": rule.weights.tolist(),
+        "nodes_original": transform.denormalize(rule.nodes).tolist(),
     }
-    if transform is not None:
-        doc["nodes_original"] = transform.denormalize(rule.nodes).tolist()
-    return doc
 
 
-def save_rule(rule: QuadratureRule, path, transform: TransformParams | None = None) -> None:
+def save_rule(rule: QuadratureRule, path, transform: TransformParams) -> None:
     write_json(path, rule_to_dict(rule, transform))
 
 
-def save_rule_csv(rule: QuadratureRule, path, transform: TransformParams | None = None) -> None:
-    """The columns of `rule_to_dict`'s fields: `node_original` only with a transform."""
-    header, columns = "node,weight", [rule.nodes, rule.weights]
-    if transform is not None:
-        header += ",node_original"
-        columns.append(transform.denormalize(rule.nodes))
-    write_csv(path, header, *columns)
+def save_rule_csv(rule: QuadratureRule, path, transform: TransformParams) -> None:
+    """The columns of `rule_to_dict`'s fields."""
+    columns = rule.nodes, rule.weights, transform.denormalize(rule.nodes)
+    write_rows(path, "node,weight,node_original", "%r", *columns)

@@ -41,6 +41,7 @@ from .errors import (
     ModelSyntaxError,
     integer,
     read_rows,
+    write_rows,
 )
 
 __all__ = [
@@ -649,17 +650,9 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     return SampleSet(values=values, seed=seed)
 
 
-
 # ---------------------------------------------------------------------------
 # sample file I/O: one value per line, or CSV with a single column
 # ---------------------------------------------------------------------------
-
-# Values per write in `save_samples`: bounds the text held at once to a
-# few hundred kilobytes whatever the sample count. Each block is one `%`
-# format with one `%.17g` line per value, the full block's format built once.
-_SAVE_CHUNK = 1 << 13
-_SAVE_LINE = "%.17g\n"
-_SAVE_FORMAT = _SAVE_LINE * _SAVE_CHUNK
 
 
 def load_samples(path) -> np.ndarray:
@@ -670,8 +663,8 @@ def load_samples(path) -> np.ndarray:
 
 
 def save_samples(values: np.ndarray, path) -> None:
-    """Write one value per line with 17 significant digits (`%.17g`), so
-    `load_samples`, `np.loadtxt` and `float()` read back the same bits.
+    """Write one value per line with 17 significant digits (`%.17g`, by
+    `errors.write_rows`), so `load_samples`, `np.loadtxt` and `float()` read back the same bits.
 
     Seventeen digits always identify a binary64 value (IEEE 754-2008
     §5.12.2) and format about a third faster than `repr`'s shortest
@@ -681,15 +674,4 @@ def save_samples(values: np.ndarray, path) -> None:
     Raises `ValueError`, before the file is opened, for an array that is
     not 1-D or holds a non-finite value (`load_samples` rejects both).
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"save_samples takes a 1-D array, got shape {values.shape}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"save_samples takes finite values, got {values[bad]} at index {bad}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(values), _SAVE_CHUNK):
-            chunk = tuple(values[start : start + _SAVE_CHUNK].tolist())
-            form = _SAVE_FORMAT if len(chunk) == _SAVE_CHUNK else _SAVE_LINE * len(chunk)
-            fh.write(form % chunk)
+    write_rows(path, None, "%.17g", values)

@@ -292,6 +292,24 @@ def test_a_negative_seed_is_named(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_size_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 10**15 values exceed a 47-bit address space, so numpy refuses them at
+    # once and allocates nothing; this used to end in a MemoryError traceback
+    points = tmp_path / "diag.csv"
+    save_monotone_csv(diagonal_data(6), points)
+    _, report, _ = run_cli(capsys, "fit", "--points", str(points), "--variant", "cubic", "--out", str(tmp_path))
+    model_file = report["variants"]["cubic"]["file"]
+    huge = "1000000000000000"
+    for argv in (("fit", "--model", "builtin:synthetic", "--samples", huge),
+                 ("sample", model_file, "--count", huge),
+                 ("plotdata", model_file, "--grid", huge)):
+        out = tmp_path / "out"
+        code, report_out, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, report_out) == (1, None), argv[0]
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--model", "builtin:synthetic", "--samples", "1e6"],
     ["quad", "--degree", "4"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -130,6 +131,28 @@ def test_ecdf_eval_refuses_nan():
         ecdf_eval(cdf, np.nan)
     with pytest.raises(ValueError, match=r"^cannot evaluate at NaN: x is nan at index 1$"):
         ecdf_eval(cdf, [0.5, np.nan])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.7, 0.2, 0.5], r"^ECDF values must never decrease, and hold no NaN$"),
+    ([0.2, np.nan, 0.5], r"^ECDF values must never decrease, and hold no NaN$"),
+    ([np.nan, 0.5], r"^normalized samples must lie strictly inside \(0,1\)$"),
+    ([0.2, 1.0], r"^normalized samples must lie strictly inside \(0,1\)$"),
+    ([[0.2, 0.5], [0.6, 0.7]], r"^ECDF values must be a non-empty 1-D array, got shape \(2, 2\)$"),
+    ([], r"^ECDF values must be a non-empty 1-D array, got shape \(0,\)$"),
+], ids=["unsorted", "nan", "nan-first", "one", "2-d", "empty"])
+def test_an_empirical_cdf_checks_its_values(values, message):
+    # unsorted values used to give ecdf_eval(cdf, 0.6) = 1.0 for [0.7, 0.2,
+    # 0.5] and make select_points blame the sample resolution; 2-D values
+    # failed on an array's truth value, and a NaN leaked a RuntimeWarning
+    # before numpy refused negative repeats
+    from gpcquad import EmpiricalCDF
+
+    with pytest.raises(InvariantViolation, match=message):
+        EmpiricalCDF(sorted_values=np.array(values, dtype=float))
+    cdf = EmpiricalCDF(sorted_values=np.array([0.2, 0.5, 0.7]))
+    with pytest.raises(InvariantViolation, match=message):
+        dataclasses.replace(cdf, sorted_values=np.array(values, dtype=float))
 
 
 def test_ecdf_eval_distinct_value_levels(rng):

@@ -1,6 +1,7 @@
 """Every file gpcquad writes: a JSON file or report is `json.dumps(doc,
-indent=1)` plus a newline, a CSV file is its header plus one `repr` per field,
-a writer whose document fails leaves an existing file as it was, a model
+indent=1)` plus a newline and holds no non-finite number, a CSV file is its
+header plus one `repr` per field, also across the row writer's batches, a
+writer whose document fails leaves an existing file as it was, a model
 or basis file that json cannot read is refused naming its path, and a sample
 or points file reads back bit for bit, also as a hand-edited copy."""
 
@@ -36,10 +37,12 @@ from gpcquad import (
     save_samples,
     select_points,
 )
+from gpcquad import errors
 from gpcquad.cli import main
-from gpcquad.interp import model_to_dict
+from gpcquad.errors import json_text, write_rows
+from gpcquad.interp import IDENTITY_TRANSFORM, model_to_dict
 from gpcquad.orthopoly import basis_to_dict
-from gpcquad.quadrature import rule_to_dict
+from gpcquad.quadrature import QuadratureRule, rule_to_dict
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -67,10 +70,9 @@ def test_json_files_are_indent_1_with_a_final_newline(built, tmp_path, variant):
     model, basis, rule = built[variant]
     save_model(model, tmp_path / "model.json")
     save_basis(basis, tmp_path / "basis.json")
-    save_rule(rule, tmp_path / "rule.json")
-    save_rule(rule, tmp_path / "rule-original.json", model.transform)
+    save_rule(rule, tmp_path / "rule.json", model.transform)
     for name, doc in [("model", model_to_dict(model)), ("basis", basis_to_dict(basis)),
-                      ("rule", rule_to_dict(rule)), ("rule-original", rule_to_dict(rule, model.transform))]:
+                      ("rule", rule_to_dict(rule, model.transform))]:
         assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n", name
 
 
@@ -94,9 +96,6 @@ def test_csv_files_are_a_header_and_repr_rows(built, tmp_path, capsys, variant):
     save_rule_csv(rule, tmp_path / "rule.csv", model.transform)
     want = _csv("node,weight,node_original", rule.nodes, rule.weights, model.transform.denormalize(rule.nodes))
     assert (tmp_path / "rule.csv").read_text(encoding="utf-8") == want
-    save_rule_csv(rule, tmp_path / "rule-unit.csv")
-    want = _csv("node,weight", rule.nodes, rule.weights)
-    assert (tmp_path / "rule-unit.csv").read_text(encoding="utf-8") == want
 
     save_model(model, tmp_path / "m.json")
     assert main(["plotdata", str(tmp_path / "m.json"), "--grid", "9", "--out", str(tmp_path / "plot.csv")]) == 0
@@ -107,13 +106,13 @@ def test_csv_files_are_a_header_and_repr_rows(built, tmp_path, capsys, variant):
     assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == want
 
 
-@pytest.mark.parametrize("original", [True, False], ids=["transform", "unit"])
+@pytest.mark.parametrize("identity", [False, True], ids=["transform", "identity"])
 @pytest.mark.parametrize("variant", ["cubic", "rational"])
-def test_each_rule_csv_column_is_its_json_field(built, tmp_path, variant, original):
-    # without a transform the CSV used to write the unit nodes under
-    # node_original, a field the JSON leaves out
+def test_each_rule_csv_column_is_its_json_field(built, tmp_path, variant, identity):
+    # every rule file has node_original; a model fitted from a points file
+    # holds the identity transform, so there it repeats the nodes
     model, _, rule = built[variant]
-    transform = model.transform if original else None
+    transform = IDENTITY_TRANSFORM if identity else model.transform
     save_rule_csv(rule, tmp_path / "rule.csv", transform)
     doc = rule_to_dict(rule, transform)
     header, *rows = (tmp_path / "rule.csv").read_text(encoding="utf-8").splitlines()
@@ -126,20 +125,46 @@ def test_each_rule_csv_column_is_its_json_field(built, tmp_path, variant, origin
 
 
 def test_a_writer_whose_document_fails_leaves_the_file_as_it_was(built, tmp_path):
-    # each call passes a value of the wrong type, so building the document
-    # raises; save_model and save_rule used to truncate the file first
+    # each call passes a value of the wrong type or a rule with a NaN node,
+    # so building or checking the document raises; save_model and save_rule
+    # used to truncate the file first, and save_rule wrote the node as NaN
     model, basis, rule = built["cubic"]
+    nan_rule = QuadratureRule(np.array([0.2, np.nan]), np.array([0.5, 0.5]))
     calls = {
-        "model.json": lambda path: save_model(built["points"], path),
-        "basis.json": lambda path: save_basis(basis.rec, path),
-        "rule.json": lambda path: save_rule(rule, path, {"a": 0.0, "b": 1.0, "delta": 1e-3}),
+        "model.json": (AttributeError, lambda path: save_model(built["points"], path)),
+        "basis.json": (AttributeError, lambda path: save_basis(basis.rec, path)),
+        "rule.json": (AttributeError, lambda path: save_rule(rule, path, {"a": 0.0, "b": 1.0, "delta": 1e-3})),
+        "nan-rule.json": (ValueError, lambda path: save_rule(nan_rule, path, model.transform)),
+        "nan-rule.csv": (ValueError, lambda path: save_rule_csv(nan_rule, path, model.transform)),
     }
-    for name, call in calls.items():
+    for name, (error, call) in calls.items():
         path = tmp_path / name
         path.write_bytes(b"kept\n")
-        with pytest.raises(AttributeError):
+        with pytest.raises(error):
             call(path)
         assert path.read_bytes() == b"kept\n", name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_no_json_file_or_report_holds_a_non_finite_number(bad):
+    # RFC 8259 JSON has no NaN or Infinity; json.dumps used to write them
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text({"nodes": [0.2, float(bad)]})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text({"report": {"eps": np.float64(bad)}})
+
+
+@pytest.mark.parametrize("rows", [2729, 2730, 2731, 8191, 8192, 8193])
+def test_a_csv_file_keeps_its_bytes_at_the_batch_boundaries(tmp_path, rows):
+    # one `%` format per `errors._WRITE_BATCH` values, 2730 rows of three
+    # columns; the reference is the whole text built by `repr`, as the CSV
+    # writer built it
+    assert errors._WRITE_BATCH // 3 == 2730
+    rng = np.random.default_rng(rows)
+    spread = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    columns = [rng.normal(size=rows), rng.uniform(size=rows) * 1e-300, spread]
+    write_rows(tmp_path / "table.csv", "a,b,c", "%r", *columns)
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _csv("a,b,c", *columns)
 
 
 @pytest.mark.parametrize("load, kind", [(load_model, "model"), (load_basis, "basis")], ids=["model", "basis"])

@@ -1,7 +1,7 @@
 """Memory guards for the front end sample -> fit_transform -> select_points
-and for draw_samples and load_samples: no stage may build temporaries as
-long as the sample beyond what it returns. Peaks are read with tracemalloc,
-which numpy reports its array buffers to."""
+and for draw_samples, load_samples and the row writer: no stage may build
+temporaries as long as the sample beyond what it returns. Peaks are read
+with tracemalloc, which numpy reports its array buffers to."""
 
 import re
 import tracemalloc
@@ -12,6 +12,7 @@ import pytest
 from gpcquad import (
     SYNTHETIC_MODEL,
     Distribution,
+    MonotoneData,
     default_delta,
     draw_samples,
     fit_cubic,
@@ -20,6 +21,7 @@ from gpcquad import (
     load_samples,
     parse_model,
     sample,
+    save_monotone_csv,
     save_samples,
     select_points,
 )
@@ -141,4 +143,15 @@ def test_save_samples_holds_no_string_per_value(synthetic_sample, tmp_path):
     save_samples(synthetic_sample[:1000], path)
     # one block's floats, their tuple and its text; no `str` per value
     peak = peak_of(lambda: save_samples(synthetic_sample, path))
+    assert peak <= 0.6 * UNIT, peak / UNIT
+
+
+def test_save_monotone_csv_holds_no_string_per_row(tmp_path):
+    x, small = np.linspace(0.0, 1.0, N), np.linspace(0.0, 1.0, 1000)
+    data = MonotoneData(x=x, y=x * x)
+    path = tmp_path / "points.csv"
+    save_monotone_csv(MonotoneData(x=small, y=small * small), path)
+    # one batch's floats, their tuple and its text; no `str` per row, and not
+    # the file's whole text, which the CSV writer used to build
+    peak = peak_of(lambda: save_monotone_csv(data, path))
     assert peak <= 0.6 * UNIT, peak / UNIT

@@ -1234,6 +1234,17 @@ def test_save_samples_matches_reference(tmp_path):
     assert got.read_text() == "-0\n3\n-0.50004619521363791\n"
 
 
+@pytest.mark.parametrize("rows", [8191, 8192, 8193])
+def test_save_samples_matches_reference_at_the_batch_boundaries(tmp_path, rows):
+    # `errors.write_rows` formats `errors._WRITE_BATCH` values, one a row, at a time
+    assert errors._WRITE_BATCH == 8192
+    values = np.random.default_rng(rows).normal(size=rows)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    save_samples(values, got)
+    reference_save_samples(values, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("shape", [(4, 1), (4, 2), ()], ids=["column", "two-columns", "scalar"])
 def test_save_samples_rejects_what_is_not_1d(tmp_path, shape):
     values = np.full(shape, 0.5)
