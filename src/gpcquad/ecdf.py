@@ -55,7 +55,7 @@ class TransformParams:
 class EmpiricalCDF:
     """Sorted normalized samples; the step estimator y(x) = #(values <= x)/N.
     Building one raises `InvariantViolation` unless the values are a
-    non-empty 1-D float array that lies strictly inside (0, 1) and never
+    non-empty 1-D float64 array that lies strictly inside (0, 1) and never
     decreases, which also refuses NaN. The values are held as given, not
     as a `read_only` copy, which would add 8 MB to the peak of a fit of
     N = 1e6 samples."""
@@ -63,10 +63,11 @@ class EmpiricalCDF:
     sorted_values: np.ndarray
 
     def __post_init__(self):
-        sv = np.asarray(self.sorted_values, dtype=float)
+        sv = np.asarray(self.sorted_values)
         object.__setattr__(self, "sorted_values", sv)
-        if sv.ndim != 1 or sv.size == 0:
-            raise InvariantViolation(f"ECDF values must be a non-empty 1-D array, got shape {sv.shape}")
+        if sv.dtype != float or sv.ndim != 1 or sv.size == 0:
+            shape = f"{sv.dtype} of shape {sv.shape}"
+            raise InvariantViolation(f"ECDF values must be a non-empty 1-D float64 array, got {shape}")
         if not (sv[0] > 0.0 and sv[-1] < 1.0):
             raise InvariantViolation("normalized samples must lie strictly inside (0,1)")
         if not (sv[:-1] <= sv[1:]).all():

@@ -138,9 +138,10 @@ def test_ecdf_eval_refuses_nan():
     ([0.2, np.nan, 0.5], r"^ECDF values must never decrease, and hold no NaN$"),
     ([np.nan, 0.5], r"^normalized samples must lie strictly inside \(0,1\)$"),
     ([0.2, 1.0], r"^normalized samples must lie strictly inside \(0,1\)$"),
-    ([[0.2, 0.5], [0.6, 0.7]], r"^ECDF values must be a non-empty 1-D array, got shape \(2, 2\)$"),
-    ([], r"^ECDF values must be a non-empty 1-D array, got shape \(0,\)$"),
-], ids=["unsorted", "nan", "nan-first", "one", "2-d", "empty"])
+    ([[0.2, 0.5], [0.6, 0.7]], r"^ECDF values must be a non-empty 1-D float64 array, got float64 of shape \(2, 2\)$"),
+    ([], r"^ECDF values must be a non-empty 1-D float64 array, got float64 of shape \(0,\)$"),
+    ([0.2 + 1j, 0.5], r"^ECDF values must be a non-empty 1-D float64 array, got complex128 of shape \(2,\)$"),
+], ids=["unsorted", "nan", "nan-first", "one", "2-d", "empty", "complex"])
 def test_an_empirical_cdf_checks_its_values(values, message):
     # unsorted values used to give ecdf_eval(cdf, 0.6) = 1.0 for [0.7, 0.2,
     # 0.5] and make select_points blame the sample resolution; 2-D values
@@ -149,10 +150,10 @@ def test_an_empirical_cdf_checks_its_values(values, message):
     from gpcquad import EmpiricalCDF
 
     with pytest.raises(InvariantViolation, match=message):
-        EmpiricalCDF(sorted_values=np.array(values, dtype=float))
+        EmpiricalCDF(sorted_values=np.array(values))
     cdf = EmpiricalCDF(sorted_values=np.array([0.2, 0.5, 0.7]))
     with pytest.raises(InvariantViolation, match=message):
-        dataclasses.replace(cdf, sorted_values=np.array(values, dtype=float))
+        dataclasses.replace(cdf, sorted_values=np.array(values))
 
 
 def test_ecdf_eval_distinct_value_levels(rng):
