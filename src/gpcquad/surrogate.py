@@ -469,9 +469,9 @@ def print_model(model: SurrogateModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval_program(program, columns, slots=()):
+def _eval_program(program, columns, slots=(), rows=slice(None)):
     """Value of `program`: a `var` instruction reads `columns`, a `slot`
-    instruction `slots`.
+    instruction the `rows` of its array in `slots`.
 
     Constants are `np.float64`, so a constant subexpression such as `1/0`,
     `10^400` or `(0-2)^0.5` yields inf or nan for the non-finite checks
@@ -489,7 +489,7 @@ def _eval_program(program, columns, slots=()):
         elif op == "var":
             stack.append(columns[ins[1]])
         elif op == "slot":
-            stack.append(slots[ins[1]])
+            stack.append(slots[ins[1]][rows])
         elif op == "neg":
             stack[-1] = -stack[-1]
         else:
@@ -593,27 +593,14 @@ def _plan(program) -> dict[int, tuple[tuple, list[int]]]:
     return {v: (p, [s for s in sorted(reader) if reader[s] == v]) for v, p in jobs.items()}
 
 
-def _draws(model: SurrogateModel, count: int, rng: np.random.Generator, used):
-    """Each variable in `used` as `_BLOCK`-row blocks, in stream order.
-
-    One stream, `rng`, each variable's `count` draws in declaration order,
-    up to the last used variable; the blocks of an unused variable are
-    drawn only to advance the stream. Drawing `_BLOCK` rows at a time
-    consumes the stream exactly as one `count`-long draw does.
-    """
-    for var in range(max(used, default=-1) + 1):
-        draw = model.distributions[var].draw
-        for start in range(0, count, _BLOCK):
-            block = draw(rng, min(_BLOCK, count - start))
-            if var in used:
-                yield block
-
-
 def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
     """Draw `count` i.i.d. parameter vectors and evaluate the model at each.
 
     Deterministic for a fixed seed: one PCG64 stream, each variable's
-    `count` draws in declaration order (see `_draws`). Every operand of the
+    `count` draws in declaration order, up to the last variable the
+    expression reads; the blocks of an unused variable are drawn only to
+    advance the stream. Drawing `_BLOCK` rows at a time consumes the stream
+    exactly as one `count`-long draw does. Every operand of the
     expression is evaluated while its last variable is drawn, into a
     `count`-long slot that reuses the buffer of a slot it is the last to
     read (see `_plan`). Each variable has at most one slot, so at most `dim`
@@ -630,16 +617,20 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
         raise DegenerateSamplesError(f"need at least 2 samples, got {count}")
     jobs = _plan(model.expr)
     root = max(jobs, default=-1)
+    rng = np.random.default_rng(seed)
     slots = {}
-    blocks = _draws(model, count, np.random.default_rng(seed), jobs)
     with np.errstate(all="ignore"):
-        for var in sorted(jobs):
+        for var in range(root + 1):
+            draw = model.distributions[var].draw
+            if var not in jobs:  # unused: its blocks only advance the stream
+                for start in range(0, count, _BLOCK):
+                    draw(rng, min(_BLOCK, count - start))
+                continue
             program, done = jobs[var]
             out = slots[done[0]] if done else np.empty(count)
             for start in range(0, count, _BLOCK):
-                rows = slice(start, start + _BLOCK)
-                views = {s: a[rows] for s, a in slots.items()}
-                out[rows] = _eval_program(program, {var: next(blocks)}, views)
+                rows = slice(start, min(start + _BLOCK, count))
+                out[rows] = _eval_program(program, {var: draw(rng, rows.stop - start)}, slots, rows)
             for s in done:
                 del slots[s]
             slots[var] = out
