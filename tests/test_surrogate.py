@@ -745,16 +745,14 @@ def _first_exceeding_first_block(seed, count):
 
 
 def test_sample_errors_in_a_later_block():
-    for count in (3 * _BLOCK + 7, 8 * _BLOCK + 7):  # of four and of nine blocks
-        top, first = _first_exceeding_first_block(2, count)  # draw 16409, third block
-        before = threading.active_count()
-        model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
-        with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
-            sample(model, count, seed=2)
-        model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
-        with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
-            sample(model, count, seed=2)
-        assert threading.active_count() == before
+    count = 3 * _BLOCK + 7
+    top, first = _first_exceeding_first_block(2, count)  # draw 16409, third block
+    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        sample(model, count, seed=2)
+    model = parse_model(f"x ~ N(0, 1)\nf = ({top!r} - x)^0.5\n")  # nan past the top
+    with pytest.raises(EvaluationError, match=rf"non-finite value at draw {first}$"):
+        sample(model, count, seed=2)
 
 
 def draws_on(monkeypatch):
@@ -816,6 +814,17 @@ def test_sample_has_the_reference_bits_on_the_calling_thread(monkeypatch, source
                 assert set(threads) == {"caller"}  # every draw on the calling thread
             want = reference_sample_values(model, count, seed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (count, seed)
+
+
+def test_sample_errors_in_a_later_block_without_a_thread():
+    # draw 16409, in the third of nine blocks
+    count = 8 * _BLOCK + 7
+    top, _ = _first_exceeding_first_block(2, count)
+    model = parse_model(f"x ~ N(0, 1)\nf = sqrt({top!r} - x)\n")
+    before = threading.active_count()
+    with pytest.raises(EvaluationError, match="sqrt of a negative argument"):
+        bounded(sample, model, count, 2)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("failing_call", [1, 3, 9])
