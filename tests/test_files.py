@@ -167,6 +167,43 @@ def test_a_csv_file_keeps_its_bytes_at_the_batch_boundaries(tmp_path, rows):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == _csv("a,b,c", *columns)
 
 
+@pytest.mark.parametrize("lengths", [(8192, 10000), (3, 5), (10000, 8192)])
+def test_columns_of_unequal_lengths_are_refused_before_the_file_is_opened(tmp_path, lengths):
+    # the first pair used to lose 1808 values without an error, and the
+    # others raised numpy's untyped error after writing part of the file
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=rf"^expected columns of one length, got lengths {lengths[0]}, {lengths[1]}$"):
+        write_rows(path, "x,y", "%r", np.zeros(lengths[0]), np.ones(lengths[1]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("before", [0, 20_000], ids=["first-batch", "later-batch"])
+@pytest.mark.parametrize(
+    "load, rows, bad",
+    [
+        (load_samples, ["value,", "1.5,", "nan,", "2.5,3.5"], "nan,"),
+        (load_samples, ["value,", "1.5,", "2.5,3.5", "inf,"], "2.5,3.5"),
+        (load_monotone_csv, ["x,y", "0.0,0.0", "nan,0.5", "0.7", "1.0,1.0"], "nan,0.5"),
+        (load_monotone_csv, ["x,y", "0.0,0.0", "0.7", "0.5,inf", "1.0,1.0"], "0.7"),
+        (load_samples, ["value,", "1.5,", "-inf,", "2.5,"], "-inf,"),
+        (load_monotone_csv, ["x,y", "0.0,0.0", "0.5,nan", "1.0,1.0"], "0.5,nan"),
+    ],
+    ids=["samples-not-finite-first", "samples-count-first", "points-not-finite-first", "points-count-first",
+         "samples-not-finite", "points-not-finite"],
+)
+def test_the_first_bad_row_is_named_whichever_kind_it_is(tmp_path, load, rows, bad, before):
+    # the row pass checks finiteness once per batch of lines, after the
+    # rows; a row that is not finite must still be named before a later row
+    # with the wrong count of fields, and the other way round
+    header, first, *rest = rows
+    path = tmp_path / "file.csv"
+    path.write_text("\n".join([header] + [first] * (1 + before) + rest) + "\n")
+    line = 1 + before + rows.index(bad)
+    with pytest.raises((InvariantViolation, errors.DegenerateSamplesError),
+                       match=rf", row {line}: expected .*, got {re.escape(repr(bad))}$"):
+        load(path)
+
+
 @pytest.mark.parametrize("load, kind", [(load_model, "model"), (load_basis, "basis")], ids=["model", "basis"])
 @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
                          ids=["text", "not-utf-8", "nested-too-deeply"])

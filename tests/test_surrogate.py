@@ -1236,13 +1236,81 @@ def test_save_samples_matches_reference(tmp_path):
 
 @pytest.mark.parametrize("rows", [8191, 8192, 8193])
 def test_save_samples_matches_reference_at_the_batch_boundaries(tmp_path, rows):
-    # `errors.write_rows` formats `errors._WRITE_BATCH` values, one a row, at a time
+    # `errors.write_rows` formats `errors._WRITE_BATCH` values, one a row, at
+    # a time; values outside the kernel's range, formatted by `%` in their
+    # rows, stand at each batch's first and last row
     assert errors._WRITE_BATCH == 8192
     values = np.random.default_rng(rows).normal(size=rows)
+    values[[0, 8190, -1]] = [0.0, -1e-5, 1e16]
+    if rows > 8192:
+        values[8192] = 5e-324
     got, want = tmp_path / "got.txt", tmp_path / "want.txt"
     save_samples(values, got)
     reference_save_samples(values, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+def assert_saved_as_reference(values, folder):
+    values = np.asarray(values, dtype=float)
+    got, want = folder / "got.txt", folder / "want.txt"
+    save_samples(values, got)
+    reference_save_samples(values, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# Magnitudes where `%.17g` writes fixed notation, which `errors._g17_fixed`
+# formats; `test_save_samples_matches_reference`'s bit patterns reach it
+# only about 3 % of the time.
+FIXED_RANGE = st.floats(1e-4, 1e16, exclude_max=True)
+
+
+@given(st.lists(st.tuples(FIXED_RANGE, st.booleans()), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_save_samples_matches_reference_in_fixed_notation(tmp_path_factory, signed):
+    values = [-size if negative else size for size, negative in signed]
+    assert_saved_as_reference(values, tmp_path_factory.mktemp("fixed"))
+
+
+def test_save_samples_matches_reference_at_powers_of_ten_and_ties(tmp_path):
+    tens = np.array([float(10**m) if m >= 0 else 10.0**m for m in range(-5, 18)])
+    near = [tens]
+    for way in (0.0, np.inf):
+        step = tens
+        for _ in range(2):  # one and two ulps away
+            step = np.nextafter(step, way)
+            near.append(step)
+    near = np.concatenate(near)
+    odd = np.arange(1, 2001, 2)
+    ties = np.concatenate([
+        1e15 + 0.25 * odd,  # half-way between 17-digit values: 1000000000000000.25
+        1e14 + 0.125 * odd,  # and 100000000000000.125
+        2.0**-np.arange(1, 20),  # 0.5**n: every digit exact, some past the 17th
+    ])
+    # eighteen nines parse to the power of ten above: no binary64 value
+    # rounds up to 18 digits (see the next test)
+    nines = [0.00099999999999999999, 9.9999999999999999e15, 0.099999999999999999]
+    for values in (near, -near, ties, -ties, nines):
+        assert_saved_as_reference(values, tmp_path)
+    # the values the kernel does not format, in its rows of ordinary draws
+    mixed = np.random.default_rng(40).normal(size=1000)
+    mixed[[0, 3, 4, 500, 998, 999]] = [0.0, -0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308]
+    assert_saved_as_reference(mixed, tmp_path)
+
+
+def test_no_value_in_fixed_notation_rounds_up_to_18_digits():
+    # `errors._g17_fixed` has no carry: a value v in [1e-4, 1e16) would
+    # round up to 18 digits only within half a unit of the 17th digit below
+    # 10**m, an interval narrower than the gap between binary64 values
+    # there, so the largest value below 10**m, if any, is the only one to test
+    from fractions import Fraction
+
+    for m in range(-4, 17):
+        ten = Fraction(10) ** m
+        below = float(ten)
+        if Fraction(below) >= ten:
+            below = math.nextafter(below, 0.0)
+        assert ten - Fraction(below) > ten / (2 * 10**17), m
+        assert float("%.17g" % below) == below < float(ten)
 
 
 @pytest.mark.parametrize("shape", [(4, 1), (4, 2), ()], ids=["column", "two-columns", "scalar"])
