@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .ecdf import load_monotone_csv
-from .errors import GpcquadError, NumericalError, integer, json_text, read_text, write_rows
+from .errors import GpcquadError, NumericalError, integer
+from .files import json_text, read_text, write_rows
 from .interp import cdf_original, draw_samples, load_model, pdf_original, save_model
 from .orthopoly import save_basis
 from .pipeline import VARIANTS, basis_from_model, fit_variant, rule_from_model, select_from_samples

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only, read_rows, write_rows
+from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only
+from .files import read_rows, write_rows
 from .surrogate import SampleSet
 
 __all__ = [
@@ -307,6 +308,6 @@ def save_monotone_csv(data: MonotoneData, path) -> None:
 
 
 def load_monotone_csv(path) -> MonotoneData:
-    """The x,y rows of a points file, read by `errors.read_rows` (InvariantViolation)."""
+    """The x,y rows of a points file, read by `files.read_rows` (InvariantViolation)."""
     rows = read_rows(path, 2, "points", InvariantViolation)
     return MonotoneData(x=rows[:, 0], y=rows[:, 1])

@@ -34,7 +34,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .ecdf import MonotoneData, TransformParams, _reject_nan
-from .errors import InvariantViolation, from_document, integer, read_json, read_only, write_json
+from .errors import InvariantViolation, integer, read_only
+from .files import from_document, json_numbers, read_json, write_json
 
 __all__ = [
     "DensityModel",
@@ -743,10 +744,11 @@ def model_from_dict(doc: dict) -> DensityModel:
         tr = doc["transform"]
         return DensityModel(
             variant=doc["variant"],
-            x=doc["knots_x"],
-            y=doc["knots_y"],
-            slopes=doc["slopes"],
-            transform=TransformParams(*(float(tr[key]) for key in ("a", "b", "delta"))),
+            x=json_numbers(doc["knots_x"], "knots_x"),
+            y=json_numbers(doc["knots_y"], "knots_y"),
+            slopes=json_numbers(doc["slopes"], "slopes"),
+            transform=TransformParams(*(float(json_numbers(tr[key], f"transform.{key}"))
+                                        for key in ("a", "b", "delta"))),
         )
     return from_document(doc, "model", MODEL_FORMAT_VERSION, build)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KappaNotPositiveError, NumericalError, from_document, integer, read_json, read_only, write_json
+from .errors import KappaNotPositiveError, NumericalError, integer, read_only
+from .files import from_document, json_numbers, read_json, write_json
 
 __all__ = [
     "DEGREE_CAP",
@@ -231,8 +232,9 @@ def basis_from_dict(doc: dict) -> tuple[RecurrenceCoeffs, OrthonormalBasis]:
     recurrence, `doc` is an object, `degree` is its degree and `phi_coeffs`
     are, bit for bit, its basis's."""
     def build(doc):
-        rec = RecurrenceCoeffs(gamma=doc["gamma"], kappa=doc["kappa"])
-        n_hat, phi = check_degree(doc["degree"]), doc["phi_coeffs"]
+        json_numbers(doc["format_version"], "format_version")
+        rec = RecurrenceCoeffs(gamma=json_numbers(doc["gamma"], "gamma"), kappa=json_numbers(doc["kappa"], "kappa"))
+        n_hat, phi = check_degree(doc["degree"]), json_numbers(doc["phi_coeffs"], "phi_coeffs")
         for name, n in (("gamma and kappa", rec.degree + 1), ("phi_coeffs", len(phi))):
             if n != n_hat + 1:
                 raise ValueError(f"degree {n_hat} needs {n_hat + 1} entries in {name}, got {n}")

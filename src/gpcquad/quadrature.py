@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import TransformParams
-from .errors import EigenConvergenceError, NumericalError, write_json, write_rows
+from .errors import EigenConvergenceError, NumericalError
+from .files import write_json, write_rows
 from .orthopoly import OrthonormalBasis, RecurrenceCoeffs, basis_values
 
 __all__ = [

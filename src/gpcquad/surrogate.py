@@ -40,9 +40,8 @@ from .errors import (
     InvariantViolation,
     ModelSyntaxError,
     integer,
-    read_rows,
-    write_rows,
 )
+from .files import read_rows, write_rows
 
 __all__ = [
     "Distribution",
@@ -648,14 +647,14 @@ def sample(model: SurrogateModel, count: int, seed: int) -> SampleSet:
 
 def load_samples(path) -> np.ndarray:
     """Read a sample file (one value per line, or a single-column CSV) with
-    `errors.read_rows`: `DegenerateSamplesError` for a file without values,
+    `files.read_rows`: `DegenerateSamplesError` for a file without values,
     or naming the line of a bad row or of a line that is not UTF-8."""
     return read_rows(path, 1, "samples", DegenerateSamplesError)
 
 
 def save_samples(values: np.ndarray, path) -> None:
     """Write one value per line with 17 significant digits (`%.17g`, by
-    `errors.write_rows`), so `load_samples`, `np.loadtxt` and `float()` read back the same bits.
+    `files.write_rows`), so `load_samples`, `np.loadtxt` and `float()` read back the same bits.
 
     Seventeen digits always identify a binary64 value (IEEE 754-2008
     §5.12.2) and format about a third faster than `repr`'s shortest

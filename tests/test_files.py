@@ -2,11 +2,15 @@
 indent=1)` plus a newline and holds no non-finite number, a CSV file is its
 header plus one `repr` per field, also across the row writer's batches, a
 writer whose document fails leaves an existing file as it was, a model
-or basis file that json cannot read is refused naming its path, and a sample
-or points file reads back bit for bit, also as a hand-edited copy."""
+or basis file that json cannot read is refused naming its path, one may
+start with a byte-order mark and its number fields hold numbers only, a
+sample or points file reads back bit for bit, also as a hand-edited copy,
+and no module but `gpcquad.files` opens a file."""
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,9 +41,9 @@ from gpcquad import (
     save_samples,
     select_points,
 )
-from gpcquad import errors
+from gpcquad import errors, files
 from gpcquad.cli import main
-from gpcquad.errors import json_text, write_rows
+from gpcquad.files import json_text, write_rows
 from gpcquad.interp import IDENTITY_TRANSFORM, model_to_dict
 from gpcquad.orthopoly import basis_to_dict
 from gpcquad.quadrature import QuadratureRule, rule_to_dict
@@ -156,10 +160,10 @@ def test_no_json_file_or_report_holds_a_non_finite_number(bad):
 
 @pytest.mark.parametrize("rows", [2729, 2730, 2731, 8191, 8192, 8193])
 def test_a_csv_file_keeps_its_bytes_at_the_batch_boundaries(tmp_path, rows):
-    # one `%` format per `errors._WRITE_BATCH` values, 2730 rows of three
+    # one `%` format per `files._WRITE_BATCH` values, 2730 rows of three
     # columns; the reference is the whole text built by `repr`, as the CSV
     # writer built it
-    assert errors._WRITE_BATCH // 3 == 2730
+    assert files._WRITE_BATCH // 3 == 2730
     rng = np.random.default_rng(rows)
     spread = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
     columns = [rng.normal(size=rows), rng.uniform(size=rows) * 1e-300, spread]
@@ -204,15 +208,119 @@ def test_the_first_bad_row_is_named_whichever_kind_it_is(tmp_path, load, rows, b
         load(path)
 
 
+NOT_JSON = "malformed {kind} document: {path} is not JSON: "
+
+
 @pytest.mark.parametrize("load, kind", [(load_model, "model"), (load_basis, "basis")], ids=["model", "basis"])
-@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["text", "not-utf-8", "nested-too-deeply"])
-def test_a_file_json_cannot_read_is_refused_naming_its_path(tmp_path, load, kind, content):
-    # arrays nested too deeply used to escape as the decoder's RecursionError
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"not json", NOT_JSON), (b"\xff\xfe{}", "{path}, line 1: not UTF-8 text"),
+     (b"[" * 100_000 + b"]" * 100_000, NOT_JSON)],
+    ids=["text", "not-utf-8", "nested-too-deeply"],
+)
+def test_a_file_json_cannot_read_is_refused_naming_its_path(tmp_path, load, kind, content, message):
+    # arrays nested too deeply used to escape as the decoder's RecursionError;
+    # bytes that are not UTF-8 used to be named by the codec's message
     path = tmp_path / f"{kind}.json"
     path.write_bytes(content)
-    with pytest.raises(InvariantViolation, match=f"^malformed {kind} document: {re.escape(str(path))} is not JSON: "):
+    with pytest.raises(InvariantViolation, match="^" + re.escape(message.format(kind=kind, path=path))):
         load(path)
+
+
+@pytest.mark.parametrize("kind", ["model", "basis"])
+def test_a_json_file_is_utf8_with_an_optional_byte_order_mark(built, tmp_path, kind):
+    # a model or basis file behind a byte-order mark used to be refused
+    # ("Unexpected UTF-8 BOM"), and a byte that is not UTF-8 was named by
+    # its offset in the file, where sample and points files name its line
+    model, basis, _ = built["cubic"]
+    save, load, value = {"model": (save_model, load_model, model),
+                         "basis": (save_basis, lambda path: load_basis(path)[1], basis)}[kind]
+    path, again = tmp_path / f"{kind}.json", tmp_path / "again.json"
+    save(value, path)
+    text = path.read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    save(load(path), again)
+    assert again.read_bytes() == text
+    lines = text.split(b"\n")
+    lines[3] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(str(path))}, line 4: not UTF-8 text$"):
+        load(path)
+
+
+def _edited(doc, edits):
+    """`doc` after each edit (keys..., new), which sets the value the keys
+    reach to `new` of the value there."""
+    for *keys, last, new in edits:
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = new(target[last])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("knots_x", 0, lambda v: False), ("knots_x", -1, lambda v: True)], "knots_x[0] is false"),
+        ([("knots_y", lambda ys: [repr(y) for y in ys])], 'knots_y[0] is "0.0"'),
+        ([("slopes", 5, repr)], 'slopes[5] is "{slopes[5]!r}"'),
+        ([("transform", "a", repr)], 'transform.a is "{transform[a]!r}"'),
+    ],
+    ids=["knots-x-bool", "knots-y-str", "slope-str", "transform-str"],
+)
+def test_a_model_number_field_holds_numbers_only(built, tmp_path, edits, message):
+    # each of these documents loaded: float() and numpy read false as 0.0,
+    # true as 1.0 and "0.5" as 0.5
+    doc = model_to_dict(built["rational"][0])
+    message = message.format(**doc)
+    path = tmp_path / "model.json"
+    path.write_text(json_text(_edited(doc, edits)))
+    with pytest.raises(InvariantViolation, match=f"^malformed model document: {re.escape(message)}, not a number$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("kappa", 0, lambda v: True), ("kappa", 1, repr)], "kappa[0] is true"),
+        ([("format_version", lambda v: True)], "format_version is true"),
+        ([("gamma", 2, repr)], 'gamma[2] is "{gamma[2]!r}"'),
+        ([("phi_coeffs", 3, 1, repr)], 'phi_coeffs[3][1] is "{phi_coeffs[3][1]!r}"'),
+    ],
+    ids=["kappa-bool-and-str", "format-version-bool", "gamma-str", "phi-coeffs-str"],
+)
+def test_a_basis_number_field_holds_numbers_only(built, tmp_path, edits, message):
+    # each of these documents loaded: `true == 1` passed the version check,
+    # and float() and numpy read true as 1.0 and "0.1" as 0.1
+    doc = basis_to_dict(built["rational"][1])
+    message = message.format(**doc)
+    path = tmp_path / "basis.json"
+    path.write_text(json_text(_edited(doc, edits)))
+    with pytest.raises(InvariantViolation, match=f"^malformed basis document: {re.escape(message)}, not a number$"):
+        load_basis(path)
+
+
+# the `Path` methods that read or write a file
+_PATH_IO = {"read_text", "write_text", "read_bytes", "write_bytes", "open"}
+
+
+def test_only_the_files_module_opens_a_file_or_imports_json():
+    # every file format is decided in `gpcquad.files`: no other module calls
+    # `open`, reads or writes through a `Path` method, or imports json
+    found = []
+    for path in sorted(Path(files.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "open"
+                        or isinstance(func, ast.Attribute) and func.attr in _PATH_IO):
+                    found.append((path.name, node.lineno, ast.unparse(func)))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+                if "json" in modules:
+                    found.append((path.name, node.lineno, "import json"))
+    assert {name for name, *_ in found} == {"files.py"}, [item for item in found if item[0] != "files.py"]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -27,7 +27,7 @@ from gpcquad import (
     sample,
     save_samples,
 )
-from gpcquad import errors
+from gpcquad import files
 from gpcquad.surrogate import _BLOCK, SurrogateModel, _plan
 from test_memory import PRODUCTS, SUM_OF_TERMS
 
@@ -990,7 +990,7 @@ def batch_starts(path):
     """The 1-based line at which each batch of lines `load_samples` reads starts."""
     starts, end = [], 0
     with open(path, encoding="utf-8") as fh:
-        for lines in iter(lambda: fh.readlines(errors._ROW_BATCH), []):
+        for lines in iter(lambda: fh.readlines(files._ROW_BATCH), []):
             starts.append(end + 1)
             end += len(lines)
     return starts
@@ -1007,7 +1007,7 @@ def test_load_samples_at_a_batch_boundary(tmp_path, row, batch, offset):
     named, as anywhere else; every row is 4 characters wide, so the
     batches start where they start without it."""
     path = tmp_path / "samples.txt"
-    lines = ["0.25"] * (4 * errors._ROW_BATCH // 5)
+    lines = ["0.25"] * (4 * files._ROW_BATCH // 5)
     path.write_text("\n".join(lines) + "\n")
     starts = batch_starts(path)
     assert len(starts) == 4
@@ -1024,7 +1024,7 @@ def test_load_samples_at_a_batch_boundary(tmp_path, row, batch, offset):
 
 @pytest.mark.parametrize("blank_lines", [0, 1 << 17], ids=["at-the-top", "after-a-batch-of-blank-lines"])
 def test_load_samples_reads_a_header_before_several_batches(tmp_path, blank_lines):
-    values = np.random.default_rng(3).standard_normal(3 * errors._ROW_BATCH // 10)
+    values = np.random.default_rng(3).standard_normal(3 * files._ROW_BATCH // 10)
     path = tmp_path / "samples.txt"
     save_samples(values, path)
     path.write_text("\n" * blank_lines + "value\n" + path.read_text())
@@ -1236,10 +1236,10 @@ def test_save_samples_matches_reference(tmp_path):
 
 @pytest.mark.parametrize("rows", [8191, 8192, 8193])
 def test_save_samples_matches_reference_at_the_batch_boundaries(tmp_path, rows):
-    # `errors.write_rows` formats `errors._WRITE_BATCH` values, one a row, at
+    # `files.write_rows` formats `files._WRITE_BATCH` values, one a row, at
     # a time; values outside the kernel's range, formatted by `%` in their
     # rows, stand at each batch's first and last row
-    assert errors._WRITE_BATCH == 8192
+    assert files._WRITE_BATCH == 8192
     values = np.random.default_rng(rows).normal(size=rows)
     values[[0, 8190, -1]] = [0.0, -1e-5, 1e16]
     if rows > 8192:
@@ -1258,7 +1258,7 @@ def assert_saved_as_reference(values, folder):
     assert got.read_bytes() == want.read_bytes()
 
 
-# Magnitudes where `%.17g` writes fixed notation, which `errors._g17_fixed`
+# Magnitudes where `%.17g` writes fixed notation, which `files._g17_fixed`
 # formats; `test_save_samples_matches_reference`'s bit patterns reach it
 # only about 3 % of the time.
 FIXED_RANGE = st.floats(1e-4, 1e16, exclude_max=True)
@@ -1298,7 +1298,7 @@ def test_save_samples_matches_reference_at_powers_of_ten_and_ties(tmp_path):
 
 
 def test_no_value_in_fixed_notation_rounds_up_to_18_digits():
-    # `errors._g17_fixed` has no carry: a value v in [1e-4, 1e16) would
+    # `files._g17_fixed` has no carry: a value v in [1e-4, 1e16) would
     # round up to 18 digits only within half a unit of the 17th digit below
     # 10**m, an interval narrower than the gap between binary64 values
     # there, so the largest value below 10**m, if any, is the only one to test
