@@ -8,9 +8,8 @@ sample or points file is read by `read_rows` and a model source file by
 
 Every text file is read as UTF-8 with an optional byte-order mark, and a
 file that is not UTF-8 is refused naming its first line that is not
-(`_not_utf8`). A number field of a model or basis document holds JSON
-numbers only (`json_numbers`): json reads `true` and `"0.1"` as a bool and a
-str, which `float()` and numpy would take as numbers.
+(`_not_utf8`). A number field of a model or basis document refuses a bool
+or a str (`json_numbers`), which `float()` and numpy would take for numbers.
 """
 
 import functools
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation
+
 
 def json_text(doc) -> str:
     """`doc` as the text of a JSON file or report: indent 1, a final newline.
