@@ -372,7 +372,8 @@ def json_numbers(value, field: str):
 def from_document(doc, kind: str, version: int, build, *errors):
     """`build(doc)` for a JSON object `doc` whose `format_version` is
     `version`. InvariantViolation naming `kind` otherwise, and in place of
-    a KeyError, TypeError, ValueError or one of `errors` that `build` raises."""
+    a KeyError, TypeError, ValueError, OverflowError (an integer too large
+    for a float) or one of `errors` that `build` raises."""
     if not isinstance(doc, dict):
         raise InvariantViolation(f"malformed {kind} document: expected a JSON object, got {type(doc).__name__}")
     found = doc.get("format_version")
@@ -380,5 +381,5 @@ def from_document(doc, kind: str, version: int, build, *errors):
         raise InvariantViolation(f"unsupported {kind} format version {found!r}")
     try:
         return build(doc)
-    except (KeyError, TypeError, ValueError, *errors) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, *errors) as exc:
         raise InvariantViolation(f"malformed {kind} document: {exc}") from exc

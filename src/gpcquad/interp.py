@@ -15,11 +15,12 @@ pieces' constants (`_pieces`) that its check derives from them once; the
 evaluators, the inversion and the moments all read that table. Each variant
 has one CDF kernel and one density kernel (`_cdf_t`, `_pdf_t`), written in
 plain arithmetic so that the same code evaluates a scalar or an array of
-(piece k, t = (x - x_k)/h) pairs; evaluation, validation, inversion and the
-moment oracle all go through them. Rational pieces are evaluated in the
-Bernstein-weighted local form, whose terms are all non-negative; the
-global monomial form loses roughly (interval length)^-2 worth of precision
-on narrow intervals and cannot meet the knot-interpolation tolerances.
+(piece k, t = (x - x_k)/h) pairs; evaluation, validation and the moment
+oracle go through them, the inversion through the CDF kernel. Rational
+pieces are evaluated in the Bernstein-weighted local form, whose terms are
+all non-negative; the global monomial form loses roughly (interval
+length)^-2 worth of precision on narrow intervals and cannot meet the
+knot-interpolation tolerances.
 """
 
 from __future__ import annotations
@@ -416,9 +417,10 @@ def _cubic_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarra
 
 def _rational_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The closed-form root in theta = (x - x_k)/h of N(x) - target*D(x) = 0
-    on rising rational pieces k, clipped to [0, 1]; 0.5 where none is found
-    (the polish recovers). Each array is dropped once it is used, so that
-    few arrays as long as k are alive at once."""
+    on rising rational pieces k, clipped to [0, 1]; 0.5 where none is found.
+    `_polish` then bisects any start whose CDF residual is above 1e-13, to
+    1e-13 or to the float lattice. Each array is dropped once it is used, so
+    that few arrays as long as k are alive at once."""
     # Bernstein -> power basis in theta for (N - z*D)(theta) = 0
     r0 = pieces.y0[k] - target
     rm = pieces.w[k] - target * pieces.v[k]
@@ -445,14 +447,14 @@ def _rational_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.nda
 
 
 def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Bracketed Newton on the piece CDFs from the start t on pieces k,
-    converging in the y-residual; returns x, in t's buffer.
+    """Bisection on the piece CDFs from the start t on pieces k; returns x,
+    in t's buffer.
 
-    Stopping on the residual (not the x-interval) keeps the round trip
-    cdf(inverse_cdf(y)) = y tight even where the density is steep; an
-    element stops early when its bracket shrinks to the float lattice
-    because its residual cannot improve. The brackets are the knots
-    themselves, not x_k + h, which can differ from x_{k+1} in the last bit.
+    Each x meets |cdf(x) - y| <= 1e-13, or its bracket holds no float
+    between its ends, so that the CDF crosses y between x's two neighbouring
+    floats (on a point-mass ramp). A start that meets the residual keeps its
+    bits, as on every smooth fit. The brackets are the knots themselves, not
+    x_k + h, which can differ from x_{k+1} in the last bit.
     """
     lo, hi = pieces.x0[k], pieces.x1[k]
     x = np.add(np.multiply(t, pieces.h[k], out=t), lo, out=t)  # the bits of x_k + t h
@@ -463,21 +465,15 @@ def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -
         val = _cdf_t(pieces, kt, _to_t(pieces, kt, xa)) - target[todo]
         open_ = np.abs(val) > 1e-13
         todo = np.flatnonzero(open_) if isinstance(todo, slice) else todo[open_]
-        xa, kt, val = xa[open_], kt[open_], val[open_]
+        xa, val = xa[open_], val[open_]
         if not todo.size:
             break
         above = val > 0.0
         hi[todo[above]] = xa[above]
         lo[todo[~above]] = xa[~above]
-        der = _pdf_t(pieces, kt, _to_t(pieces, kt, xa))
         lo_t, hi_t = lo[todo], hi[todo]
-        nxt = 0.5 * (lo_t + hi_t)
-        slope = np.flatnonzero(der > 0.0)
-        newton = xa[slope] - val[slope] / der[slope]
-        inside = (lo_t[slope] < newton) & (newton < hi_t[slope])
-        nxt[slope[inside]] = newton[inside]
-        x[todo] = nxt
-        todo = todo[hi_t - lo_t > 4e-16 * np.maximum(1.0, np.abs(lo_t))]
+        x[todo] = 0.5 * (lo_t + hi_t)
+        todo = todo[np.nextafter(lo_t, hi_t) < hi_t]
     return x
 
 
@@ -537,9 +533,9 @@ def inverse_cdf(model: DensityModel, y):
     PlateauWarning per call however many targets hit plateaus.
 
     Each x inside a rising piece meets |cdf(x) - y| <= 1e-13, inside
-    criterion 7's 1e-12, unless its bracket shrinks to the float lattice
-    first (on a point-mass ramp). Results are deterministic within one
-    version.
+    criterion 7's 1e-12, or, on a point-mass ramp where one float step in x
+    moves the CDF by more than that, y lies between the CDF at x's two
+    neighbouring floats. Results are deterministic within one version.
     """
     shape = np.shape(y)
     u = np.asarray(y, dtype=float).ravel()
@@ -564,9 +560,9 @@ _BLOCK = 1 << 12
 def draw_samples(model: DensityModel, count: int, seed: int):
     """Inverse-CDF samples, deterministic per seed, in original coordinates.
 
-    The same seed gives the same draws within one version; each draw
-    stops at a 1e-13 CDF residual (see `inverse_cdf`), inside criterion
-    7's 1e-12.
+    The same seed gives the same draws within one version. Each draw is
+    within 1e-13 of its target in CDF, inside criterion 7's 1e-12, or within
+    one float of its root on a point-mass ramp (see `inverse_cdf`).
 
     The uniform targets are drawn, inverted and mapped back `_BLOCK` at a
     time, which consumes the stream as one `count`-long draw does and gives

@@ -163,8 +163,6 @@ def compute_recurrence(
             if not k > 0:
                 raise KappaNotPositiveError(i, float(k))
             kappa[i] = k
-        elif not den > 0:
-            raise KappaNotPositiveError(0, float(den))
         gamma[i] = num / den
         nxt = np.zeros(len(pi_cur) + 1, dtype=np.longdouble)
         nxt[1:] += pi_cur

@@ -3,9 +3,10 @@ indent=1)` plus a newline and holds no non-finite number, a CSV file is its
 header plus one `repr` per field, also across the row writer's batches, a
 writer whose document fails leaves an existing file as it was, a model
 or basis file that json cannot read is refused naming its path, one may
-start with a byte-order mark and its number fields hold numbers only, a
-sample or points file reads back bit for bit, also as a hand-edited copy,
-and no module but `gpcquad.files` opens a file."""
+start with a byte-order mark and its number fields hold numbers only,
+none too large for a float, a sample or points file reads back bit for
+bit, also as a hand-edited copy, and no module but `gpcquad.files` opens a
+file."""
 
 import ast
 import json
@@ -299,6 +300,27 @@ def test_a_basis_number_field_holds_numbers_only(built, tmp_path, edits, message
     path.write_text(json_text(_edited(doc, edits)))
     with pytest.raises(InvariantViolation, match=f"^malformed basis document: {re.escape(message)}, not a number$"):
         load_basis(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edits",
+    [
+        ("model", [("transform", "a", lambda v: 10**400)]),
+        ("model", [("knots_y", 2, lambda v: 10**400)]),
+        ("basis", [("gamma", 1, lambda v: 10**400)]),
+    ],
+    ids=["transform-a", "knots-y", "gamma"],
+)
+def test_a_number_field_too_large_for_a_float_is_refused(built, tmp_path, kind, edits):
+    # json reads the 401-digit integer as a Python int, which float() and
+    # numpy refused with an untyped OverflowError
+    model, basis, _ = built["rational"]
+    doc, load = (model_to_dict(model), load_model) if kind == "model" else (basis_to_dict(basis), load_basis)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json_text(_edited(doc, edits)))
+    assert "1" + "0" * 400 in path.read_text()
+    with pytest.raises(InvariantViolation, match=f"^malformed {kind} document: int too large to convert to float$"):
+        load(path)
 
 
 # the `Path` methods that read or write a file

@@ -88,12 +88,23 @@ def test_parabolic_slopes_needs_three_points():
         parabolic_slopes(MonotoneData(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0])))
 
 
+def test_geometric_mean_slopes_needs_three_points():
+    with pytest.raises(InvariantViolation, match="^need at least 3 points, got 2$"):
+        geometric_mean_slopes(MonotoneData(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0])))
+
+
 def test_project_slopes_hand_value():
     data = MonotoneData(x=np.array([0.0, 0.5, 1.0]), y=np.array([0.0, 0.9, 1.0]))
     projected = project_slopes(data, np.array([2.6, 1.0, 0.0]))
     # 3 * min(1.8, 0.2) = 0.6 caps the middle knot
     assert projected[1] == pytest.approx(0.6, abs=1e-15)
     assert projected[0] == pytest.approx(3 * 1.8, abs=1e-14) or projected[0] <= 3 * 1.8
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_project_slopes_needs_one_raw_slope_per_point(size):
+    with pytest.raises(InvariantViolation, match="^raw slopes must have length 3$"):
+        project_slopes(diagonal_data(3), np.ones(size))
 
 
 def test_project_slopes_flat_neighbour_and_identity():
@@ -410,8 +421,9 @@ def reference_piece_pdf(model, k, x):
 
 
 # The inversion as it stood before cubic pieces started from the converged
-# root of their own polynomial, kept as the reference for rational draws,
-# which must match it bit for bit.
+# root of their own polynomial, with the bisection that polishes every
+# start, kept as the reference for rational draws, which must match it bit
+# for bit.
 def reference_newton_start(model, k, target):
     x0 = model.x[k]
     h = model.x[k + 1] - x0
@@ -459,15 +471,9 @@ def reference_polish(model, k, target, x):
         above = val > 0.0
         hi[todo[above]] = xa[above]
         lo[todo[~above]] = xa[~above]
-        der = reference_piece_pdf(model, k[todo], xa)
         lo_t, hi_t = lo[todo], hi[todo]
-        nxt = 0.5 * (lo_t + hi_t)
-        slope = np.flatnonzero(der > 0.0)
-        newton = xa[slope] - val[slope] / der[slope]
-        inside = (lo_t[slope] < newton) & (newton < hi_t[slope])
-        nxt[slope[inside]] = newton[inside]
-        x[todo] = nxt
-        todo = todo[hi_t - lo_t > 4e-16 * np.maximum(1.0, np.abs(lo_t))]
+        x[todo] = 0.5 * (lo_t + hi_t)
+        todo = todo[np.nextafter(lo_t, hi_t) < hi_t]
     return x
 
 
@@ -528,6 +534,14 @@ def test_rational_draws_match_the_reference(rng, synthetic_fits):
         assert all(inverse_cdf(model, y) == x for y, x in zip(ys[:50], want[:50]))
 
 
+def certified(model, xs, ys):
+    """Whether each x meets |cdf(x) - y| <= 1e-13, or the CDF crosses its
+    target y between x's two neighbouring floats: `inverse_cdf`'s contract."""
+    below = cdf_eval(model, np.nextafter(xs, -np.inf))
+    above = cdf_eval(model, np.nextafter(xs, np.inf))
+    return (np.abs(cdf_eval(model, xs) - ys) <= 1e-13) | ((below <= ys) & (ys <= above))
+
+
 def test_cubic_draws_meet_the_residual_tolerance(rng, synthetic_fits):
     models = [synthetic_fits["cubic"]]
     models += [fit_cubic(*random_selected_data(rng)[:2]) for _ in range(20)]
@@ -535,14 +549,23 @@ def test_cubic_draws_meet_the_residual_tolerance(rng, synthetic_fits):
         ys = rng.uniform(0.0, 1.0, 20_000)
         ys = ys[~np.isin(ys, model.y)]
         xs = inverse_cdf(model, ys)
-        residual = np.abs(cdf_eval(model, xs) - ys)
-        # `_polish` gives up only where its bracket has shrunk to 4e-16 wide
-        # (an atom ramp): the CDF must cross the target that close to x
-        width = 4e-16 * np.maximum(1.0, np.abs(xs))
-        collapsed = (cdf_eval(model, xs - width) <= ys) & (ys <= cdf_eval(model, xs + width))
-        assert np.all((residual <= 1e-13) | collapsed)
-        if model is models[0]:  # a smooth density: no bracket collapses
-            assert np.max(residual) <= 1e-13
+        assert np.all(certified(model, xs, ys))
+        if model is models[0]:  # a smooth density: every residual is small
+            assert np.max(np.abs(cdf_eval(model, xs) - ys)) <= 1e-13
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_inverse_cdf_certifies_every_target_on_a_steep_ramp(variant):
+    # a ramp 1e-9 wide carrying 0.4 of the mass: one float step there moves
+    # the CDF by about 1e-9. Formerly the bracket stopped 4e-16 wide, hundreds
+    # of floats at x = 0.01, and 1797 (cubic) and 1807 (rational) of these
+    # targets came back up to 1.2e-7 from their CDF values
+    model = FITTERS[variant](MonotoneData(x=np.array([0.0, 0.01, 0.01 + 1e-9, 1.0]),
+                                          y=np.array([0.0, 0.3, 0.7, 1.0])))
+    ys = np.linspace(0.3, 0.7, 2003)[1:-1]
+    xs = inverse_cdf(model, ys)
+    assert np.all(certified(model, xs, ys))
+    assert np.all((0.01 <= xs) & (xs <= 0.01 + 1e-9))
 
 
 def reference_pieces(model):
@@ -765,6 +788,22 @@ def test_load_rejects_bad_version_and_tampering(tmp_path, rng):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvariantViolation):
         load_model(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("knots_x", [0.0, 0.5, 0.25, 0.75, 1.0], "knots not strictly increasing"),
+     ("transform", {"a": 0.0, "b": 0.0, "delta": 1e-3}, "invalid transform parameters"),
+     ("transform", {"a": 0.0, "b": -1.0, "delta": 1e-3}, "invalid transform parameters")],
+    ids=["knots-out-of-order", "zero-scale", "negative-scale"],
+)
+def test_load_rejects_a_model_its_check_refuses(tmp_path, key, value, message):
+    doc = model_to_dict(fit_cubic(diagonal_data(5)))
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,15 @@ def test_two_point_measure_trips_kappa_error():
     assert err.value.index in (2, 3)
 
 
+@pytest.mark.parametrize("m0", [0.0, -0.5, np.nan])
+def test_a_total_mass_that_is_not_positive_trips_kappa_error_at_index_0(m0):
+    m = UNIFORM_MOMENTS.copy()
+    m[0] = m0
+    with pytest.raises(KappaNotPositiveError, match="^" + re.escape(f"kappa_0 = {m0:.6e} is not positive;")) as err:
+        compute_recurrence(m, 2)
+    assert err.value.index == 0
+
+
 def test_degree_and_moment_guards():
     with pytest.raises(ValueError):
         compute_recurrence(UNIFORM_MOMENTS, DEGREE_CAP + 1)

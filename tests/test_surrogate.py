@@ -144,6 +144,22 @@ def test_syntax_error_positions_at_statement_ends(source, message, line, column)
 
 
 @pytest.mark.parametrize(
+    "source, message, line, column",
+    [
+        ("x ~ N 0, 1)\nf = x", "expected '('", 1, 7),
+        ("x ~ G(0, 1)\nf = x", "expected distribution N(...) or U(...)", 1, 5),
+        ("x ~ N(0, 1)\ng = x", "expected a declaration 'name ~ N(...)' or 'f = <expr>'", 2, 1),
+    ],
+    ids=["no-bracket", "unknown-distribution", "unknown-statement"],
+)
+def test_syntax_error_names_what_was_expected(source, message, line, column):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(source)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
     "source, line, column",
     [("x ~ N(\u0663, \uff11)\nf = x + \u0967\u0966", 1, 7), ("x ~ N(0, 1)\nf = x + \u0663", 2, 9)],
     ids=["arabic-indic-and-fullwidth", "arabic-indic"],
@@ -496,8 +512,9 @@ def test_model_refuses_constants_it_cannot_print(value, message):
      ("gaussian", 0.0, math.inf, "parameters must be finite"),
      ("uniform", -math.inf, 0.0, "parameters must be finite"),
      ("uniform", 0.0, math.nan, "parameters must be finite"),
-     ("uniform", -1e308, 1e308, "width hi - lo overflows")],
-    ids=["nan-mean", "inf-mean", "inf-stddev", "inf-lo", "nan-hi", "overflowing-width"],
+     ("uniform", -1e308, 1e308, "width hi - lo overflows"),
+     ("beta", 0.0, 1.0, "unknown distribution kind 'beta'")],
+    ids=["nan-mean", "inf-mean", "inf-stddev", "inf-lo", "nan-hi", "overflowing-width", "unknown-kind"],
 )
 def test_distribution_refuses_parameters_it_cannot_draw_or_print(kind, p1, p2, message):
     with pytest.raises(ValueError, match=message):
