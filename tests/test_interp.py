@@ -47,7 +47,7 @@ from gpcquad.interp import (
     model_from_dict,
     model_to_dict,
 )
-from conftest import diagonal_data, random_selected_data
+from conftest import diagonal_data, mixture_values, random_selected_data
 
 moments_module = importlib.import_module("gpcquad.moments")
 FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
@@ -966,9 +966,74 @@ def test_report_names_a_slope_made_negative_after_construction(variant):
     slopes = model.slopes.copy()
     slopes[2] = -1.0
     stand_in = types.SimpleNamespace(variant=variant, x=model.x, y=model.y, slopes=slopes,
-                                     transform=model.transform, n=model.n)
+                                     transform=model.transform)
     report = validate_model(stand_in, raise_on_failure=False)
     assert report["ok"] is False and report["failures"] == ["negative knot slope"]
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+def test_a_stand_in_needs_only_a_models_fields(variant, synthetic_fits):
+    # formerly `AttributeError: ... no attribute 'n'`
+    model = synthetic_fits[variant]
+    stand_in = types.SimpleNamespace(variant=model.variant, x=model.x, y=model.y,
+                                     slopes=model.slopes, transform=model.transform)
+    assert json.dumps(validate_model(stand_in)) == json.dumps(dict(model.checks))
+
+
+@pytest.mark.parametrize("variant", ["cubic", "rational"])
+@pytest.mark.parametrize(
+    "x,y,slopes,outcome",
+    [
+        # a slope where a rising piece meets a flat one: its density jumps
+        ([0, .3, .6, 1], [0, .3, .3, 1], [1, .5, 0, 1], "density jump at a knot 5.00e-01"),
+        ([0, .3, .6, 1], [0, 0, .5, 1], [0, .5, 1, 1], "density jump at a knot 5.00e-01"),
+        # the jump is scaled by max(1, |d|)
+        ([0, .3, .6, 1], [0, .3, .3, 1], [1, 2, 0, 1], "density jump at a knot 1.00e+00"),
+        # the tolerance is 1e-12
+        ([0, .3, .6, 1], [0, .3, .3, 1], [1, 2e-12, 0, 1], "density jump at a knot 2.00e-12"),
+        ([0, .3, .6, 1], [0, .3, .3, 1], [1, 1e-13, 0, 1], 1e-13),
+        # between two flat pieces, or at an end, a slope is no jump
+        ([0, .3, .5, .7, 1], [0, .3, .3, .3, 1], [1, 0, .5, 0, 1], 0.0),
+        ([0, .3, .6, 1], [0, 0, .5, 1], [.7, 0, 1, 1], 0.0),
+    ],
+    ids=["jump-0.5", "jump-0.5-after-flat", "jump-2-scaled", "jump-2e-12",
+         "jump-1e-13-built", "between-flats", "flat-first-piece"],
+)
+def test_c1_is_a_zero_slope_where_a_rising_piece_meets_a_flat_one(variant, x, y, slopes, outcome):
+    fields = dict(variant=variant, x=np.array(x, dtype=float), y=np.array(y, dtype=float),
+                  slopes=np.array(slopes, dtype=float), transform=IDENTITY_TRANSFORM)
+    if isinstance(outcome, str):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(outcome)}$"):
+            DensityModel(**fields)
+    else:
+        assert DensityModel(**fields).checks["c1_jump_max"] == outcome
+
+
+def assert_exact_at_knots(model):
+    """Each rising piece's kernels give its knot values and slopes bit for
+    bit at t = 0 and t = 1, with no numpy warning: what `validate_model`
+    reports as 0 without evaluating them."""
+    pieces = model.pieces
+    k = np.flatnonzero(pieces.dy != 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, values, slopes in ((0.0, pieces.y0, pieces.d0), (1.0, pieces.y1, pieces.d1)):
+            assert interp._cdf_t(pieces, k, t).tobytes() == values[k].tobytes(), t
+            assert interp._pdf_t(pieces, k, t).tobytes() == slopes[k].tobytes(), t
+
+
+def test_fits_meet_their_knots_exactly(synthetic_fits):
+    models = list(synthetic_fits.values())
+    for j in range(4):  # with point masses, at m = 200
+        values = mixture_values(np.random.default_rng([1, j]), size=20_000)
+        transform, cdf = fit_transform(values, default_delta(values))
+        points = select_points(cdf, 200)
+        models += [fit(points, transform=transform) for fit in FITTERS.values()]
+    # slopes of about 9e299 on a piece 1e-300 wide
+    models.append(fit_rational(MonotoneData(x=np.array([0.0, 1e-300, 1.0]), y=np.array([0.0, 0.9, 1.0]))))
+    for model in models:
+        assert_exact_at_knots(model)
+        assert (model.checks["hermite_value_max"], model.checks["hermite_slope_max"]) == (0.0, 0.0)
 
 
 @st.composite
@@ -1003,6 +1068,7 @@ def test_a_hand_built_model_is_refused_or_sound(fields, tmp_path_factory):
             model = DensityModel(**fields)
         except InvariantViolation:
             return
+        assert_exact_at_knots(model)
         save_model(model, path)
         loaded = load_model(path)
         cdf, pdf = cdf_eval(model, grid), pdf_eval(model, grid)
