@@ -61,7 +61,6 @@ from .orthopoly import (
 )
 from .pipeline import (
     VARIANTS,
-    basis_from_model,
     fit_density,
     fit_variant,
     rule_from_model,

@@ -25,7 +25,7 @@ from .errors import GpcquadError, NumericalError, integer
 from .files import json_text, read_text, write_rows
 from .interp import cdf_original, draw_samples, load_model, pdf_original, save_model
 from .orthopoly import save_basis
-from .pipeline import VARIANTS, basis_from_model, fit_variant, rule_from_model, select_from_samples
+from .pipeline import VARIANTS, fit_variant, rule_from_model, select_from_samples
 from .quadrature import rule_to_dict, save_rule, save_rule_csv
 from .surrogate import SYNTHETIC_MODEL, load_samples, parse_model, sample, save_samples
 
@@ -84,7 +84,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    mom, rec, basis = basis_from_model(load_model(args.model), args.degree)
+    mom, rec, basis, _, _ = rule_from_model(load_model(args.model), args.degree)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     out_file = out / f"{Path(args.model).stem}-basis{args.degree}.json"

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DegenerateSamplesError, InvariantViolation, SelectionError, integer, read_only
 from .files import read_rows, write_rows
-from .surrogate import SampleSet
 
 __all__ = [
     "M_MAX",
@@ -117,9 +116,10 @@ class MonotoneData:
 
 
 def _sample_values(samples) -> np.ndarray:
-    """The samples as a float array, or `DegenerateSamplesError` naming the
-    shape of an array that is not 1-D or the count of one under 2 values."""
-    values = samples.values if isinstance(samples, SampleSet) else np.asarray(samples, float)
+    """The samples (a `SampleSet`'s values, or an array) as a float array, or
+    `DegenerateSamplesError` naming the shape of an array that is not 1-D or
+    the count of one under 2 values."""
+    values = np.asarray(getattr(samples, "values", samples), dtype=float)
     if values.ndim != 1:
         raise DegenerateSamplesError(f"samples must be a 1-D array, got shape {values.shape}")
     if len(values) < 2:
@@ -158,10 +158,9 @@ def default_delta(values: np.ndarray) -> float:
     return delta
 
 
-def fit_transform(
-    samples: SampleSet | np.ndarray, delta: float
-) -> tuple[TransformParams, EmpiricalCDF]:
-    """Normalize samples into (0, 1) and return them sorted as an ECDF.
+def fit_transform(samples, delta: float) -> tuple[TransformParams, EmpiricalCDF]:
+    """Normalize samples (a `SampleSet` or an array) into (0, 1) and return
+    them sorted as an ECDF.
 
     a = min - delta, b = max + delta - a; every normalized value then sits
     in [delta/b, 1 - delta/b], strictly inside (0, 1).

@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import NumericalError, integer
 from .interp import DensityModel, _cubic_monomial, _pdf_t, _to_t
+from .orthopoly import DEGREE_CAP
 
 __all__ = [
     "MOMENT_CAP",
@@ -56,9 +57,10 @@ __all__ = [
     "numeric_moment_oracle",
 ]
 
-# Highest moment ever needed: basis degree cap 10 requires M_0..M_21.
-# Higher monomial moments are too ill-conditioned for the recurrence.
-MOMENT_CAP = 22
+# Highest moment ever needed: a basis of degree DEGREE_CAP reads
+# M_0..M_{2 DEGREE_CAP + 1}. Higher monomial moments are too ill-conditioned
+# for the recurrence.
+MOMENT_CAP = 2 * DEGREE_CAP + 1
 
 # When the quadratic denominator term is at most this fraction of the
 # constant term over the interval, integrate through a geometric series in

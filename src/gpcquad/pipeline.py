@@ -3,8 +3,9 @@ points, fit a closed-form density, take its moments, build the orthonormal
 basis and the Gauss rule. Each stage function stays public in its own module.
 
 `rules_from_model` is the one place that goes from a fitted density to its
-rules. It takes the moments once, for the highest degree asked for, and each
-lower degree reads a prefix of them: `moments(model, k)` equals
+bases and rules, so every basis comes with its checked rule. It takes the
+moments once, for the highest degree asked for, and each lower degree reads
+a prefix of them: `moments(model, k)` equals
 `moments(model, K)[:k + 1]` bit for bit for k <= K, so every degree's rule
 has the bits a chain run for that degree alone would give. A degree that
 fails leaves the others standing. `rule_from_model` is its one-degree case.
@@ -49,24 +50,6 @@ def fit_density(values, m: int = 45, delta: float | None = None, variant: str = 
     return fit_variant(points, variant, transform)
 
 
-def _moments_for(model, degrees):
-    """Check every degree, then take M_0..M_{2 max(degrees) + 1}: degree d
-    reads its M_0..M_{2d + 1} as a prefix of these."""
-    if not degrees:
-        raise ValueError("no degree given; expected at least one")
-    for degree in degrees:
-        check_degree(degree)
-    return moments(model, 2 * max(degrees) + 1)
-
-
-def basis_from_model(model, degree: int):
-    """Moments M_0..M_{2 degree + 1} of a fitted density, then the recurrence
-    and orthonormal basis up to `degree`. Returns (moments, rec, basis)."""
-    mom = _moments_for(model, (degree,))
-    rec, basis = compute_recurrence(mom, degree)
-    return mom, rec, basis
-
-
 def rules_from_model(model, degrees) -> dict:
     """The (d + 1)-point Gauss rule of a fitted density for each degree d in
     `degrees`, from one `moments` call at the highest degree.
@@ -84,8 +67,12 @@ def rules_from_model(model, degrees) -> dict:
     degree.
     """
     degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("no degree given; expected at least one")
+    for degree in degrees:
+        check_degree(degree)
     try:
-        mom = _moments_for(model, degrees)
+        mom = moments(model, 2 * max(degrees) + 1)
     except GpcquadError as exc:
         return dict.fromkeys(degrees, exc)
     lo, hi = model.x[0], model.x[-1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gpcquad import (
+    NumericalError,
     compute_recurrence,
     draw_samples,
     fit_transform,
@@ -16,6 +17,7 @@ from gpcquad import (
     load_samples,
     moments,
     parse_model,
+    rule_from_model,
     sample,
     save_monotone_csv,
     save_samples,
@@ -205,6 +207,31 @@ def test_rules_of_a_rational_fit_with_a_piece_too_narrow_for_its_moments_exit_2(
             assert err == (f"numerical failure: the moments of piece 0 on [0.0, {width}] are not "
                            f"finite in float64: the piece is too narrow or too steep for them\n")
             assert not (tmp_path / command).exists()
+
+
+def test_basis_refuses_the_degrees_quad_refuses(tmp_path, capsys):
+    # perfbench's mixture-fine dataset at seed 4, job 10 (m = 200): the
+    # degree-10 cubic rule has a node outside the support; formerly `basis`
+    # skipped the rule, exited 0 and wrote a basis that is not orthonormal
+    data = tmp_path / "mix.txt"
+    save_samples(mixture_values(np.random.default_rng([4, 10]), 20000), data)
+    code, report, _ = run_cli(capsys, "fit", "--data", str(data), "--m", "200", "--out", str(tmp_path))
+    assert code == 0
+    model_file = report["variants"]["cubic"]["file"]
+    with pytest.raises(NumericalError, match=r"degree-10 Gauss node 1\.07139 lies outside"):
+        rule_from_model(load_model(model_file), 10)
+    errs = []
+    for command in ("basis", "quad"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run_cli(capsys, command, model_file, "--degree", "10",
+                                        "--out", str(tmp_path / command))
+        assert (code, report) == (2, None), command
+        assert not (tmp_path / command).exists()
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("numerical failure: degree-10 Gauss node 1.07139 lies outside "
+                              "the density's support [0, 1]")
 
 
 def test_fit_refuses_an_m_above_its_cap(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from gpcquad import (
     save_monotone_csv,
     select_points,
 )
+from gpcquad import ecdf
 from gpcquad.ecdf import _walk
 from conftest import mixture_values
 
@@ -47,6 +50,12 @@ def test_fit_transform_rejects_degenerate_and_bad_delta():
         fit_transform(np.array([0.0, 1.0, np.inf]), delta=0.1)
     with pytest.raises(DegenerateSamplesError, match=r"range \[-1e\+308, 1e\+308\].*overflows"):
         fit_transform(np.array([-1e308, 0.0, 1e308]), delta=0.1)
+    # delta is the spacing of doubles at 1e16: it widens the range, but the
+    # low end still normalizes to 0.0
+    with pytest.raises(DegenerateSamplesError, match=(
+            r"^delta = 2\.0 is too small relative to the sample range to keep normalized "
+            r"samples strictly inside \(0, 1\)$")):
+        fit_transform(np.array([-1e16, 1.0]), delta=2.0)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +93,30 @@ def test_fit_transform_names_a_delta_below_float_spacing():
         f"2.220446049250313e-16 of doubles at magnitude {values.max()}, so the "
         f"range [1.0, {values.max()}] cannot be widened by it"
     )
+
+
+def test_a_sample_set_fits_as_its_values():
+    samples = sample(parse_model(SYNTHETIC_MODEL), 2000, seed=1)
+    params, cdf = fit_transform(samples, 0.01)
+    want_params, want_cdf = fit_transform(samples.values, 0.01)
+    assert params == want_params
+    assert cdf.sorted_values.tobytes() == want_cdf.sorted_values.tobytes()
+    assert default_delta(samples) == default_delta(samples.values)
+    one = dataclasses.replace(samples, values=samples.values[:1])
+    with pytest.raises(DegenerateSamplesError, match=r"^need at least 2 samples, got 1$"):
+        fit_transform(one, 0.01)
+
+
+def test_ecdf_does_not_import_surrogate():
+    # a sample set is read through its `values`, so the front end does not
+    # depend on the surrogate layer that produces it
+    found = []
+    for node in ast.walk(ast.parse(Path(ecdf.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if any("surrogate" in module for module in modules):
+                found.append((node.lineno, ast.unparse(node)))
+    assert found == []
 
 
 def test_normalized_extremes_are_delta_over_b(rng):

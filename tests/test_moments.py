@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +212,14 @@ def test_moments_reject_a_float_order():
     with pytest.raises(ValueError, match=r"^kmax must be an integer, got 3\.0$"):
         moments(model, 3.0)
     assert moments(model, np.int64(4)).tobytes() == moments(model, 4).tobytes()
+
+
+def test_oracle_names_a_piece_that_does_not_converge(monkeypatch):
+    model = fit_rational(diagonal_data(4))
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (0.25, 1e-6))
+    with pytest.raises(NumericalError, match=r"^adaptive quadrature failed to converge on "
+                                             r"piece 0 \(error estimate 1\.00e-06\)$"):
+        numeric_moment_oracle(model, 2)
 
 
 def test_oracle_rejects_a_negative_order():

@@ -53,6 +53,27 @@ def test_gauss_rule_maps_a_solver_failure_to_eigen_convergence_error(monkeypatch
         gauss_rule(uniform_recurrence(2)[0])
 
 
+@pytest.mark.parametrize(
+    "values, first_row, message",
+    [
+        ([0.2, 0.8], [1.0, 1e-5], r"^eigenvector first-row norm defect 1\.00e-10 exceeds 1e-12; "
+                                  r"eigensolve unreliable$"),
+        ([0.2, 0.8], [1.0, 0.0], r"^non-positive quadrature weight$"),
+        ([0.5, 0.5], [0.6, 0.8], r"^quadrature nodes are not strictly increasing$"),
+    ],
+    ids=["norm-defect", "zero-weight", "equal-nodes"],
+)
+def test_gauss_rule_refuses_an_unreliable_eigensolve(monkeypatch, values, first_row, message):
+    def solved(_):
+        vectors = np.eye(2)
+        vectors[0] = first_row
+        return np.array(values), vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", solved)
+    with pytest.raises(NumericalError, match=message):
+        gauss_rule(uniform_recurrence(1)[0])
+
+
 def test_gauss_rule_uniform_two_point():
     rec, _ = uniform_recurrence(1)
     rule = gauss_rule(rec)
