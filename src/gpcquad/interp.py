@@ -298,7 +298,10 @@ def _cdf_t(pieces: _Pieces, k, t):
 
 
 def _pdf_t(pieces: _Pieces, k, t):
-    """Density of the rising piece k at t: the derivative of `_cdf_t` in x."""
+    """Density of the rising piece k at t: the derivative of `_cdf_t` in x.
+    A rational denominator above about 1e154 (a weight v as large, next to
+    a piece narrower than about 1e-154) has no finite square: num / den / den
+    there."""
     om = 1.0 - t
     if pieces.variant == "cubic":
         return (
@@ -307,7 +310,10 @@ def _pdf_t(pieces: _Pieces, k, t):
             + pieces.d1[k] * t * (3.0 * t - 2.0)
         )
     num = pieces.d0[k] * om**2 + 2.0 * pieces.s[k] * t * om + pieces.d1[k] * t * t
-    return num / (om**2 + pieces.v[k] * t * om + t * t) ** 2
+    den = om**2 + pieces.v[k] * t * om + t * t
+    with np.errstate(over="ignore"):
+        square = den**2
+    return np.where(np.isinf(square), num / den / den, num / square)
 
 
 def _on_rising_pieces(kernel, pieces: _Pieces, k: np.ndarray, t: np.ndarray, fill):
@@ -416,52 +422,59 @@ def _cubic_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarra
     return t
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _rational_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The closed-form root in theta = (x - x_k)/h of N(x) - target*D(x) = 0
-    on rising rational pieces k, clipped to [0, 1]; 0.5 where none is found.
-    `_polish` then bisects any start whose CDF residual is above 1e-13, to
-    1e-13 or to the float lattice. Each array is dropped once it is used, so
-    that few arrays as long as k are alive at once."""
-    # Bernstein -> power basis in theta for (N - z*D)(theta) = 0
+    """The root in t = (x - x_k)/h of g = N - z D on rising rational pieces
+    k, z the target, clipped to [0, 1]; 0.5 where roundoff leaves no finite
+    root. `_polish` then bisects any start whose CDF residual is above 1e-13.
+
+    In the power basis g = a t^2 + b t + c, with g(0) = y_k - z < 0 <
+    g(1) = y_{k+1} - z, so g crosses zero upwards once in (0, 1), where
+    g' = 2 a t + b = +sqrt(b^2 - 4 a c). With q = -(b + sign(b) sqrt(...))/2,
+    whose two terms share a sign, that root is q/a for b < 0 and c/q
+    otherwise. a, b and c are first scaled by one power of two, exact bar
+    underflow and the roots' ratio unchanged, so that the largest lies in
+    [1/2, 1) and b^2 cannot overflow.
+    """
+    # Bernstein -> power basis in t for (N - z*D)(t)
     r0 = pieces.y0[k] - target
     rm = pieces.w[k] - target * pieces.v[k]
-    r1 = pieces.y1[k] - target
-    a = r0 - rm + r1
+    a = r0 - rm + (pieces.y1[k] - target)
     b = rm - 2.0 * r0
-    c = r0
-    del rm, r1
-    theta = np.full(target.shape, 0.5)
-    linear = (a == 0.0) & (b != 0.0)
-    theta[linear] = -c[linear] / b[linear]
-    disc = b * b - 4.0 * a * c
-    quad = np.flatnonzero((a != 0.0) & (disc >= 0.0))
-    q = -0.5 * (b[quad] + np.copysign(np.sqrt(disc[quad]), b[quad]))
-
-    def on_piece(th):
-        return (-1e-12 <= th) & (th <= 1.0 + 1e-12)
-
-    root = q / a[quad]
-    other = ~on_piece(root)  # q != 0 here: q = 0 makes the first root 0
-    root[other] = c[quad][other] / q[other]
-    theta[quad] = np.where(on_piece(root), root, 0.5)
-    return np.minimum(np.maximum(theta, 0.0), 1.0)
+    del rm
+    scale = -np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(r0)))[1]
+    a, b, c = (np.ldexp(v, scale) for v in (a, b, r0))
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    t = np.where(b < 0.0, q / a, c / q)
+    t[~np.isfinite(t)] = 0.5
+    return np.minimum(np.maximum(t, 0.0), 1.0)
 
 
 def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Bisection on the piece CDFs from the start t on pieces k; returns x,
     in t's buffer.
 
-    Each x meets |cdf(x) - y| <= 1e-13, or its bracket holds no float
-    between its ends, so that the CDF crosses y between x's two neighbouring
-    floats (on a point-mass ramp). A start that meets the residual keeps its
-    bits, as on every smooth fit. The brackets are the knots themselves, not
-    x_k + h, which can differ from x_{k+1} in the last bit.
+    Each x meets |cdf(x) - y| <= 1e-13, or is the low end of a bracket
+    whose high end is the next float, so that the CDF crosses y between x's
+    two neighbouring floats (on a point-mass ramp). A start that meets the
+    residual keeps its bits, as on every smooth fit. The brackets start at
+    the knots themselves, not x_k + h, which can differ from x_{k+1} in the
+    last bit.
+
+    The bisection is over the float lattice: non-negative floats order as
+    their int64 bit patterns, so the midpoint of a bracket's two patterns
+    lies strictly between its ends until they are adjacent, and each step
+    leaves at most ceil(n/2) of a bracket's n lattice steps. A bracket in
+    [0, 1] spans at most 0x3FF0000000000000 < 2**62 steps (a -0.0 knot is
+    taken as +0.0, whose pattern is 0), so after the start's pass 62
+    halvings leave every bracket two adjacent floats: the loop's 63 passes
+    close every element.
     """
-    lo, hi = pieces.x0[k], pieces.x1[k]
+    lo, hi = pieces.x0[k] + 0.0, pieces.x1[k]  # -0.0 + 0.0 is +0.0
     x = np.add(np.multiply(t, pieces.h[k], out=t), lo, out=t)  # the bits of x_k + t h
     np.clip(x, lo, hi, out=x)
     todo = slice(None)  # the first pass takes every element, without copies
-    for _ in range(100):
+    for _ in range(63):
         xa, kt = x[todo], k[todo]
         val = _cdf_t(pieces, kt, _to_t(pieces, kt, xa)) - target[todo]
         open_ = np.abs(val) > 1e-13
@@ -472,9 +485,9 @@ def _polish(pieces: _Pieces, k: np.ndarray, target: np.ndarray, t: np.ndarray) -
         above = val > 0.0
         hi[todo[above]] = xa[above]
         lo[todo[~above]] = xa[~above]
-        lo_t, hi_t = lo[todo], hi[todo]
-        x[todo] = 0.5 * (lo_t + hi_t)
-        todo = todo[np.nextafter(lo_t, hi_t) < hi_t]
+        lo_b, hi_b = lo[todo].view(np.int64), hi[todo].view(np.int64)
+        x[todo] = ((lo_b + hi_b) >> 1).view(np.float64)
+        todo = todo[hi_b - lo_b > 1]
     return x
 
 
