@@ -432,9 +432,9 @@ def _rational_root(pieces: _Pieces, k: np.ndarray, target: np.ndarray) -> np.nda
     g(1) = y_{k+1} - z, so g crosses zero upwards once in (0, 1), where
     g' = 2 a t + b = +sqrt(b^2 - 4 a c). With q = -(b + sign(b) sqrt(...))/2,
     whose two terms share a sign, that root is q/a for b < 0 and c/q
-    otherwise. a, b and c are first scaled by one power of two, exact bar
-    underflow and the roots' ratio unchanged, so that the largest lies in
-    [1/2, 1) and b^2 cannot overflow.
+    otherwise. a, b and c are first scaled by one power of two, which is
+    exact bar underflow and leaves the roots as they are, so that the
+    largest lies in [1/2, 1) and b^2 cannot overflow.
     """
     # Bernstein -> power basis in t for (N - z*D)(t)
     r0 = pieces.y0[k] - target
