@@ -296,8 +296,8 @@ def read_rows(path, columns: int, noun: str, error) -> np.ndarray:
     line of the first line that is not UTF-8, else of the first bad row, or
     "no {noun} in {path}". Lines are read in batches, and a one-column batch
     of plain numbers is converted by one `np.array` call; any other batch is
-    read row by row and its values checked for finiteness at once. Only the
-    values are held whole, never the file's text."""
+    read row by row, each row checked as it is read. Only the values are
+    held whole, never the file's text."""
     expected = ("one finite number", "two finite numbers")[columns - 1]
     values = array("d")
     head = True  # no line that is not blank read yet
@@ -325,23 +325,12 @@ def read_rows(path, columns: int, noun: str, error) -> np.ndarray:
                         if batch is not None and np.isfinite(batch).all():
                             values.frombytes(batch.tobytes())
                             continue
-                    mark = len(values)
-                    for line in lines:
-                        row = line.strip()
-                        numbers = _numbers(row)
-                        if row and len(numbers) != columns:
-                            break
-                        values.extend(numbers)
-                    else:
-                        if np.isfinite(values[mark:]).all():
-                            continue
-                    # a bad row: rescan the batch for the first one, which
-                    # may be a row before it that is not finite
                     for i, line in enumerate(lines, start):
                         row = line.strip()
                         numbers = _numbers(row)
                         if row and (len(numbers) != columns or not all(map(math.isfinite, numbers))):
                             raise error(f"{path}, row {i}: expected {expected}, got {row!r}")
+                        values.extend(numbers)
             except error:
                 for _ in fh:  # a line that is not UTF-8 anywhere in the file is named first
                     pass

@@ -715,8 +715,6 @@ def validate_model(model: DensityModel, raise_on_failure: bool = True) -> dict:
                 failures.append(
                     f"cubic piece has negative derivative (relative {worst_rel:.2e})"
                 )
-        else:
-            report["derivative_min"] = 0.0  # a negative slope was refused above
 
     if failures and raise_on_failure:
         raise InvariantViolation("; ".join(failures))
