@@ -66,7 +66,9 @@ def _cmd_fit(args) -> int:
         "knots": [[float(a), float(b)] for a, b in zip(data.x, data.y)],
         "variants": {},
     }
-    if transform is not None:
+    if transform is None:
+        del report["m"]  # no points were selected, so m had no effect
+    else:
         report["transform"] = asdict(transform)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

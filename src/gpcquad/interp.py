@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .ecdf import MonotoneData, TransformParams, _reject_nan
-from .errors import InvariantViolation, integer, read_only
+from .errors import InvariantViolation, NumericalError, integer, read_only
 from .files import from_document, json_numbers, read_json, write_json
 
 __all__ = [
@@ -341,8 +341,6 @@ def cdf_eval(model: DensityModel, x):
     A NaN in `x` raises ValueError."""
     scalar, x, pieces, k, t = _eval_points(model, x)
     out = _on_rising_pieces(_cdf_t, pieces, k, t, pieces.y0[k])
-    out = np.where(x < model.x[0], 0.0, out)
-    out = np.where(x > model.x[-1], 1.0, out)
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
@@ -358,14 +356,33 @@ def pdf_eval(model: DensityModel, x):
     return float(out[0]) if scalar else out
 
 
+def _normalized(model: DensityModel, xhat):
+    """(xhat - a) / b. An xhat far enough out to overflow it lies outside
+    the support, where the evaluators give at +-inf what they give there."""
+    with np.errstate(over="ignore"):
+        return model.transform.normalize(xhat)
+
+
 def cdf_original(model: DensityModel, xhat):
     """CDF of the original (pre-transform) variable."""
-    return cdf_eval(model, model.transform.normalize(xhat))
+    return cdf_eval(model, _normalized(model, xhat))
 
 
 def pdf_original(model: DensityModel, xhat):
-    """Density of the original variable: (1/b) * pdf((xhat - a)/b)."""
-    return pdf_eval(model, model.transform.normalize(xhat)) / model.transform.b
+    """Density of the original variable: (1/b) * pdf((xhat - a)/b). Raises
+    `NumericalError` where it overflows float64 (b below about 1e-308)."""
+    b = model.transform.b
+    pdf = pdf_eval(model, _normalized(model, xhat))
+    with np.errstate(over="ignore"):
+        out = pdf / b
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"the original-coordinate density pdf / b at xhat = {float(np.ravel(xhat)[i])!r} "
+            f"is {float(np.ravel(pdf)[i])!r} / {b!r}, which overflows float64"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gpcquad import MonotoneData, fit_transform, select_points
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, code=0, **env):
+    """`python *args` in a fresh interpreter that imports gpcquad from this
+    checkout's src/, with `env` added to its environment. Asserts that it
+    exits with `code`; returns the finished process, its output as text."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    return proc
+
 
 def mixture_values(rng, size=3000, atoms=True):
-    """Random mixture of Gaussians, uniforms and point masses."""
+    """Random mixture of Gaussians, uniforms and point masses. At size
+    20000, with `rng = np.random.default_rng([seed, job])`, these are the
+    perfbench mixture-fine datasets (`perfbench/workloads.py`)."""
     parts = []
     n_comp = int(rng.integers(1, 4))
     for _ in range(n_comp):

@@ -17,6 +17,7 @@ from gpcquad import (
     load_samples,
     moments,
     parse_model,
+    pdf_eval,
     rule_from_model,
     sample,
     save_monotone_csv,
@@ -93,6 +94,7 @@ def test_fit_from_sample_file_single_variant(tmp_path, capsys):
     )
     assert code == 0
     assert list(report["variants"]) == ["cubic"]
+    assert report["m"] == 20 and "transform" in report
     assert (tmp_path / "vals-cubic.json").exists()
 
 
@@ -116,6 +118,8 @@ def test_fit_replay_from_points_gives_uniform(tmp_path, capsys):
         capsys, "fit", "--points", str(points), "--variant", "cubic", "--out", str(tmp_path)
     )
     assert code == 0
+    # no points were selected, so neither m nor a transform had any effect
+    assert "m" not in report and "transform" not in report
     model_file = report["variants"]["cubic"]["file"]
 
     code, report, _ = run_cli(capsys, "quad", model_file, "--degree", "1", "--out", str(tmp_path))
@@ -380,6 +384,30 @@ def test_plotdata_uniform_grid(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "plotdata", model_file, "--grid", "1", "--out", str(out))
     assert (code, err) == (1, "error: --grid must be at least 2, got 1\n")
+
+
+def test_plotdata_refuses_a_density_that_overflows_in_the_original_coordinate(tmp_path, capsys):
+    # b is about 1e-310, so pdf / b is not finite; formerly a leaked
+    # "overflow encountered in divide" and then `error: expected finite
+    # values, got inf at index 26`, which names neither the cause nor exit 2
+    data = tmp_path / "tiny.txt"
+    save_samples(np.random.default_rng(1).uniform(0, 1e-310, 2000), data)
+    code, report, _ = run_cli(capsys, "fit", "--data", str(data), "--variant", "cubic", "--out", str(tmp_path))
+    assert code == 0
+    model_file = report["variants"]["cubic"]["file"]
+    model, out = load_model(model_file), tmp_path / "plot.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("quad",), ("sample", "--count", "10")):
+            code, _, _ = run_cli(capsys, *argv, model_file, "--out", str(tmp_path / argv[0]))
+            assert code == 0, argv
+        code, report, err = run_cli(capsys, "plotdata", model_file, "--out", str(out))
+    assert (code, report) == (2, None)
+    tr = model.transform
+    assert tr.b < 1e-308
+    assert err == (f"numerical failure: the original-coordinate density pdf / b at xhat = {tr.a!r} "
+                   f"is {pdf_eval(model, 0.0)!r} / {tr.b!r}, which overflows float64\n")
+    assert not out.exists()
 
 
 def test_invalid_model_file_and_missing_file(tmp_path, capsys):

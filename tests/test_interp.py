@@ -1211,6 +1211,17 @@ def test_rational_density_is_finite_where_its_denominator_squared_overflows(w):
         assert 0.0 < got and abs(got - want) <= 1e-14 * want
 
 
+def test_original_evaluators_where_normalizing_overflows():
+    # b = 0.1002, so (xhat - a) / b overflows at +-1e308: formerly
+    # "RuntimeWarning: overflow encountered in scalar divide"
+    model = fit_density(np.random.default_rng(1).uniform(0, 0.1, 2000), variant="cubic")
+    assert model.transform.b < 0.11
+    xhat = np.array([-1e308, 1e308])
+    np.testing.assert_array_equal(cdf_original(model, xhat), [0.0, 1.0])
+    np.testing.assert_array_equal(pdf_original(model, xhat), [0.0, 0.0])
+    assert (cdf_original(model, 1e308), pdf_original(model, -1e308)) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("variant", ["cubic", "rational"])
 def test_evaluators_refuse_nan(variant):
     values = np.random.default_rng(1).normal(size=20_000)

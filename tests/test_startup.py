@@ -6,13 +6,9 @@ and `numeric_moment_oracle`, which imports scipy on its first call, still
 returns the same bits."""
 
 import json
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import run_python
 
 # Runs every CLI command in a fresh interpreter, into the scratch directory
 # argv[1]; leaves their exit codes in `codes`.
@@ -64,17 +60,7 @@ ORACLE_BITS = {
 
 def _run(child: str, scratch):
     """The JSON value `child`, run in a fresh interpreter, prints last."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, str(scratch)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(run_python("-c", child, str(scratch)).stdout.splitlines()[-1])
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
