@@ -43,13 +43,33 @@ def _model_source(path_arg: str) -> str:
     return read_text(path_arg)
 
 
+# fit's per-source options, with their defaults; the parser leaves each None
+# unless given, so one given to a source that does not take it is refused
+_FIT_DEFAULTS = {"samples": 1_000_000, "seed": 0, "m": 45, "delta": None}
+_FIT_OPTIONS = {"model": tuple(_FIT_DEFAULTS), "data": ("m", "delta"), "points": ()}
+
+
+def _fit_source(args) -> str:
+    """The fit source given, "model", "data" or "points". Refuses an option
+    the source does not take, then fills in the defaults of those it does."""
+    source = next(name for name in _FIT_OPTIONS if getattr(args, name) is not None)
+    for name, default in _FIT_DEFAULTS.items():
+        if name not in _FIT_OPTIONS[source]:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} does not apply to fit --{source}")
+        elif getattr(args, name) is None:
+            setattr(args, name, default)
+    return source
+
+
 def _cmd_fit(args) -> int:
-    if args.points:
+    source = _fit_source(args)
+    if source == "points":
         data = load_monotone_csv(args.points)
         transform = None  # identity: points are already in the unit coordinate
         stem = Path(args.points).stem
     else:
-        if args.model:
+        if source == "model":
             model = parse_model(_model_source(args.model))
             values = sample(model, args.samples, args.seed).values
             stem = "synthetic" if args.model == "builtin:synthetic" else Path(args.model).stem
@@ -189,10 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", help="surrogate model file, or builtin:synthetic")
     src.add_argument("--data", help="sample file (one value per line or single-column CSV)")
     src.add_argument("--points", help="replay a fit from an exported x,y points CSV")
-    p_fit.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo draws")
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--m", type=int, default=45, help="point-selection control")
-    p_fit.add_argument("--delta", type=float, default=None, help="range margin (default: 1e-3 of range)")
+    p_fit.add_argument("--samples", type=int, help="Monte Carlo draws (--model only; default 1000000)")
+    p_fit.add_argument("--seed", type=int, help="Monte Carlo seed (--model only; default 0)")
+    p_fit.add_argument("--m", type=int, help="point-selection control (not with --points; default 45)")
+    p_fit.add_argument(
+        "--delta", type=float, help="range margin (not with --points; default: 1e-3 of range)"
+    )
     p_fit.add_argument("--variant", choices=("cubic", "rational", "both"), default="both")
     p_fit.add_argument("--out", default=".", help="output directory")
     p_fit.set_defaults(func=_cmd_fit)

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpcquad import MonotoneData, fit_transform, select_points
+from gpcquad import MonotoneData, interp, select_from_samples
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,10 +48,22 @@ def mixture_values(rng, size=3000, atoms=True):
 def random_selected_data(rng, size=3000, atoms=True, m_range=(5, 40)):
     """MonotoneData selected from a random sample mixture, plus transform."""
     values = mixture_values(rng, size=size, atoms=atoms)
-    delta = 1e-3 * (values.max() - values.min())
-    transform, cdf = fit_transform(values, delta)
     m = int(rng.integers(*m_range))
-    return select_points(cdf, m), transform, m
+    transform, points = select_from_samples(values, m)
+    return points, transform, m
+
+
+def assert_exact_at_knots(model):
+    """Each rising piece's kernels give its knot values and slopes bit for
+    bit at t = 0 and t = 1, with no numpy warning: what `validate_model`
+    reports as 0 without evaluating them."""
+    pieces = model.pieces
+    k = np.flatnonzero(pieces.dy != 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, values, slopes in ((0.0, pieces.y0, pieces.d0), (1.0, pieces.y1, pieces.d1)):
+            assert interp._cdf_t(pieces, k, t).tobytes() == values[k].tobytes(), t
+            assert interp._pdf_t(pieces, k, t).tobytes() == slopes[k].tobytes(), t
 
 
 def diagonal_data(n=5):

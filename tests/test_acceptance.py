@@ -20,29 +20,26 @@ from scipy.special import ndtr
 
 from gpcquad import (
     SYNTHETIC_MODEL,
+    VARIANTS,
+    GpcquadError,
     RecurrenceCoeffs,
-    compute_recurrence,
-    default_delta,
-    fit_cubic,
-    fit_rational,
-    fit_transform,
+    fit_variant,
     gauss_rule,
     inverse_cdf,
     cdf_eval,
     pdf_eval,
     moments,
     numeric_moment_oracle,
-    orthonormality_error,
     parse_model,
+    rule_from_model,
+    rules_from_model,
     sample,
-    select_points,
+    select_from_samples,
     validate_model,
 )
-from conftest import diagonal_data, mixture_values
+from conftest import assert_exact_at_knots, diagonal_data, mixture_values
 
 ACCEPT_N = int(os.environ.get("ACCEPT_N", "200000"))
-
-FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
 
 # Criterion 2 runs at the full-scale demo size whatever ACCEPT_N is: at
 # N = 2e5 the Monte Carlo error of the extreme node alone exceeds the band.
@@ -144,16 +141,15 @@ def _report(num, ok, detail):
     print(f"ACCEPTANCE {num} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _fit(values, m, variant):
+    transform, points = select_from_samples(values, m)
+    return fit_variant(points, variant, transform)
+
+
 def _synthetic_pipeline(seed, n_samples, variant, m=45, n_hat=4):
-    model = parse_model(SYNTHETIC_MODEL)
-    values = sample(model, n_samples, seed=seed).values
-    transform, cdf = fit_transform(values, default_delta(values))
-    data = select_points(cdf, m)
-    density = FITTERS[variant](data, transform=transform)
-    mom = moments(density, 2 * n_hat + 1)
-    rec, basis = compute_recurrence(mom, n_hat)
-    rule = gauss_rule(rec)
-    return density, basis, rule
+    """The synthetic demo's density and its degree-n_hat (basis, rule, eps)."""
+    density = _fit(sample(parse_model(SYNTHETIC_MODEL), n_samples, seed=seed).values, m, variant)
+    return density, *rule_from_model(density, n_hat)[2:]
 
 
 def _horner_orthonormality_error(basis, rule):
@@ -175,9 +171,8 @@ def test_criterion_1_synthetic_end_to_end():
     """
     start = time.time()
     epsilons, horner = {}, {}
-    for variant in ("cubic", "rational"):
-        _, basis, rule = _synthetic_pipeline(2026, ACCEPT_N, variant)
-        epsilons[variant] = orthonormality_error(basis, rule)
+    for variant in VARIANTS:
+        _, basis, rule, epsilons[variant] = _synthetic_pipeline(2026, ACCEPT_N, variant)
         horner[variant] = _horner_orthonormality_error(basis, rule)
     elapsed = time.time() - start
     ok = all(e <= 1e-12 for e in [*epsilons.values(), *horner.values()]) and elapsed <= 60.0
@@ -227,7 +222,7 @@ def test_criterion_2_reference_rule_bands():
     worst_node = worst_weight = 0.0
     node_seed = weight_seed = None
     for seed in range(1, 6):
-        density, _, rule = _synthetic_pipeline(seed, CRITERION_2_N, "cubic")
+        density, _, rule, _ = _synthetic_pipeline(seed, CRITERION_2_N, "cubic")
         a, b = density.transform.a, density.transform.b
         ref_nodes, ref_weights = _synthetic_reference_rule(a, a + b)
         fine_nodes, fine_weights = _synthetic_reference_rule(a, a + b, counts=doubled)
@@ -258,14 +253,12 @@ def test_criterion_3_physical_consistency_suite():
     checked = 0
     for _ in range(200):
         values = mixture_values(rng, size=1500)
-        transform, cdf = fit_transform(values, default_delta(values))
-        data = select_points(cdf, int(rng.integers(5, 46)))
-        for variant in ("cubic", "rational"):
-            density = FITTERS[variant](data, transform=transform)
+        transform, points = select_from_samples(values, int(rng.integers(5, 46)))
+        for variant in VARIANTS:
+            density = fit_variant(points, variant, transform)
             report = validate_model(density, raise_on_failure=False)
             assert report["ok"], report["failures"]
-            assert report["hermite_value_max"] <= 1e-12
-            assert report["hermite_slope_max"] <= 1e-12
+            assert_exact_at_knots(density)
             assert report["c1_jump_max"] <= 1e-12
             c = cdf_eval(density, grid)
             assert np.all(np.diff(c) >= -1e-15)
@@ -285,10 +278,7 @@ def test_criterion_4_moment_oracle_equivalence():
     worst = {"cubic": 0.0, "rational": 0.0}
     for variant, kmax, tol in (("cubic", 12, 1e-9), ("rational", 10, 1e-8)):
         for _ in range(50):
-            values = mixture_values(rng, size=1200)
-            transform, cdf = fit_transform(values, default_delta(values))
-            data = select_points(cdf, int(rng.integers(5, 26)))
-            density = FITTERS[variant](data, transform=transform)
+            density = _fit(mixture_values(rng, size=1200), int(rng.integers(5, 26)), variant)
             mom = moments(density, kmax)
             for k in range(kmax + 1):
                 oracle = numeric_moment_oracle(density, k)
@@ -307,15 +297,13 @@ def test_criterion_5_quadrature_exactness():
     """Rules integrate monomials up to degree 2n+1 to the analytic moments."""
     rng = np.random.default_rng(4321)
     worst = 0.0
-    for variant in ("cubic", "rational"):
+    for variant in VARIANTS:
         for _ in range(12):
-            values = mixture_values(rng, size=1500)
-            transform, cdf = fit_transform(values, default_delta(values))
-            data = select_points(cdf, int(rng.integers(5, 40)))
-            density = FITTERS[variant](data, transform=transform)
-            mom = moments(density, 13)
-            for n_hat in range(0, 7):
-                rule = gauss_rule(compute_recurrence(mom, n_hat)[0])
+            density = _fit(mixture_values(rng, size=1500), int(rng.integers(5, 40)), variant)
+            for n_hat, outcome in rules_from_model(density, range(7)).items():
+                if isinstance(outcome, GpcquadError):
+                    pytest.fail(f"{variant} degree {n_hat} refused: {type(outcome).__name__}: {outcome}")
+                mom, _, _, rule, _ = outcome
                 for k in range(2 * n_hat + 2):
                     dev = abs(float(np.dot(rule.weights, rule.nodes**k)) - mom[k])
                     rel = dev / max(1.0, abs(mom[k]))
@@ -326,10 +314,7 @@ def test_criterion_5_quadrature_exactness():
 
 def test_criterion_6_uniform_closed_forms():
     """Uniform density pipeline reproduces the textbook two-point rule."""
-    density = fit_cubic(diagonal_data(6))
-    mom = moments(density, 3)
-    rec, basis = compute_recurrence(mom, 1)
-    rule = gauss_rule(rec)
+    _, rec, _, rule, _ = rule_from_model(fit_variant(diagonal_data(6), "cubic"), 1)
     node_lo, node_hi = (3 - math.sqrt(3)) / 6, (3 + math.sqrt(3)) / 6
     devs = [
         abs(rec.gamma[0] - 0.5),
@@ -353,12 +338,9 @@ def test_criterion_7_inverse_cdf_round_trip():
     """
     rng = np.random.default_rng(555)
     worst = 0.0
-    for variant in ("cubic", "rational"):
+    for variant in VARIANTS:
         for _ in range(5):
-            values = mixture_values(rng, size=1500, atoms=False)
-            transform, cdf = fit_transform(values, default_delta(values))
-            data = select_points(cdf, int(rng.integers(5, 40)))
-            density = FITTERS[variant](data, transform=transform)
+            density = _fit(mixture_values(rng, size=1500, atoms=False), int(rng.integers(5, 40)), variant)
             ys = rng.uniform(0.0, 1.0, 1000)
             ys = ys[~np.isin(ys, density.y[:-1][np.diff(density.y) == 0])]
             xs = inverse_cdf(density, ys)

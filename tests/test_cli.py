@@ -8,24 +8,19 @@ import pytest
 
 from gpcquad import (
     NumericalError,
-    compute_recurrence,
     draw_samples,
-    fit_transform,
-    default_delta,
-    gauss_rule,
     load_model,
     load_samples,
-    moments,
     parse_model,
     pdf_eval,
     rule_from_model,
     sample,
     save_monotone_csv,
     save_samples,
-    select_points,
+    select_from_samples,
     fit_cubic,
     fit_density,
-    fit_rational,
+    fit_variant,
     save_model,
     validate_model,
 )
@@ -128,6 +123,38 @@ def test_fit_replay_from_points_gives_uniform(tmp_path, capsys):
     np.testing.assert_allclose(report["nodes"], want, atol=1e-10)
     np.testing.assert_allclose(report["weights"], [0.5, 0.5], atol=1e-10)
     assert report["orthonormality_error"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "source, option, value",
+    [("points", "--m", "1"), ("points", "--delta", "-5"), ("points", "--samples", "3"),
+     ("points", "--seed", "7"), ("data", "--samples", "3"), ("data", "--seed", "-7")],
+)
+def test_fit_refuses_an_option_its_source_does_not_take(tmp_path, capsys, source, option, value):
+    # formerly ignored without a word, even out of range: `fit --points
+    # pts.csv --m 1 --delta -5 --samples 3 --seed 7` exited 0
+    given = tmp_path / "given.csv"
+    if source == "points":
+        save_monotone_csv(diagonal_data(6), given)
+    else:
+        given.write_text("".join(f"{v}\n" for v in np.linspace(0.0, 1.0, 50)))
+    for path in (given, tmp_path / "missing.csv"):  # refused before the file is read
+        code, report, err = run_cli(
+            capsys, "fit", f"--{source}", str(path), option, value, "--out", str(tmp_path / "out")
+        )
+        assert (code, report) == (1, None)
+        assert err == f"error: {option} does not apply to fit --{source}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["model", "data", "points"])
+def test_fit_from_an_empty_path_is_an_io_error(tmp_path, capsys, source):
+    # `--points ""` and `--model ""` formerly fell through to the sample-file
+    # reader with no path, and ended in a TypeError traceback
+    code, report, err = run_cli(capsys, "fit", f"--{source}", "", "--out", str(tmp_path / "out"))
+    assert (code, report) == (3, None)
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_basis_closed_forms_and_degree_cap(tmp_path, capsys):
@@ -457,13 +484,8 @@ def test_non_finite_model_file_is_rejected(tmp_path, capsys):
 def test_cli_round_trip_matches_in_process(variant, tmp_path, capsys):
     """fit -> quad through files reproduces the in-process pipeline bitwise."""
     model = parse_model("a ~ N(0.0, 2.0)\nb ~ U(-1.0, 1.0)\nf = a + b*b\n")
-    values = sample(model, 30_000, seed=21).values
-    transform, cdf = fit_transform(values, default_delta(values))
-    data = select_points(cdf, 30)
-    fitter = fit_cubic if variant == "cubic" else fit_rational
-    density = fitter(data, transform=transform)
-    rec, _ = compute_recurrence(moments(density, 9), 4)
-    rule = gauss_rule(rec)
+    transform, points = select_from_samples(sample(model, 30_000, seed=21).values, 30)
+    rule = rule_from_model(fit_variant(points, variant, transform), 4)[3]
 
     model_file = tmp_path / "m.txt"
     model_file.write_text("a ~ N(0.0, 2.0)\nb ~ U(-1.0, 1.0)\nf = a + b*b\n")

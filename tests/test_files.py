@@ -21,26 +21,22 @@ from hypothesis import strategies as st
 from gpcquad import (
     InvariantViolation,
     MonotoneData,
+    VARIANTS,
     cdf_original,
-    compute_recurrence,
-    default_delta,
-    fit_cubic,
-    fit_rational,
-    fit_transform,
-    gauss_rule,
+    fit_variant,
     load_basis,
     load_model,
     load_monotone_csv,
     load_samples,
-    moments,
     pdf_original,
+    rule_from_model,
     save_basis,
     save_model,
     save_monotone_csv,
     save_rule,
     save_rule_csv,
     save_samples,
-    select_points,
+    select_from_samples,
 )
 from gpcquad import errors, files
 from gpcquad.cli import main
@@ -55,14 +51,11 @@ pytestmark = pytest.mark.filterwarnings("error")
 @pytest.fixture(scope="module")
 def built():
     """A point set, both fits of it, and a degree-4 basis and rule of each fit."""
-    values = np.random.default_rng(7).normal(size=2000)
-    transform, cdf = fit_transform(values, default_delta(values))
-    data = select_points(cdf, 20)
+    transform, data = select_from_samples(np.random.default_rng(7).normal(size=2000), 20)
     out = {"points": data}
-    for fit in (fit_cubic, fit_rational):
-        model = fit(data, transform=transform)
-        rec, basis = compute_recurrence(moments(model, 9), 4)
-        out[model.variant] = model, basis, gauss_rule(rec)
+    for variant in VARIANTS:
+        model = fit_variant(data, variant, transform)
+        out[variant] = model, *rule_from_model(model, 4)[2:4]
     return out
 
 

@@ -48,7 +48,7 @@ from gpcquad.interp import (
     model_from_dict,
     model_to_dict,
 )
-from conftest import diagonal_data, mixture_values, random_selected_data
+from conftest import assert_exact_at_knots, diagonal_data, mixture_values, random_selected_data
 
 moments_module = importlib.import_module("gpcquad.moments")
 FITTERS = {"cubic": fit_cubic, "rational": fit_rational}
@@ -232,8 +232,7 @@ def test_fit_invariants_on_random_selections(rng, variant):
         data, transform, _ = random_selected_data(rng)
         model = FITTERS[variant](data, transform=transform)
         report = validate_model(model)
-        assert report["hermite_value_max"] <= 1e-12
-        assert report["hermite_slope_max"] <= 1e-12
+        assert_exact_at_knots(model)
         assert report["c1_jump_max"] <= 1e-12
         # dense-grid physical consistency
         xs = np.linspace(0, 1, 10_001)
@@ -1073,19 +1072,6 @@ def test_c1_is_a_zero_slope_where_a_rising_piece_meets_a_flat_one(variant, x, y,
             DensityModel(**fields)
     else:
         assert DensityModel(**fields).checks["c1_jump_max"] == outcome
-
-
-def assert_exact_at_knots(model):
-    """Each rising piece's kernels give its knot values and slopes bit for
-    bit at t = 0 and t = 1, with no numpy warning: what `validate_model`
-    reports as 0 without evaluating them."""
-    pieces = model.pieces
-    k = np.flatnonzero(pieces.dy != 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t, values, slopes in ((0.0, pieces.y0, pieces.d0), (1.0, pieces.y1, pieces.d1)):
-            assert interp._cdf_t(pieces, k, t).tobytes() == values[k].tobytes(), t
-            assert interp._pdf_t(pieces, k, t).tobytes() == slopes[k].tobytes(), t
 
 
 def test_fits_meet_their_knots_exactly(synthetic_fits):

@@ -19,14 +19,12 @@ from gpcquad import (
     RecurrenceCoeffs,
     SampleSet,
     cdf_eval,
-    compute_recurrence,
     default_delta,
     fit_cubic,
     fit_rational,
     fit_transform,
-    gauss_rule,
-    moments,
     pdf_eval,
+    rule_from_model,
     select_points,
 )
 from gpcquad.interp import IDENTITY_TRANSFORM
@@ -43,9 +41,9 @@ def built():
     data = select_points(cdf, 20)
     cubic = fit_cubic(data, transform=transform)
     rational = fit_rational(data, transform=transform)
-    rec, basis = compute_recurrence(moments(cubic, 9), 4)
+    _, rec, basis, rule, _ = rule_from_model(cubic, 4)
     return {"points": data, "cubic": cubic, "rational": rational, "recurrence": rec,
-            "samples": SampleSet(values=values, seed=1), "ecdf": cdf, "basis": basis, "rule": gauss_rule(rec)}
+            "samples": SampleSet(values=values, seed=1), "ecdf": cdf, "basis": basis, "rule": rule}
 
 
 KINDS = ["points", "cubic", "rational", "recurrence"]
